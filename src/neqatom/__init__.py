@@ -34,6 +34,7 @@ from .optics import (
     surface_mode_frequency,
 )
 from .quadrature import (
+    NonFiniteIntegrandError,
     QuadratureResult,
     QuadratureSpec,
     QuadratureToleranceError,

@@ -26,12 +26,15 @@ from .atom import (
 )
 from .optics import DielectricModel
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
-from .response import GeometryPoint, alpha_pair
+from .response import GeometryPoint, _b_vector, alpha_pair
 
 _GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
 
 DEFAULT_T_SEARCH = (1.0, 5000.0)
 DEFAULT_THERMAL_THRESHOLD = 2e-3
+
+# failures a scan records per point instead of raising
+_POINT_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
         thermal = closest_thermal(pops, atom, T_search) if with_thermal else None
         return ScanPoint(z=geom.z, delta=geom.delta, env31=env31, env32=env32,
                          populations=pops, thermal=thermal)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
+    except _POINT_ERRORS as exc:
         return ScanPoint(z=geom.z, delta=geom.delta,
                          error=f"{type(exc).__name__}: {exc}")
 
@@ -165,11 +168,9 @@ def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
     def work(geom):
         return steady_point(atom, model, geom, T_W, T_M, spec, T_search, with_thermal)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(work, geoms))
-    else:
-        points = tuple(work(g) for g in geoms)
+    b_keys = [(omega, float(d)) for d in delta_values
+              for omega in (atom.omega_31, atom.omega_32)]
+    points = tuple(_map_points(work, geoms, threads, b_keys, model, spec))
     return ScanResult(z_values=z_values, delta_values=delta_values, points=points)
 
 
@@ -188,11 +189,32 @@ def environment_scan(omega: float, weights, model: DielectricModel, z_values,
             pair = alpha_pair(omega, GeometryPoint(z=z, delta=d), model, weights, spec)
             env = transition_rates(probe, "32", pair, T_W, T_M)
             return (z, d, env, None)
-        except (ArithmeticError, RuntimeError, ValueError) as exc:
+        except _POINT_ERRORS as exc:
             return (z, d, None, f"{type(exc).__name__}: {exc}")
 
     tasks = [(float(z), float(d)) for d in delta_values for z in z_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, tasks))
-    return [work(t) for t in tasks]
+    b_keys = [(omega, float(d)) for d in delta_values]
+    return _map_points(work, tasks, threads, b_keys, model, spec)
+
+
+def _map_points(work, tasks, threads, b_keys, model, spec) -> list:
+    """``work`` over ``tasks`` in order, on ``threads`` worker threads.
+
+    With more than one thread, the B vector of every (omega, delta) in
+    ``b_keys`` is integrated first, once each: ``lru_cache`` does not
+    merge concurrent misses, so workers starting on the same key would
+    all integrate it. A B that fails is not cached; the points that need
+    it raise the failure again and record it as their own.
+    """
+    if threads <= 1:
+        return [work(t) for t in tasks]
+
+    def fill(key):
+        try:
+            _b_vector(*key, model, spec)
+        except _POINT_ERRORS:
+            pass
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, b_keys))
+        return list(pool.map(work, tasks))

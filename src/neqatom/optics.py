@@ -233,33 +233,36 @@ def slab_coefficients(mode: PlaneWaveMode, model: DielectricModel, delta: float)
     return SlabCoefficients(rho=complex(rho), tau=complex(tau))
 
 
-def slab_amplitudes(pol: Polarization, omega: float, k, kz, eps, delta: float,
-                    want_tau: bool = True):
-    """Vectorized slab (rho, tau) over arrays of transverse wavenumbers.
+def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
+    """Vectorized slab (rho, tau) of both polarizations over an array of k_z.
 
     ``kz`` is supplied by the caller (real for propagative modes, i*kappa
     for evanescent ones) so integration substitutions stay cancellation-free.
     k_zm comes from (eps - 1) omega^2/c^2 + kz^2, the cancellation-free
-    form of eps omega^2/c^2 - k^2 near the light line. Uses
-    t*tbar = 1 - r**2 directly. For evanescent incidence tau grows like
-    exp((kappa - Im k_zm) delta) and is skipped with want_tau=False.
+    form of eps omega^2/c^2 - k^2 near the light line; it, e^{2i k_zm delta}
+    and the tau phase are shared by TE and TM. Uses t*tbar = 1 - r**2
+    directly. Returns ``((rho_TE, rho_TM), (tau_TE, tau_TM))``. For
+    evanescent incidence tau grows like exp((kappa - Im k_zm) delta) and
+    is skipped with want_tau=False, which returns None in its place.
     """
-    k = np.asarray(k, dtype=float)
     kz = np.asarray(kz)
     kzm = sqrt_im_nonneg((eps - 1.0) * (omega / c) ** 2 + kz * kz)
-    if pol is Polarization.TE:
-        r = (kz - kzm) / (kz + kzm)
-    else:
-        r = (eps * kz - kzm) / (eps * kz + kzm)
     e2 = np.exp(2j * kzm * delta)
-    den = 1.0 - r * r * e2
-    if np.any(np.abs(den) < 1e-13):
-        raise SlabResonanceError("slab resonance")
-    rho = r * (1.0 - e2) / den
-    if not want_tau:
-        return rho, None
-    tau = (1.0 - r * r) * np.exp(1j * (kzm - kz) * delta) / den
-    return rho, tau
+    phase = np.exp(1j * (kzm - kz) * delta) if want_tau else None
+    rho, tau = [], []
+    for r in ((kz - kzm) / (kz + kzm), (eps * kz - kzm) / (eps * kz + kzm)):
+        r2 = r * r
+        den = 1.0 - r2 * e2
+        if (np.abs(den) < 1e-13).any():
+            raise SlabResonanceError("slab resonance")
+        # (1.0 - e2) stays an unnamed temporary: numpy reuses the temporary
+        # of a large array in place, which swaps the operands of this
+        # complex product and can move its last bit, so a shared array
+        # would shift rho by an ulp against the recorded reference output
+        rho.append(r * (1.0 - e2) / den)
+        if want_tau:
+            tau.append((1.0 - r2) * phase / den)
+    return tuple(rho), (tuple(tau) if want_tau else None)
 
 
 # --- material files -------------------------------------------------------

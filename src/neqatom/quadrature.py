@@ -15,9 +15,20 @@ k = (omega/c) sin(theta) on the propagative sector and kappa as the
 variable on the evanescent one. Nested Gauss-Kronrod (G7, K15) rule pairs
 give the per-panel error estimate; the worst panel is bisected on failure.
 Panels never evaluate interval endpoints, so 1/k_z densities are safe.
+An integrand that returns NaN or infinity raises NonFiniteIntegrandError
+naming the node; it never passes as converged.
 
-Everything is deterministic: fixed node sets, fixed split order, and a
-final summation in ascending panel order.
+Panels live in preallocated arrays (edges, K15 values, error estimates)
+with one row per panel: a split overwrites the parent's row with its left
+half and appends the right half, so ``initial + max_subdivisions`` rows
+always suffice. A heap keyed on each panel's largest error component
+picks the next split; entries left stale by a split are skipped.
+
+Everything is deterministic: fixed node sets and a fixed split order.
+The returned value and error are sequential sums over the panel rows in
+ascending panel order (the error seeded with the constant error floor),
+so they are reproducible bit for bit and do not depend on the order in
+which panels were split.
 """
 
 from __future__ import annotations
@@ -83,6 +94,14 @@ class QuadratureResult:
     evaluations: int
 
 
+class NonFiniteIntegrandError(ArithmeticError):
+    """The integrand returned NaN or infinity; ``node`` is where it did."""
+
+    def __init__(self, node: float):
+        super().__init__(f"integrand not finite at node {node!r}")
+        self.node = node
+
+
 class QuadratureToleranceError(RuntimeError):
     """Tolerance not met within the subdivision budget; carries best estimate."""
 
@@ -92,7 +111,12 @@ class QuadratureToleranceError(RuntimeError):
 
 
 def _eval_panels(F, a, b):
-    """K15 values and |K15 - G7| error estimates for a batch of panels."""
+    """K15 values and |K15 - G7| error estimates for a batch of panels.
+
+    Raises NonFiniteIntegrandError if any panel value or error is not
+    finite, naming the first node where the integrand is not. A finite
+    |K15 - G7| implies finite K15 and G7, so one check covers both.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
@@ -102,7 +126,13 @@ def _eval_panels(F, a, b):
     y = y.reshape(len(a), 15, -1)
     k15 = np.einsum("k,nkm->nm", _K15_W, y) * half[:, None]
     g7 = np.einsum("k,nkm->nm", _G7_W, y) * half[:, None]
-    return k15, np.abs(k15 - g7)
+    err = np.abs(k15 - g7)
+    if not np.isfinite(err).all():
+        bad = ~np.isfinite(y).all(axis=2)
+        # finite samples can still overflow a panel sum: name its midpoint
+        node = x[bad][0] if bad.any() else mid[~np.isfinite(err).all(axis=1)][0]
+        raise NonFiniteIntegrandError(float(node))
+    return k15, err
 
 
 def _adaptive(F, edges, spec, extra_error=None):
@@ -113,54 +143,59 @@ def _adaptive(F, edges, spec, extra_error=None):
     that subdivision cannot reduce but that counts towards the tolerance.
     """
     edges = np.asarray(edges, dtype=float)
-    if len(edges) - 1 > _MAX_INITIAL_PANELS:
+    n = len(edges) - 1
+    if n > _MAX_INITIAL_PANELS:
         raise ValueError("initial panel budget exceeded")
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    vals, errs = _eval_panels(F, a, b)
-    evaluations = 15 * len(a)
-    m = vals.shape[1]
+    vals0, errs0 = _eval_panels(F, edges[:-1], edges[1:])
+    evaluations = 15 * n
+    m = vals0.shape[1]
     if extra_error is None:
         extra_error = np.zeros(m)
 
-    a_list = list(a)
-    b_list = list(b)
-    val_list = list(vals)
-    err_list = list(errs)
-    heap = [(-float(errs[i].max()), i) for i in range(len(a))]
+    rows = n + spec.max_subdivisions      # a split adds exactly one row
+    a = np.empty(rows)
+    b = np.empty(rows)
+    vals = np.empty((rows, m))
+    errs = np.empty((rows, m))
+    a[:n] = edges[:-1]
+    b[:n] = edges[1:]
+    vals[:n] = vals0
+    errs[:n] = errs0
+    emax0 = errs0.max(axis=1)
+    emax = emax0.tolist()                 # current heap key of every panel
+    heap = list(zip((-emax0).tolist(), range(n)))
     heapq.heapify(heap)
+    count = n
 
-    total_val = vals.sum(axis=0)
-    total_err = errs.sum(axis=0) + extra_error
+    total_val = vals0.sum(axis=0)
+    total_err = errs0.sum(axis=0) + extra_error
     splits = 0
 
     def _tol():
         return np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
 
     def _final(ok):
-        order = np.argsort(np.array(a_list), kind="stable")
-        value = np.zeros(m)
-        error = extra_error.copy()
-        for i in order:
-            value += val_list[i]
-            error += err_list[i]
+        # one sequential accumulation each, in ascending panel order
+        order = np.argsort(a[:count], kind="stable")
+        value = np.cumsum(np.vstack((np.zeros(m), vals[order])), axis=0)[-1]
+        error = np.cumsum(np.vstack((extra_error, errs[order])), axis=0)[-1]
         result = QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
         if not ok:
             raise QuadratureToleranceError(
                 f"tolerance not met after {splits} subdivisions", best=result)
         return result
 
-    while np.any(total_err > _tol()):
+    while not (total_err <= _tol()).all():
         if splits >= spec.max_subdivisions:
             return _final(ok=False)
         while heap:
             neg_err, i = heapq.heappop(heap)
-            if -neg_err == float(err_list[i].max()):
+            if -neg_err == emax[i]:
                 break
         else:
             # every remaining panel is at floating-point width
             return _final(ok=False)
-        lo, hi, old_val, old_err = a_list[i], b_list[i], val_list[i], err_list[i]
+        lo, hi = a[i], b[i]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # panel at floating-point resolution: accept its estimate as-is
@@ -168,16 +203,15 @@ def _adaptive(F, edges, spec, extra_error=None):
         pv, pe = _eval_panels(F, np.array([lo, mid]), np.array([mid, hi]))
         evaluations += 30
         splits += 1
-        a_list[i], b_list[i], val_list[i], err_list[i] = lo, mid, pv[0], pe[0]
-        a_list.append(mid)
-        b_list.append(hi)
-        val_list.append(pv[1])
-        err_list.append(pe[1])
-        j = len(a_list) - 1
-        heapq.heappush(heap, (-float(pe[0].max()), i))
-        heapq.heappush(heap, (-float(pe[1].max()), j))
-        total_val = total_val - old_val + pv[0] + pv[1]
-        total_err = total_err - old_err + pe[0] + pe[1]
+        total_val = total_val - vals[i] + pv[0] + pv[1]
+        total_err = total_err - errs[i] + pe[0] + pe[1]
+        left_max, right_max = pe.max(axis=1).tolist()
+        b[i], vals[i], errs[i], emax[i] = mid, pv[0], pe[0], left_max
+        a[count], b[count], vals[count], errs[count] = mid, hi, pv[1], pe[1]
+        emax.append(right_max)
+        heapq.heappush(heap, (-left_max, i))
+        heapq.heappush(heap, (-right_max, count))
+        count += 1
 
     return _final(ok=True)
 
@@ -287,6 +321,8 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     interior.extend(np.sqrt(pts**2 - U**2))
 
     tail = np.atleast_2d(F(np.array([kappa_max])))[0] / (2.0 * z)
+    if not np.isfinite(tail).all():
+        raise NonFiniteIntegrandError(kappa_max)
     edges = _merge_edges(0.0, kappa_max, interior)
     result = _adaptive(F, edges, spec, extra_error=np.abs(tail))
     result.evaluations += 1

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.constants import c
 
-from .optics import DielectricModel, Polarization, medium_kz, permittivity, slab_amplitudes
+from .optics import DielectricModel, medium_kz, permittivity, slab_amplitudes
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureResult,
@@ -128,8 +128,7 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     pref = 0.75 * c / omega
 
     def integrand(k, kz):
-        rho_te, tau_te = slab_amplitudes(Polarization.TE, omega, k, kz, eps, delta)
-        rho_tm, tau_tm = slab_amplitudes(Polarization.TM, omega, k, kz, eps, delta)
+        (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, delta)
         te = (np.abs(rho_te) ** 2 + np.abs(tau_te) ** 2)[:, None] * _TE_WEIGHTS
         tm = (np.abs(rho_tm) ** 2 + np.abs(tau_tm) ** 2)[:, None] * _tm_weights(omega, k, kz**2, +1.0)
         return pref * (k / kz)[:, None] * (te + tm)
@@ -152,8 +151,7 @@ def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,
     b_res = _b_vector(omega, delta, model, spec)
 
     def c_integrand(k, kz):
-        rho_te, _ = slab_amplitudes(Polarization.TE, omega, k, kz, eps, delta, want_tau=False)
-        rho_tm, _ = slab_amplitudes(Polarization.TM, omega, k, kz, eps, delta, want_tau=False)
+        (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
         phase = np.exp(2j * kz * z)
         te = (rho_te * phase).real[:, None] * _TE_WEIGHTS
         tm = (rho_tm * phase).real[:, None] * _tm_weights(omega, k, kz**2, -1.0)
@@ -164,8 +162,7 @@ def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,
 
     def d_integrand(k, kappa):
         kz = 1j * kappa
-        rho_te, _ = slab_amplitudes(Polarization.TE, omega, k, kz, eps, delta, want_tau=False)
-        rho_tm, _ = slab_amplitudes(Polarization.TM, omega, k, kz, eps, delta, want_tau=False)
+        (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
         damp = np.exp(-2.0 * kappa * z)
         te = rho_te.imag[:, None] * _TE_WEIGHTS
         tm = rho_tm.imag[:, None] * _tm_weights(omega, k, kappa**2, +1.0)

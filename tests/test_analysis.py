@@ -17,8 +17,9 @@ from neqatom.analysis import (
 )
 from neqatom.atom import AtomModel, Populations, bose_occupation, steady_state
 from neqatom.optics import load_material, surface_mode_frequency
-from neqatom.quadrature import QuadratureSpec
-from neqatom.response import GeometryPoint
+from neqatom import response
+from neqatom.quadrature import QuadratureResult, QuadratureSpec, QuadratureToleranceError
+from neqatom.response import GeometryPoint, _b_vector
 
 SIC = load_material("sic")
 OMEGA_R = 1.495e14
@@ -140,6 +141,24 @@ class TestScan:
         assert all(p.error is not None for p in res.points)
         assert all(p.populations is None for p in res.points)
 
+    def test_non_finite_integrand_recorded_as_point_error(self, monkeypatch):
+        amplitudes = response.slab_amplitudes
+
+        def nan_amplitudes(*args, **kwargs):
+            (rho_te, rho_tm), tau = amplitudes(*args, **kwargs)
+            rho_te[0] = np.nan
+            return (rho_te, rho_tm), tau
+
+        monkeypatch.setattr(response, "slab_amplitudes", nan_amplitudes)
+        _b_vector.cache_clear()
+        try:
+            pt = steady_point(FIG5_ATOM, SIC, GeometryPoint(z=2e-7, delta=110e-9),
+                              470.0, 170.0)
+        finally:
+            _b_vector.cache_clear()
+        assert pt.populations is None
+        assert pt.error.startswith("NonFiniteIntegrandError: integrand not finite at node")
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             scan(FIG5_ATOM, SIC, [], [1e-7], 470.0, 170.0)
@@ -168,3 +187,29 @@ class TestEnvironmentScan:
         assert abs(near.T_eff - 170.0) < 1.0
         assert near.alpha_M > near.alpha_W
         assert far.alpha_W > far.alpha_M
+
+    def test_threads_integrate_b_once(self):
+        _b_vector.cache_clear()
+        # off band on a thick slab B takes long enough for both workers
+        # to miss the cache if nothing fills it first
+        records = environment_scan(0.5 * OMEGA_R, (1 / 3, 1 / 3, 1 / 3), SIC,
+                                   [1e-8, 1e-7, 1e-6, 1e-5], [1e-2],
+                                   470.0, 170.0, threads=2)
+        assert all(r[3] is None for r in records)
+        assert _b_vector.cache_info().misses == 1
+
+    def test_threads_b_failure_lands_in_every_point(self, monkeypatch):
+        calls = []
+
+        def failing_b(*args, **kwargs):
+            calls.append(1)
+            best = QuadratureResult(np.zeros(3), np.ones(3), 15)
+            raise QuadratureToleranceError("forced B failure", best=best)
+
+        monkeypatch.setattr(response, "integrate_propagative", failing_b)
+        _b_vector.cache_clear()
+        records = environment_scan(OMEGA_R, (1 / 3, 1 / 3, 1 / 3), SIC,
+                                   [1e-8, 1e-7, 1e-6], [110e-9], 470.0, 170.0,
+                                   threads=2)
+        assert [r[3] for r in records] == ["QuadratureToleranceError: forced B failure"] * 3
+        assert len(calls) == 1 + 3

@@ -16,6 +16,7 @@ from neqatom.optics import (
     load_material,
     medium_kz,
     permittivity,
+    slab_amplitudes,
     slab_coefficients,
     surface_mode_frequency,
     vacuum_kz,
@@ -206,6 +207,54 @@ class TestSlab:
         mode = PlaneWaveMode(Polarization.TE, k=1e5, omega=1.5e14)
         with pytest.raises(ValueError):
             slab_coefficients(mode, SIC, -1e-9)
+
+
+class TestSlabAmplitudes:
+    """The vectorized two-polarization path against the scalar one."""
+
+    @pytest.mark.parametrize("omega", [0.5 * 1.495e14, 1.495e14, 2.0 * 1.495e14])
+    @pytest.mark.parametrize("delta", [110e-9, 1e-6])
+    def test_matches_slab_coefficients(self, omega, delta):
+        U = omega / 2.99792458e8
+        k = U * np.array([0.0, 0.3, 0.9, 1.1, 2.0, 8.0])
+        kz = np.where(k < U, np.sqrt(np.abs(U**2 - k**2)) + 0j,
+                      1j * np.sqrt(np.abs(k**2 - U**2)))
+        eps = permittivity(SIC, omega)
+        (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, delta)
+        for pol, rho, tau in ((Polarization.TE, rho_te, tau_te),
+                              (Polarization.TM, rho_tm, tau_tm)):
+            for i, ki in enumerate(k):
+                sc = slab_coefficients(PlaneWaveMode(pol, k=ki, omega=omega), SIC, delta)
+                assert abs(rho[i] - sc.rho) <= 1e-12 * max(1.0, abs(sc.rho))
+                assert abs(tau[i] - sc.tau) <= 1e-12 * max(1.0, abs(sc.tau))
+
+    def test_rho_without_tau_is_identical(self):
+        omega = 2.0 * 1.495e14
+        U = omega / 2.99792458e8
+        # large enough for numpy to reuse temporaries in place
+        kz = 1j * U * np.linspace(0.01, 40.0, 20_000)
+        eps = permittivity(SIC, omega)
+        rho, tau = slab_amplitudes(omega, eps, kz, 1e-6)
+        rho_only, no_tau = slab_amplitudes(omega, eps, kz, 1e-6, want_tau=False)
+        assert no_tau is None and len(tau) == 2
+        for full, only in zip(rho, rho_only):
+            assert full.tobytes() == only.tobytes()
+
+    def test_lossless_guided_mode_raises(self):
+        # below omega_T the lossless medium has eps = 10: an evanescent node
+        # kz = i kappa sees k_zm = q real and r_TE = -exp(-2i atan(kappa/q)),
+        # so the slab thickness below puts 1 - r^2 e^{2i q delta} on zero
+        omega = 0.5e14
+        eps = permittivity(LOSSLESS, omega)
+        assert eps == 10.0
+        U = omega / 2.99792458e8
+        kappa = U
+        q = math.sqrt(9.0 * U**2 - kappa**2)
+        delta = (4.0 * math.atan(kappa / q) + 2.0 * math.pi) / (2.0 * q)
+        kz = 1j * np.array([0.5 * kappa, kappa])
+        with pytest.raises(SlabResonanceError):
+            slab_amplitudes(omega, eps, kz, delta)
+        slab_amplitudes(omega, eps, kz[:1], delta)      # off the mode: fine
 
 
 class TestMaterialFiles:

@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
+from neqatom import quadrature
 from neqatom.quadrature import (
+    NonFiniteIntegrandError,
     QuadratureResult,
     QuadratureSpec,
     QuadratureToleranceError,
+    _adaptive,
     integrate_evanescent,
     integrate_oscillatory,
     integrate_propagative,
@@ -192,3 +195,122 @@ class TestFailureAndSpec:
             rel /= 2.0
         for earlier, later in zip(errors, errors[1:]):
             assert later <= earlier + 1e-15 * abs(exact)
+
+
+class TestNonFinite:
+    def test_nan_in_initial_pass_raises_with_first_node(self):
+        def half_nan(k, kz):
+            return vec(np.where(k > 0.5 * U, np.nan, k / kz))
+
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_propagative(half_nan, OMEGA)
+        node = err.value.node
+        assert U * math.sin(node) > 0.5 * U
+        assert repr(node) in str(err.value)
+        assert isinstance(err.value, ArithmeticError)
+        # every node below the named one was finite
+        edges = quadrature._merge_edges(0.0, 0.5 * math.pi, [])
+        mid, half = 0.5 * (edges[0] + edges[1]), 0.5 * (edges[1] - edges[0])
+        nodes = mid + half * quadrature._NODES
+        assert node == nodes[np.argmax(U * np.sin(nodes) > 0.5 * U)]
+
+    def test_infinity_from_a_split_raises(self):
+        calls = []
+
+        def spiky_then_inf(k, kz):
+            y = 1.0 / (1e-6 + (k / U - 0.3) ** 2)
+            calls.append(len(k))
+            if len(calls) > 1:
+                y[-1] = np.inf
+            return vec(y)
+
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_propagative(spiky_then_inf, OMEGA)
+        assert len(calls) == 2 and calls[1] == 30
+        assert 0.0 < err.value.node < 0.5 * math.pi
+
+    def test_nan_tail_raises(self):
+        z = 1e-7
+
+        def nan_at_cut(k, kappa):
+            return vec(np.where(kappa >= 0.999 * quadrature._EVANESCENT_CUT / z,
+                                np.nan, np.exp(-2.0 * kappa * z)))
+
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_evanescent(nan_at_cut, OMEGA, z)
+        assert err.value.node == quadrature._EVANESCENT_CUT / z
+
+    def test_nan_error_floor_never_converges(self):
+        spec = QuadratureSpec(max_subdivisions=3)
+        with pytest.raises(QuadratureToleranceError) as err:
+            _adaptive(lambda x: np.ones_like(x), np.array([0.0, 1.0]), spec,
+                      extra_error=np.array([np.nan]))
+        assert err.value.best.evaluations == 15 + 30 * 3
+
+
+def _record_panels(monkeypatch):
+    """Track the live panel set (a, b, value, error) through _eval_panels."""
+    panels = {}
+    original = quadrature._eval_panels
+
+    def recording(F, a, b):
+        vals, errs = original(F, a, b)
+        for row in zip(a.tolist(), b.tolist(), vals, errs):
+            panels[row[0]] = row         # a split overwrites its left half
+        return vals, errs
+
+    monkeypatch.setattr(quadrature, "_eval_panels", recording)
+    return panels
+
+
+def _sequential_sums(panels, m, extra_error):
+    value = np.zeros(m)
+    error = extra_error.copy()
+    for lo in sorted(panels):
+        _, _, val, err = panels[lo]
+        value += val
+        error += err
+    return value, error
+
+
+class TestOrderedSum:
+    """_adaptive sums panel rows in ascending panel order, bit for bit."""
+
+    @staticmethod
+    def wavy(x):
+        return np.stack((np.cos(37.0 * x) * np.exp(x), x**3 - 0.4 * x,
+                         1.0 / (1e-3 + (x - 0.61) ** 2)), axis=-1)
+
+    def test_ten_thousand_initial_panels(self, monkeypatch):
+        panels = _record_panels(monkeypatch)
+        edges = np.linspace(0.0, 1.0, 10_001) ** 1.5
+        extra = np.array([1e-15, 2e-15, 3e-15])
+        res = _adaptive(self.wavy, edges, QuadratureSpec(), extra_error=extra)
+        assert len(panels) == 10_000
+        value, error = _sequential_sums(panels, 3, extra)
+        assert res.value.tobytes() == value.tobytes()
+        assert res.error_estimate.tobytes() == error.tobytes()
+        assert res.evaluations == 15 * 10_000
+
+    def test_after_splits(self, monkeypatch):
+        panels = _record_panels(monkeypatch)
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
+        res = _adaptive(self.wavy, np.linspace(0.0, 1.0, 4), spec)
+        splits = len(panels) - 3
+        assert splits > 10
+        value, error = _sequential_sums(panels, 3, np.zeros(3))
+        assert res.value.tobytes() == value.tobytes()
+        assert res.error_estimate.tobytes() == error.tobytes()
+        assert res.evaluations == 15 * 3 + 30 * splits
+
+    def test_best_estimate_on_failure(self, monkeypatch):
+        panels = _record_panels(monkeypatch)
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=7)
+        with pytest.raises(QuadratureToleranceError) as err:
+            _adaptive(self.wavy, np.linspace(0.0, 1.0, 4), spec)
+        best = err.value.best
+        assert len(panels) == 3 + 7
+        value, error = _sequential_sums(panels, 3, np.zeros(3))
+        assert best.value.tobytes() == value.tobytes()
+        assert best.error_estimate.tobytes() == error.tobytes()
+        assert best.evaluations == 15 * 3 + 30 * 7
