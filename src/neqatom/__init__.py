@@ -9,6 +9,7 @@ from .analysis import (
     scan,
     steady_point,
     thermal_populations,
+    transition_environments,
 )
 from .atom import (
     AtomModel,

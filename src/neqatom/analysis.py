@@ -125,15 +125,21 @@ def closest_thermal(p: Populations, atom: AtomModel,
                              at_boundary=at_boundary)
 
 
+def transition_environments(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
+                            T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Radiative environments ``(env31, env32)`` of both transitions at one point."""
+    a31 = alpha_pair(atom.omega_31, geom, model, atom.weights_31, spec)
+    a32 = alpha_pair(atom.omega_32, geom, model, atom.weights_32, spec)
+    return (transition_rates(atom, "31", a31, T_W, T_M),
+            transition_rates(atom, "32", a32, T_W, T_M))
+
+
 def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
                  T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC,
                  T_search=DEFAULT_T_SEARCH, with_thermal: bool = True) -> ScanPoint:
     """Full pipeline at one geometry point; failures recorded, not raised."""
     try:
-        a31 = alpha_pair(atom.omega_31, geom, model, atom.weights_31, spec)
-        a32 = alpha_pair(atom.omega_32, geom, model, atom.weights_32, spec)
-        env31 = transition_rates(atom, "31", a31, T_W, T_M)
-        env32 = transition_rates(atom, "32", a32, T_W, T_M)
+        env31, env32 = transition_environments(atom, model, geom, T_W, T_M, spec)
         pops = steady_state(env31.n_eff, env32.n_eff)
         thermal = closest_thermal(pops, atom, T_search) if with_thermal else None
         return ScanPoint(z=geom.z, delta=geom.delta, env31=env31, env32=env32,
@@ -141,6 +147,20 @@ def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
     except _POINT_ERRORS as exc:
         return ScanPoint(z=geom.z, delta=geom.delta,
                          error=f"{type(exc).__name__}: {exc}")
+
+
+def _grid(z_values, delta_values):
+    """Validated z and delta arrays and their delta-major, z-minor geometry list."""
+    z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
+    delta_values = np.atleast_1d(np.asarray(delta_values, dtype=float))
+    if z_values.size == 0 or delta_values.size == 0:
+        raise ValueError("grids must be nonempty")
+    for name, values in (("z", z_values), ("delta", delta_values)):
+        if np.any(np.diff(values) <= 0):
+            raise ValueError(f"{name} grid must be strictly increasing")
+    geoms = [GeometryPoint(z=float(z), delta=float(d))
+             for d in delta_values for z in z_values]
+    return z_values, delta_values, geoms
 
 
 def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
@@ -153,17 +173,7 @@ def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
     order is fixed as delta-major, z-minor regardless of scheduling.
     Per-point failures land in ``ScanPoint.error`` and the scan continues.
     """
-    z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
-    delta_values = np.atleast_1d(np.asarray(delta_values, dtype=float))
-    if z_values.size == 0 or delta_values.size == 0:
-        raise ValueError("grids must be nonempty")
-    if np.any(np.diff(z_values) <= 0) and z_values.size > 1:
-        raise ValueError("z grid must be strictly increasing")
-    if np.any(np.diff(delta_values) <= 0) and delta_values.size > 1:
-        raise ValueError("delta grid must be strictly increasing")
-
-    geoms = [GeometryPoint(z=float(z), delta=float(d))
-             for d in delta_values for z in z_values]
+    z_values, delta_values, geoms = _grid(z_values, delta_values)
 
     def work(geom):
         return steady_point(atom, model, geom, T_W, T_M, spec, T_search, with_thermal)
@@ -177,24 +187,24 @@ def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
 def environment_scan(omega: float, weights, model: DielectricModel, z_values,
                      delta_values, T_W: float, T_M: float,
                      spec: QuadratureSpec = DEFAULT_SPEC, threads: int = 1):
-    """Single-transition z/delta scan: list of (z, delta, env-or-None, error)."""
-    z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
-    delta_values = np.atleast_1d(np.asarray(delta_values, dtype=float))
+    """Single-transition z/delta scan: list of (z, delta, env-or-None, error).
+
+    The grids are checked as in :func:`scan`.
+    """
+    _, delta_values, geoms = _grid(z_values, delta_values)
     probe = AtomModel(omega_31=2.0 * omega, omega_32=omega,
                       weights_31=weights, weights_32=weights)
 
-    def work(args):
-        z, d = args
+    def work(geom):
         try:
-            pair = alpha_pair(omega, GeometryPoint(z=z, delta=d), model, weights, spec)
+            pair = alpha_pair(omega, geom, model, weights, spec)
             env = transition_rates(probe, "32", pair, T_W, T_M)
-            return (z, d, env, None)
+            return (geom.z, geom.delta, env, None)
         except _POINT_ERRORS as exc:
-            return (z, d, None, f"{type(exc).__name__}: {exc}")
+            return (geom.z, geom.delta, None, f"{type(exc).__name__}: {exc}")
 
-    tasks = [(float(z), float(d)) for d in delta_values for z in z_values]
     b_keys = [(omega, float(d)) for d in delta_values]
-    return _map_points(work, tasks, threads, b_keys, model, spec)
+    return _map_points(work, geoms, threads, b_keys, model, spec)
 
 
 def _map_points(work, tasks, threads, b_keys, model, spec) -> list:

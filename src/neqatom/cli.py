@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,10 @@ from .analysis import (
     DEFAULT_T_SEARCH,
     environment_scan,
     scan,
+    transition_environments,
 )
-from .atom import AtomModel, Populations, evolve_populations, steady_state, transition_rates
-from .optics import DielectricModel, load_material, surface_mode_frequency
+from .atom import AtomModel, Populations, evolve_populations
+from .optics import DielectricModel, load_material, parse_key_values, surface_mode_frequency
 from .quadrature import QuadratureSpec
 from .response import GeometryPoint, alpha_pair, crossover_distance
 
@@ -107,24 +108,6 @@ class ScenarioConfig:
             raise ConfigError(f"omega_31/omega_32: {exc}") from exc
 
 
-def _parse_kv(text: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown key: {key!r}")
-        if key in values:
-            raise ConfigError(f"duplicate key: {key!r}")
-        values[key] = val.strip()
-    return values
-
-
 def _parse_frequency(expr: str, key: str, omega_r: float, omega_p: float) -> float:
     m = re.fullmatch(r"(?:([0-9.eE+-]+)\s*\*\s*)?omega_([rp])", expr)
     if m:
@@ -158,8 +141,9 @@ def _parse_grid(expr: str, key: str, positive: bool = True) -> np.ndarray:
             values = np.array([float(x) for x in expr.split(",")])
         except ValueError:
             raise ConfigError(f"{key}: cannot parse grid {expr!r}") from None
-    if positive and np.any(values <= 0.0):
-        raise ConfigError(f"{key}: values must be > 0")
+    bad, bound = (values <= 0.0, "> 0") if positive else (values < 0.0, ">= 0")
+    if np.any(bad):
+        raise ConfigError(f"{key}: values must be {bound}")
     if values.size > 1 and np.any(np.diff(values) <= 0.0):
         raise ConfigError(f"{key}: grid must be strictly increasing")
     return values
@@ -190,6 +174,15 @@ def _parse_pair(expr: str, key: str) -> tuple:
     return lo, hi
 
 
+def _meta_text(value) -> str:
+    """Metadata text of a resolved value: raw strings, comma-joined tuples, else repr."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(repr(x) for x in value)
+    return repr(value)
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
     """Parse and validate a scenario config file, filling defaults.
 
@@ -201,7 +194,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    raw = _parse_kv(text)
+    try:
+        raw = parse_key_values(text, _CONFIG_KEYS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for key, val in (overrides or {}).items():
         if val is not None:
             raw[key] = str(val)
@@ -267,39 +263,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
     if cfg.omega_31 is not None and cfg.omega_32 is not None \
             and cfg.omega_31 == cfg.omega_32:
         raise ConfigError("omega_31 must differ from omega_32")
-    if np.any(cfg.delta_values < 0.0):
-        raise ConfigError("delta: values must be >= 0")
 
-    cfg.resolved = {
-        "material": material,
-        "eps_inf": repr(model.eps_inf),
-        "omega_L": repr(model.omega_L),
-        "omega_T": repr(model.omega_T),
-        "gamma_damp": repr(model.gamma_damp),
-    }
-    if omega_p is not None:
-        cfg.resolved["omega_p_resolved"] = repr(omega_p)
-    for key in ("omega", "omega_31", "omega_32"):
-        value = getattr(cfg, key)
-        if value is not None:
-            cfg.resolved[key] = repr(value)
-    for key in ("T_W", "T_M"):
-        value = getattr(cfg, key)
-        if value is not None:
-            cfg.resolved[key] = repr(value)
-    if cfg.z_values is not None:
-        cfg.resolved["z"] = merged["z"]
-    cfg.resolved["delta"] = merged["delta"]
-    for key in ("weights", "weights_31", "weights_32", "initial"):
-        cfg.resolved[key] = ",".join(repr(x) for x in getattr(cfg, key))
-    cfg.resolved["thermal_search"] = ",".join(repr(x) for x in cfg.thermal_search)
-    if cfg.t_values is not None:
-        cfg.resolved["t"] = merged["t"]
-    if cfg.bracket is not None:
-        cfg.resolved["bracket"] = ",".join(repr(x) for x in cfg.bracket)
-    cfg.resolved["rel_tol"] = repr(spec.rel_tol)
-    cfg.resolved["abs_tol"] = repr(spec.abs_tol)
-    cfg.resolved["max_subdivisions"] = repr(spec.max_subdivisions)
+    resolved = (
+        ("material", material), ("eps_inf", model.eps_inf), ("omega_L", model.omega_L),
+        ("omega_T", model.omega_T), ("gamma_damp", model.gamma_damp),
+        ("omega_p_resolved", omega_p), ("omega", cfg.omega), ("omega_31", cfg.omega_31),
+        ("omega_32", cfg.omega_32), ("T_W", cfg.T_W), ("T_M", cfg.T_M),
+        ("z", merged.get("z")), ("delta", merged["delta"]), ("weights", cfg.weights),
+        ("weights_31", cfg.weights_31), ("weights_32", cfg.weights_32),
+        ("initial", cfg.initial), ("thermal_search", cfg.thermal_search),
+        ("t", merged.get("t")), ("bracket", cfg.bracket), ("rel_tol", spec.rel_tol),
+        ("abs_tol", spec.abs_tol), ("max_subdivisions", spec.max_subdivisions),
+    )
+    cfg.resolved = {key: _meta_text(value) for key, value in resolved if value is not None}
     return cfg
 
 
@@ -351,68 +327,64 @@ def _write(out_path, fmt, command, cfg, columns, rows):
         Path(out_path).write_text(payload)
 
 
-def _run_rates(cfg, threads, with_rates=True):
-    records = environment_scan(cfg.omega, cfg.weights, cfg.model, cfg.z_values,
-                               cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec, threads)
-    rows, failures = [], []
-    for z, d, env, err in records:
-        if env is None:
-            base = [d, z] + [float("nan")] * (4 if not with_rates else 6)
-            rows.append(base + [err])
-            failures.append((z, d, err))
-        else:
-            row = [d, z, env.alpha_W, env.alpha_M, env.n_eff, env.T_eff]
-            if with_rates:
-                row += [env.gamma_down / env.gamma0, env.gamma_up / env.gamma0]
-            rows.append(row + [None])
+def _rows(records, columns):
+    """Rows in ``columns`` order from records keyed by column name, and the failures.
+
+    A cell a record lacks is NaN. Scan records carry ``error``, None on
+    success; one with an error also lands in the failures as
+    ``(z, delta, error)``.
+    """
+    rows = [[rec.get(col, float("nan")) for col in columns] for rec in records]
+    failures = [(rec["z"], rec["delta"], rec["error"])
+                for rec in records if rec.get("error") is not None]
     return rows, failures
+
+
+def _run_rates(cfg, threads, command):
+    records = []
+    for z, d, env, err in environment_scan(cfg.omega, cfg.weights, cfg.model, cfg.z_values,
+                                           cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec,
+                                           threads):
+        rec = {"delta": d, "z": z, "error": err}
+        if env is not None:
+            rec.update(asdict(env), gamma_down_over_gamma0=env.gamma_down / env.gamma0,
+                       gamma_up_over_gamma0=env.gamma_up / env.gamma0)
+        records.append(rec)
+    return records
 
 
 def _run_steady(cfg, threads, command):
     result = scan(cfg.atom(), cfg.model, cfg.z_values, cfg.delta_values,
                   cfg.T_W, cfg.T_M, cfg.spec, cfg.thermal_search,
                   with_thermal=(command == "thermal-track"), threads=threads)
-    rows, failures = [], []
+    records = []
     for pt in result.points:
-        if pt.error is not None:
-            width = 4 if command == "steady" else 9
-            rows.append([pt.delta, pt.z] + [float("nan")] * width + [pt.error])
-            failures.append((pt.z, pt.delta, pt.error))
-            continue
-        p = pt.populations
-        if command == "steady":
-            rows.append([pt.delta, pt.z, p.p1, p.p2, p.p3, p.p2 > p.p1, None])
-        else:
-            tc = pt.thermal
-            rows.append([pt.delta, pt.z, p.p1, p.p2, p.p3,
-                         pt.env31.T_eff, pt.env32.T_eff,
-                         tc.closest_T, tc.distance, tc.is_thermal, tc.at_boundary, None])
-    return rows, failures
+        rec = {"delta": pt.delta, "z": pt.z, "error": pt.error}
+        if pt.error is None:
+            p = pt.populations
+            rec.update(asdict(p), inverted=p.p2 > p.p1,
+                       T_eff_31=pt.env31.T_eff, T_eff_32=pt.env32.T_eff)
+            if pt.thermal is not None:
+                rec.update(asdict(pt.thermal))
+        records.append(rec)
+    return records
 
 
-def _run_evolve(cfg):
+def _run_evolve(cfg, threads, command):
     if cfg.z_values.size != 1 or cfg.delta_values.size != 1:
         raise ConfigError("evolve: z and delta must be single values")
     atom = cfg.atom()
     geom = GeometryPoint(z=float(cfg.z_values[0]), delta=float(cfg.delta_values[0]))
-    a31 = alpha_pair(atom.omega_31, geom, cfg.model, atom.weights_31, cfg.spec)
-    a32 = alpha_pair(atom.omega_32, geom, cfg.model, atom.weights_32, cfg.spec)
-    env31 = transition_rates(atom, "31", a31, cfg.T_W, cfg.T_M)
-    env32 = transition_rates(atom, "32", a32, cfg.T_W, cfg.T_M)
+    env31, env32 = transition_environments(atom, cfg.model, geom, cfg.T_W, cfg.T_M, cfg.spec)
     try:
         initial = Populations(*cfg.initial)
     except ValueError as exc:
         raise ConfigError(f"initial: {exc}") from exc
-    rows = []
-    for t in cfg.t_values:
-        if t < 0:
-            raise ConfigError("t: times must be >= 0")
-        p = evolve_populations(initial, env31, env32, float(t))
-        rows.append([float(t), p.p1, p.p2, p.p3])
-    return rows, []
+    return [{"t": float(t), **asdict(evolve_populations(initial, env31, env32, float(t)))}
+            for t in cfg.t_values]
 
 
-def _run_crossover(cfg):
+def _run_crossover(cfg, threads, command):
     if cfg.delta_values.size != 1:
         raise ConfigError("crossover: delta must be a single value")
     delta = float(cfg.delta_values[0])
@@ -420,7 +392,19 @@ def _run_crossover(cfg):
                                 cfg.weights, None)
     pair = alpha_pair(cfg.omega, GeometryPoint(z=z_star, delta=delta),
                       cfg.model, cfg.weights, cfg.spec)
-    return [[cfg.omega, delta, z_star, pair.alpha_W, pair.alpha_M]], []
+    return [{"omega": cfg.omega, "delta": delta, "z_star": z_star,
+             "alpha_W": pair.alpha_W, "alpha_M": pair.alpha_M}]
+
+
+# every runner takes (cfg, threads, command) and returns one record per row
+_RUNNERS = {
+    "rates": _run_rates,
+    "teff-map": _run_rates,
+    "steady": _run_steady,
+    "thermal-track": _run_steady,
+    "evolve": _run_evolve,
+    "crossover": _run_crossover,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -464,15 +448,7 @@ def run_command(argv) -> int:
     try:
         cfg = load_config(args.config, overrides)
         _require(cfg, args.command)
-        if args.command in ("rates", "teff-map"):
-            rows, failures = _run_rates(cfg, args.threads,
-                                        with_rates=args.command == "rates")
-        elif args.command in ("steady", "thermal-track"):
-            rows, failures = _run_steady(cfg, args.threads, args.command)
-        elif args.command == "evolve":
-            rows, failures = _run_evolve(cfg)
-        else:
-            rows, failures = _run_crossover(cfg)
+        records = _RUNNERS[args.command](cfg, args.threads, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -480,6 +456,7 @@ def run_command(argv) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    rows, failures = _rows(records, _COLUMNS[args.command])
     _write(args.out, args.format, args.command, cfg, _COLUMNS[args.command], rows)
     if failures:
         z, d, err = failures[0]

@@ -270,32 +270,42 @@ def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
 _MATERIAL_KEYS = ("eps_inf", "omega_L", "omega_T", "gamma_damp")
 
 
-def load_material(source: str | Path) -> DielectricModel:
-    """Load a Drude-Lorentz model from a flat key/value file.
+def parse_key_values(text: str, keys) -> dict:
+    """Raw string values of a flat ``key = value`` text.
 
-    The format is one ``key = value`` pair per line (SI units), ``#``
-    comments allowed. The name ``sic`` resolves to the bundled silicon
-    carbide preset.
+    One pair per line, ``#`` starts a comment, blank lines are skipped.
+    Raises ValueError on a line without ``=``, a key not in ``keys``,
+    or a key given twice.
     """
-    if isinstance(source, str) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", source):
-        text = resources.files("neqatom").joinpath(f"materials/{source.lower()}.dat").read_text()
-    else:
-        text = Path(source).read_text()
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"material file line {lineno}: expected 'key = value'")
+            raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _MATERIAL_KEYS:
-            raise ValueError(f"unknown material key: {key!r}")
+        if key not in keys:
+            raise ValueError(f"unknown key: {key!r}")
         if key in values:
-            raise ValueError(f"duplicate material key: {key!r}")
-        values[key] = float(val.strip())
+            raise ValueError(f"duplicate key: {key!r}")
+        values[key] = val.strip()
+    return values
+
+
+def load_material(source: str | Path) -> DielectricModel:
+    """Load a Drude-Lorentz model from a flat key/value file.
+
+    The format is that of :func:`parse_key_values` (SI units). The name
+    ``sic`` resolves to the bundled silicon carbide preset.
+    """
+    if isinstance(source, str) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", source):
+        text = resources.files("neqatom").joinpath(f"materials/{source.lower()}.dat").read_text()
+    else:
+        text = Path(source).read_text()
+    values = parse_key_values(text, _MATERIAL_KEYS)
     missing = [k for k in _MATERIAL_KEYS if k not in values]
     if missing:
         raise ValueError(f"missing material keys: {', '.join(missing)}")
-    return DielectricModel(**values)
+    return DielectricModel(**{k: float(v) for k, v in values.items()})

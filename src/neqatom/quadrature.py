@@ -233,29 +233,18 @@ def _theta_from_k(k, omega):
 def integrate_propagative(integrand, omega, spec=DEFAULT_SPEC, *, breakpoints=()):
     """Integrate f(k, k_z) dk over the propagative sector [0, omega/c].
 
+    Same as :func:`integrate_oscillatory` at z = 0.
+    """
+    return integrate_oscillatory(integrand, omega, 0.0, spec, breakpoints=breakpoints)
+
+
+def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=()):
+    """Integrate f(k, k_z) dk over [0, omega/c], f carrying exp(2i k_z z).
+
     The substitution k = (omega/c) sin(theta) removes the 1/k_z endpoint
     singularity; both k and the real k_z = (omega/c) cos(theta) are handed
     to the integrand in exact trigonometric form. ``breakpoints`` are
     optional interior k values used as initial panel boundaries.
-    """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
-    U = omega / c
-
-    def F(theta):
-        k = U * np.sin(theta)
-        kz = U * np.cos(theta)
-        y = np.asarray(integrand(k, kz), dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        return y * (U * np.cos(theta))[:, None]
-
-    edges = _merge_edges(0.0, 0.5 * math.pi, _theta_from_k(breakpoints, omega))
-    return _adaptive(F, edges, spec)
-
-
-def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=()):
-    """As integrate_propagative, for integrands carrying exp(2i k_z z).
 
     Initial panels are aligned to the phase of exp(2i k_z z): boundaries
     at every k_z z = m pi/2 and at the eighth-period points in between,

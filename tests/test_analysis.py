@@ -14,6 +14,7 @@ from neqatom.analysis import (
     scan,
     steady_point,
     thermal_populations,
+    transition_environments,
 )
 from neqatom.atom import AtomModel, Populations, bose_occupation, steady_state
 from neqatom.optics import load_material, surface_mode_frequency
@@ -168,7 +169,25 @@ class TestScan:
             scan(FIG5_ATOM, SIC, [1e-6, 1e-7], [1e-7], 470.0, 170.0)
 
 
+class TestTransitionEnvironments:
+    def test_matches_steady_point(self):
+        geom = GeometryPoint(z=3.6e-7, delta=1e-2)
+        env31, env32 = transition_environments(FIG5_ATOM, SIC, geom, 570.0, 170.0)
+        pt = steady_point(FIG5_ATOM, SIC, geom, 570.0, 170.0, with_thermal=False)
+        assert (env31, env32) == (pt.env31, pt.env32)
+
+
 class TestEnvironmentScan:
+    @pytest.mark.parametrize("z_values,delta_values", [
+        ([], [1e-2]),
+        ([1e-6, 1e-7], [1e-2]),
+        ([1e-7], [1e-2, 1e-7]),
+    ], ids=["empty-z", "decreasing-z", "decreasing-delta"])
+    def test_bad_grid_rejected(self, z_values, delta_values):
+        with pytest.raises(ValueError):
+            environment_scan(OMEGA_R, (1 / 3, 1 / 3, 1 / 3), SIC, z_values,
+                             delta_values, 470.0, 170.0)
+
     def test_effective_temperature_continuity(self):
         # along a dense log z-scan the effective temperature moves smoothly
         omega = 0.5 * OMEGA_R

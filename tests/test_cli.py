@@ -9,6 +9,7 @@ from neqatom.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _COLUMNS,
     ConfigError,
     load_config,
     run_command,
@@ -23,6 +24,9 @@ T_M = 170
 z = log:2e-7:6e-7:3
 delta = 1e-2
 """
+
+# one subdivision at a tolerance no panel meets: every point fails
+FAILING_SPEC = "rel_tol = 1e-14\nabs_tol = 0\nmax_subdivisions = 1\n"
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -99,6 +103,21 @@ z = 1e-6
         assert cfg.omega == 1.7e14
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "omega = fast\n", "c.cfg"))
+
+    @pytest.mark.parametrize("key", ["t", "delta"])
+    def test_negative_grid_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"{key}: values must be >= 0"):
+            load_config(write(tmp_path, f"{key} = -1,0\n"))
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="duplicate key: 'z'"):
+            load_config(write(tmp_path, "z = 1e-6\nz = 2e-6\n"))
+
+    def test_material_error_prefixed(self, tmp_path):
+        mat = tmp_path / "bad.dat"
+        mat.write_text("eps_inf = 2.0\neps_inf = 3.0\n")
+        with pytest.raises(ConfigError, match="material: duplicate key: 'eps_inf'"):
+            load_config(write(tmp_path, f"material = {mat}\n"))
 
     def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="key = value"):
@@ -202,6 +221,24 @@ initial = 0,0,1
         assert float(rows[0]["p3"]) == 1.0
         assert float(rows[-1]["p3"]) < 1.0
 
+    def test_evolve_at_one_kelvin(self, tmp_path):
+        # both occupations underflow to 0: no unique steady state, but the
+        # evolution from a given state is well defined
+        cfg = write(tmp_path, """
+omega_31 = omega_p
+omega_32 = omega_r
+T_W = 1
+T_M = 1
+z = 3.6e-7
+delta = 1e-2
+t = 0,1e-3
+initial = 0,0,1
+""")
+        out = tmp_path / "out.csv"
+        assert run_command(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        _, rows = rows_of(out)
+        assert [float(rows[0][k]) for k in ("t", "p1", "p2", "p3")] == [0.0, 0.0, 0.0, 1.0]
+
     def test_crossover(self, tmp_path):
         cfg = write(tmp_path, """
 omega = 0.5*omega_r
@@ -245,6 +282,47 @@ max_subdivisions = 1
         assert "z=1e-07" in captured.err
         _, rows = rows_of(out)
         assert rows[0]["error"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command,text", [
+        ("teff-map", "omega = omega_r\nT_W = 470\nT_M = 170\nz = 1e-7,1e-6\ndelta = 110e-9\n"),
+        ("steady", FIG5A),
+        ("thermal-track", FIG5A),
+    ])
+    def test_failure_rows_are_full_width(self, tmp_path, command, text, fmt):
+        cfg = write(tmp_path, text + FAILING_SPEC)
+        out = tmp_path / f"out.{fmt}"
+        code = run_command([command, "--config", cfg, "--out", str(out), "--format", fmt])
+        assert code == EXIT_NUMERICAL
+        columns = list(_COLUMNS[command])
+        if fmt == "csv":
+            lines = [line for line in out.read_text().splitlines()
+                     if not line.startswith("#")]
+            assert lines[0].split(",") == columns
+            rows = [line.split(",", len(columns) - 1) for line in lines[1:]]
+            missing = "nan"
+        else:
+            doc = json.loads(out.read_text())
+            assert doc["columns"] == columns
+            rows = doc["rows"]
+            missing = None
+        assert rows
+        for row in rows:
+            assert len(row) == len(columns)
+            assert row[2:-1] == [missing] * (len(columns) - 3)
+            assert row[-1]
+
+    def test_negative_time_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, """
+omega = omega_r
+T_W = 470
+T_M = 170
+z = 1e-6
+delta = 110e-9
+t = -1,0
+""")
+        assert run_command(["rates", "--config", cfg]) == EXIT_CONFIG
+        assert "t: values must be >= 0" in capsys.readouterr().err
 
     def test_crossover_without_sign_change_is_numerical(self, tmp_path):
         cfg = write(tmp_path, """

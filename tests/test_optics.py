@@ -275,6 +275,12 @@ class TestMaterialFiles:
         with pytest.raises(ValueError, match="bogus"):
             load_material(path)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "mat.dat"
+        path.write_text("eps_inf = 2.5\nomega_L = 2e14\neps_inf = 3\n")
+        with pytest.raises(ValueError, match="duplicate key: 'eps_inf'"):
+            load_material(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "mat.dat"
         path.write_text("eps_inf = 2.5\n")
