@@ -85,13 +85,13 @@ def distance_to_thermal(p: Populations, atom: AtomModel, T: float) -> float:
 
 
 def closest_thermal(p: Populations, atom: AtomModel,
-                    T_search=DEFAULT_T_SEARCH,
-                    threshold: float = DEFAULT_THERMAL_THRESHOLD) -> ThermalComparison:
+                    T_search=DEFAULT_T_SEARCH) -> ThermalComparison:
     """Temperature minimizing the thermal distance over a bracket.
 
     A 64-point log-spaced pre-scan locates the global basin, golden
-    section refines it to better than 0.01 K. A minimum sitting on the
-    search boundary is flagged, not raised.
+    section refines it to better than 0.01 K. The state counts as thermal
+    below DEFAULT_THERMAL_THRESHOLD. A minimum sitting on the search
+    boundary is flagged, not raised.
     """
     T_lo, T_hi = T_search
     if not (0.0 < T_lo < T_hi):
@@ -121,7 +121,7 @@ def closest_thermal(p: Populations, atom: AtomModel,
     d_best = distance_to_thermal(p, atom, T_best)
     at_boundary = j == 0 or j == len(grid) - 1
     return ThermalComparison(closest_T=float(T_best), distance=d_best,
-                             is_thermal=d_best < threshold,
+                             is_thermal=d_best < DEFAULT_THERMAL_THRESHOLD,
                              at_boundary=at_boundary)
 
 

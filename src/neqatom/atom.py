@@ -17,7 +17,7 @@ import numpy as np
 from scipy.constants import c, epsilon_0, hbar, k as k_B
 from scipy.linalg import expm
 
-from .response import AlphaPair
+from .response import ISOTROPIC_WEIGHTS, AlphaPair, check_weights
 
 
 class VanishingCouplingError(ArithmeticError):
@@ -33,13 +33,6 @@ def unit_rate_dipole(omega: float) -> float:
     return math.sqrt(3.0 * math.pi * epsilon_0 * hbar * c**3 / omega**3)
 
 
-def _check_weights(w):
-    w = tuple(float(x) for x in w)
-    if len(w) != 3 or any(x < 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError("orientation weights must be 3 nonnegative entries summing to 1")
-    return w
-
-
 @dataclass(frozen=True)
 class AtomModel:
     """Transition frequencies, dipole magnitudes and orientation weights.
@@ -53,14 +46,14 @@ class AtomModel:
     omega_32: float
     d31_mag: float | None = None
     d32_mag: float | None = None
-    weights_31: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    weights_32: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+    weights_31: tuple = ISOTROPIC_WEIGHTS
+    weights_32: tuple = ISOTROPIC_WEIGHTS
 
     def __post_init__(self):
         if not (self.omega_31 > self.omega_32 > 0.0):
             raise ValueError("need omega_31 > omega_32 > 0")
-        object.__setattr__(self, "weights_31", _check_weights(self.weights_31))
-        object.__setattr__(self, "weights_32", _check_weights(self.weights_32))
+        object.__setattr__(self, "weights_31", check_weights(self.weights_31))
+        object.__setattr__(self, "weights_32", check_weights(self.weights_32))
         if self.d31_mag is None:
             object.__setattr__(self, "d31_mag", unit_rate_dipole(self.omega_31))
         if self.d32_mag is None:

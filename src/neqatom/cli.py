@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,21 @@ from .analysis import (
     transition_environments,
 )
 from .atom import AtomModel, Populations, evolve_populations
-from .optics import DielectricModel, load_material, parse_key_values, surface_mode_frequency
-from .quadrature import QuadratureSpec
-from .response import GeometryPoint, alpha_pair, crossover_distance
+from .optics import (
+    DielectricModel,
+    load_material,
+    parse_key_values,
+    parse_numbers,
+    surface_mode_frequency,
+)
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .response import (
+    ISOTROPIC_WEIGHTS,
+    GeometryPoint,
+    alpha_pair,
+    check_weights,
+    crossover_distance,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,16 +53,26 @@ _CONFIG_KEYS = (
     "max_subdivisions", "thermal_search", "t", "initial", "bracket",
 )
 
+
+def _meta_text(value) -> str:
+    """Metadata text of a resolved value: raw strings, comma-joined tuples, else repr."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(repr(x) for x in value)
+    return repr(value)
+
+
 _DEFAULTS = {
     "material": "sic",
     "delta": "1e-2",
     "weights": "isotropic",
     "weights_31": "isotropic",
     "weights_32": "isotropic",
-    "rel_tol": "1e-9",
-    "abs_tol": "1e-14",
-    "max_subdivisions": "2000",
-    "thermal_search": "1,5000",
+    "rel_tol": _meta_text(DEFAULT_SPEC.rel_tol),
+    "abs_tol": _meta_text(DEFAULT_SPEC.abs_tol),
+    "max_subdivisions": _meta_text(DEFAULT_SPEC.max_subdivisions),
+    "thermal_search": _meta_text(DEFAULT_T_SEARCH),
     "initial": "1,0,0",
 }
 
@@ -81,24 +103,26 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
+    """A loaded scenario; a value the config omits and that has no default is None."""
+
     material_name: str
     model: DielectricModel
     spec: QuadratureSpec
-    omega: float | None = None
-    omega_31: float | None = None
-    omega_32: float | None = None
-    T_W: float | None = None
-    T_M: float | None = None
-    z_values: np.ndarray | None = None
-    delta_values: np.ndarray | None = None
-    weights: tuple = (1 / 3, 1 / 3, 1 / 3)
-    weights_31: tuple = (1 / 3, 1 / 3, 1 / 3)
-    weights_32: tuple = (1 / 3, 1 / 3, 1 / 3)
-    thermal_search: tuple = DEFAULT_T_SEARCH
-    t_values: np.ndarray | None = None
-    initial: tuple = (1.0, 0.0, 0.0)
-    bracket: tuple | None = None
-    resolved: dict = field(default_factory=dict)
+    omega: float | None
+    omega_31: float | None
+    omega_32: float | None
+    T_W: float | None
+    T_M: float | None
+    z_values: np.ndarray | None
+    delta_values: np.ndarray
+    weights: tuple
+    weights_31: tuple
+    weights_32: tuple
+    thermal_search: tuple
+    t_values: np.ndarray | None
+    initial: Populations
+    bracket: tuple | None
+    resolved: dict
 
     def atom(self) -> AtomModel:
         try:
@@ -108,79 +132,67 @@ class ScenarioConfig:
             raise ConfigError(f"omega_31/omega_32: {exc}") from exc
 
 
+def _keyed(key: str, check, *args):
+    """``check(*args)``, its ValueError or OSError re-raised naming ``key``."""
+    try:
+        return check(*args)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def _parse_frequency(expr: str, key: str, omega_r: float, omega_p: float) -> float:
     m = re.fullmatch(r"(?:([0-9.eE+-]+)\s*\*\s*)?omega_([rp])", expr)
     if m:
-        factor = float(m.group(1)) if m.group(1) else 1.0
-        base = omega_r if m.group(2) == "r" else omega_p
-        value = factor * base
+        factor = parse_numbers(m.group(1), key, 1)[0] if m.group(1) else 1.0
+        value = factor * (omega_r if m.group(2) == "r" else omega_p)
     else:
-        try:
-            value = float(expr)
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse frequency {expr!r}") from None
+        value = parse_numbers(expr, key, 1)[0]
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{key}: frequency must be finite and > 0")
+    return value
+
+
+def _parse_temperature(expr: str, key: str) -> float:
+    value = parse_numbers(expr, key, 1)[0]
     if not value > 0.0:
-        raise ConfigError(f"{key}: frequency must be > 0")
+        raise ValueError(f"{key}: temperature must be > 0")
     return value
 
 
 def _parse_grid(expr: str, key: str, positive: bool = True) -> np.ndarray:
     m = re.fullmatch(r"(log|lin):([^:]+):([^:]+):(\d+)", expr)
     if m:
-        lo, hi, n = float(m.group(2)), float(m.group(3)), int(m.group(4))
+        lo, hi = (parse_numbers(x, key, 1)[0] for x in m.group(2, 3))
+        n = int(m.group(4))
         if n < 1 or hi < lo:
-            raise ConfigError(f"{key}: malformed grid {expr!r}")
+            raise ValueError(f"{key}: malformed grid {expr!r}")
         if m.group(1) == "log":
             if lo <= 0:
-                raise ConfigError(f"{key}: log grid needs lo > 0")
+                raise ValueError(f"{key}: log grid needs lo > 0")
             values = np.geomspace(lo, hi, n)
         else:
             values = np.linspace(lo, hi, n)
     else:
-        try:
-            values = np.array([float(x) for x in expr.split(",")])
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse grid {expr!r}") from None
+        values = np.array(parse_numbers(expr, key))
     bad, bound = (values <= 0.0, "> 0") if positive else (values < 0.0, ">= 0")
     if np.any(bad):
-        raise ConfigError(f"{key}: values must be {bound}")
+        raise ValueError(f"{key}: values must be {bound}")
     if values.size > 1 and np.any(np.diff(values) <= 0.0):
-        raise ConfigError(f"{key}: grid must be strictly increasing")
+        raise ValueError(f"{key}: grid must be strictly increasing")
     return values
 
 
-def _parse_triple(expr: str, key: str) -> tuple:
+def _parse_weights(expr: str, key: str) -> tuple:
     if expr == "isotropic":
-        return (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    parts = expr.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected three comma-separated values")
-    try:
-        return tuple(float(x) for x in parts)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {expr!r}") from None
+        return ISOTROPIC_WEIGHTS
+    return _keyed(key, check_weights, parse_numbers(expr, key, 3))
 
 
 def _parse_pair(expr: str, key: str) -> tuple:
-    parts = expr.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected two comma-separated values")
-    try:
-        lo, hi = (float(x) for x in parts)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {expr!r}") from None
+    lo, hi = parse_numbers(expr, key, 2)
     if not 0.0 < lo < hi:
-        raise ConfigError(f"{key}: need 0 < lo < hi")
+        raise ValueError(f"{key}: need 0 < lo < hi")
     return lo, hi
-
-
-def _meta_text(value) -> str:
-    """Metadata text of a resolved value: raw strings, comma-joined tuples, else repr."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return ",".join(repr(x) for x in value)
-    return repr(value)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
@@ -189,104 +201,81 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
     ``overrides`` maps config keys to replacement raw strings (used for
     the tolerance environment variables and command-line flags). Every
     resolved value, defaults included, lands in ``config.resolved``.
+    Every value is checked here; an invalid one raises ConfigError
+    naming its key.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        raw = parse_key_values(text, _CONFIG_KEYS)
+        return _scenario(text, overrides or {})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            raw[key] = str(val)
+
+
+def _scenario(text: str, overrides: dict) -> ScenarioConfig:
     merged = dict(_DEFAULTS)
-    merged.update(raw)
+    merged.update(parse_key_values(text, _CONFIG_KEYS))
+    merged.update((key, str(val)) for key, val in overrides.items() if val is not None)
 
     material = merged["material"]
-    try:
-        model = load_material(material)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"material: {exc}") from exc
-    omega_r = model.omega_T
+    model = _keyed("material", load_material, material)
     try:
         omega_p = surface_mode_frequency(model)
     except ValueError:
         omega_p = None
 
-    def freq(key):
-        if key not in merged:
-            return None
-        expr = merged[key]
+    def freq(expr, key):
         if "omega_p" in expr and omega_p is None:
-            raise ConfigError(f"{key}: material has no surface mode, omega_p undefined")
-        return _parse_frequency(expr, key, omega_r, omega_p or 0.0)
+            raise ValueError(f"{key}: material has no surface mode, omega_p undefined")
+        return _parse_frequency(expr, key, model.omega_T, omega_p or 0.0)
 
-    def temp(key):
-        if key not in merged:
-            return None
-        try:
-            value = float(merged[key])
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse temperature") from None
-        if not value > 0.0:
-            raise ConfigError(f"{key}: temperature must be > 0")
-        return value
+    def given(key, parse, **options):
+        return parse(merged[key], key, **options) if key in merged else None
 
-    try:
-        spec = QuadratureSpec(rel_tol=float(merged["rel_tol"]),
-                              abs_tol=float(merged["abs_tol"]),
-                              max_subdivisions=int(merged["max_subdivisions"]))
-    except ValueError as exc:
-        raise ConfigError(f"quadrature spec: {exc}") from exc
+    def number(key):
+        return parse_numbers(merged[key], key, 1)[0]
 
-    cfg = ScenarioConfig(
-        material_name=material,
-        model=model,
-        spec=spec,
-        omega=freq("omega"),
-        omega_31=freq("omega_31"),
-        omega_32=freq("omega_32"),
-        T_W=temp("T_W"),
-        T_M=temp("T_M"),
-        z_values=_parse_grid(merged["z"], "z") if "z" in merged else None,
-        delta_values=_parse_grid(merged["delta"], "delta", positive=False),
-        weights=_parse_triple(merged["weights"], "weights"),
-        weights_31=_parse_triple(merged["weights_31"], "weights_31"),
-        weights_32=_parse_triple(merged["weights_32"], "weights_32"),
-        thermal_search=_parse_pair(merged["thermal_search"], "thermal_search"),
-        t_values=_parse_grid(merged["t"], "t", positive=False) if "t" in merged else None,
-        initial=_parse_triple(merged["initial"], "initial"),
-        bracket=_parse_pair(merged["bracket"], "bracket") if "bracket" in merged else None,
+    spec = _keyed("quadrature spec", QuadratureSpec, number("rel_tol"), number("abs_tol"),
+                  _keyed("max_subdivisions", int, merged["max_subdivisions"]))
+    values = dict(
+        omega=given("omega", freq),
+        omega_31=given("omega_31", freq),
+        omega_32=given("omega_32", freq),
+        T_W=given("T_W", _parse_temperature),
+        T_M=given("T_M", _parse_temperature),
+        z_values=given("z", _parse_grid),
+        delta_values=given("delta", _parse_grid, positive=False),
+        weights=given("weights", _parse_weights),
+        weights_31=given("weights_31", _parse_weights),
+        weights_32=given("weights_32", _parse_weights),
+        thermal_search=given("thermal_search", _parse_pair),
+        t_values=given("t", _parse_grid, positive=False),
+        initial=_keyed("initial", Populations, *parse_numbers(merged["initial"], "initial", 3)),
+        bracket=given("bracket", _parse_pair),
     )
-    if cfg.omega_31 is not None and cfg.omega_32 is not None \
-            and cfg.omega_31 == cfg.omega_32:
-        raise ConfigError("omega_31 must differ from omega_32")
+    if values["omega_31"] is not None and values["omega_31"] == values["omega_32"]:
+        raise ValueError("omega_31 must differ from omega_32")
 
     resolved = (
         ("material", material), ("eps_inf", model.eps_inf), ("omega_L", model.omega_L),
         ("omega_T", model.omega_T), ("gamma_damp", model.gamma_damp),
-        ("omega_p_resolved", omega_p), ("omega", cfg.omega), ("omega_31", cfg.omega_31),
-        ("omega_32", cfg.omega_32), ("T_W", cfg.T_W), ("T_M", cfg.T_M),
-        ("z", merged.get("z")), ("delta", merged["delta"]), ("weights", cfg.weights),
-        ("weights_31", cfg.weights_31), ("weights_32", cfg.weights_32),
-        ("initial", cfg.initial), ("thermal_search", cfg.thermal_search),
-        ("t", merged.get("t")), ("bracket", cfg.bracket), ("rel_tol", spec.rel_tol),
+        ("omega_p_resolved", omega_p),
+        *((key, values[key]) for key in ("omega", "omega_31", "omega_32", "T_W", "T_M")),
+        ("z", merged.get("z")), ("delta", merged["delta"]),
+        *((key, values[key]) for key in ("weights", "weights_31", "weights_32")),
+        ("initial", astuple(values["initial"])), ("thermal_search", values["thermal_search"]),
+        ("t", merged.get("t")), ("bracket", values["bracket"]), ("rel_tol", spec.rel_tol),
         ("abs_tol", spec.abs_tol), ("max_subdivisions", spec.max_subdivisions),
     )
-    cfg.resolved = {key: _meta_text(value) for key, value in resolved if value is not None}
-    return cfg
+    return ScenarioConfig(
+        material_name=material, model=model, spec=spec, **values,
+        resolved={key: _meta_text(value) for key, value in resolved if value is not None})
 
 
 def _require(cfg: ScenarioConfig, command: str):
-    missing = []
-    attr = {"omega": "omega", "omega_31": "omega_31", "omega_32": "omega_32",
-            "T_W": "T_W", "T_M": "T_M", "z": "z_values", "t": "t_values",
-            "delta": "delta_values", "bracket": "bracket"}
-    for key in _REQUIRED[command]:
-        if getattr(cfg, attr[key]) is None:
-            missing.append(key)
+    missing = [key for key in _REQUIRED[command] if key not in cfg.resolved]
     if missing:
         raise ConfigError(f"{command}: missing required key(s): {', '.join(missing)}")
 
@@ -376,11 +365,7 @@ def _run_evolve(cfg, threads, command):
     atom = cfg.atom()
     geom = GeometryPoint(z=float(cfg.z_values[0]), delta=float(cfg.delta_values[0]))
     env31, env32 = transition_environments(atom, cfg.model, geom, cfg.T_W, cfg.T_M, cfg.spec)
-    try:
-        initial = Populations(*cfg.initial)
-    except ValueError as exc:
-        raise ConfigError(f"initial: {exc}") from exc
-    return [{"t": float(t), **asdict(evolve_populations(initial, env31, env32, float(t)))}
+    return [{"t": float(t), **asdict(evolve_populations(cfg.initial, env31, env32, float(t)))}
             for t in cfg.t_values]
 
 
@@ -388,8 +373,7 @@ def _run_crossover(cfg, threads, command):
     if cfg.delta_values.size != 1:
         raise ConfigError("crossover: delta must be a single value")
     delta = float(cfg.delta_values[0])
-    z_star = crossover_distance(cfg.omega, delta, cfg.model, cfg.bracket,
-                                cfg.weights, None)
+    z_star = crossover_distance(cfg.omega, delta, cfg.model, cfg.bracket, cfg.weights)
     pair = alpha_pair(cfg.omega, GeometryPoint(z=z_star, delta=delta),
                       cfg.model, cfg.weights, cfg.spec)
     return [{"omega": cfg.omega, "delta": delta, "z_star": z_star,

@@ -101,11 +101,12 @@ def permittivity(model: DielectricModel, omega):
     return complex(eps) if eps.ndim == 0 else eps
 
 
-def surface_mode_frequency(model: DielectricModel, tol: float = 1e-12) -> float:
+def surface_mode_frequency(model: DielectricModel) -> float:
     """Frequency where Re eps(omega) = -1 (surface phonon-polariton).
 
-    Bisection on (omega_T, omega_L); Re eps runs from large negative just
-    above the resonance up through -1 towards 0 at omega_L.
+    Bisection on (omega_T, omega_L) to a relative width of 1e-12; Re eps
+    runs from large negative just above the resonance up through -1
+    towards 0 at omega_L.
     """
     hi = model.omega_L
 
@@ -126,7 +127,7 @@ def surface_mode_frequency(model: DielectricModel, tol: float = 1e-12) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if gm == 0.0 or (hi - lo) < tol * mid:
+        if gm == 0.0 or (hi - lo) < 1e-12 * mid:
             return float(mid)
         if glo * gm < 0.0:
             hi = mid
@@ -294,6 +295,20 @@ def parse_key_values(text: str, keys) -> dict:
     return values
 
 
+def parse_numbers(text: str, key: str, count: int | None = None) -> list:
+    """Finite floats of comma-separated ``text``; a ValueError names ``key``."""
+    parts = text.split(",")
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{key}: expected {count} comma-separated value(s)")
+    try:
+        values = [float(x) for x in parts]
+    except ValueError:
+        raise ValueError(f"{key}: cannot parse {text!r}") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ValueError(f"{key}: values must be finite")
+    return values
+
+
 def load_material(source: str | Path) -> DielectricModel:
     """Load a Drude-Lorentz model from a flat key/value file.
 
@@ -308,4 +323,4 @@ def load_material(source: str | Path) -> DielectricModel:
     missing = [k for k in _MATERIAL_KEYS if k not in values]
     if missing:
         raise ValueError(f"missing material keys: {', '.join(missing)}")
-    return DielectricModel(**{k: float(v) for k, v in values.items()})
+    return DielectricModel(**{k: parse_numbers(v, k, 1)[0] for k, v in values.items()})

@@ -79,6 +79,19 @@ class AlphaPair:
 
 ISOTROPIC_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
+# bisection spec of crossover_distance: tighter than its 1e-9 stopping
+# threshold on the alpha difference, but above the fp floor of the K15-G7
+# error estimator
+_ROOT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
+
+
+def check_weights(w) -> tuple:
+    """Orientation weights as floats: 3 entries >= 0 summing to 1 (NaN fails)."""
+    w = tuple(float(x) for x in w)
+    if not (len(w) == 3 and all(x >= 0.0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
+        raise ValueError("orientation weights must be 3 nonnegative entries summing to 1")
+    return w
+
 
 def _tm_weights(omega, k, kz_sq, phi):
     """TM orientation weights (c^2/omega^2)(phi |kz|^2, phi |kz|^2, 2 k^2)."""
@@ -184,9 +197,7 @@ def alpha_pair(omega: float, geom: GeometryPoint, model: DielectricModel,
     ``dipole_weights`` are the squared orientation fractions of the
     transition dipole, nonnegative and summing to 1 (isotropic default).
     """
-    d = np.asarray(dipole_weights, dtype=float)
-    if d.shape != (3,) or np.any(d < 0.0) or abs(d.sum() - 1.0) > 1e-9:
-        raise ValueError("dipole_weights must be 3 nonnegative entries summing to 1")
+    d = np.asarray(check_weights(dipole_weights))
     rv = response_vectors(omega, geom, model, spec)
     a_w = float(0.5 * (1.0 + rv.B + 2.0 * rv.C) @ d)
     a_m = float(0.5 * (1.0 - rv.B + 2.0 * rv.D) @ d)
@@ -197,25 +208,20 @@ def alpha_pair(omega: float, geom: GeometryPoint, model: DielectricModel,
 
 
 def crossover_distance(omega: float, delta: float, model: DielectricModel,
-                       bracket, dipole_weights=ISOTROPIC_WEIGHTS,
-                       spec: QuadratureSpec | None = None) -> float:
+                       bracket, dipole_weights=ISOTROPIC_WEIGHTS) -> float:
     """Height z* where alpha_W = alpha_M, by bisection on log z.
 
     ``bracket`` is (z_lo, z_hi) with a sign change of alpha_W - alpha_M.
-    Converges to |alpha_W - alpha_M| < 1e-9 (alpha_W + alpha_M).
+    Converges to |alpha_W - alpha_M| < 1e-9 (alpha_W + alpha_M); the
+    integrals run at rel_tol 1e-10, abs_tol 1e-15.
     """
     z_lo, z_hi = bracket
     if not (0.0 < z_lo < z_hi):
         raise ValueError("bracket must satisfy 0 < z_lo < z_hi")
-    if spec is None:
-        # tighter than the 1e-9 stopping threshold on the alpha difference,
-        # but above the fp floor of the K15-G7 error estimator
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15,
-                              max_subdivisions=DEFAULT_SPEC.max_subdivisions)
 
     def diff(z):
         pair = alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
-                          dipole_weights, spec)
+                          dipole_weights, _ROOT_SPEC)
         return pair.alpha_W - pair.alpha_M, pair.alpha_W + pair.alpha_M
 
     g_lo, _ = diff(z_lo)

@@ -253,6 +253,8 @@ class TestAtomModel:
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             AtomModel(omega_31=2e14, omega_32=1e14, weights_31=(0.5, 0.5, 0.5))
+        with pytest.raises(ValueError):
+            AtomModel(omega_31=2e14, omega_32=1e14, weights_31=(math.nan, 0.0, 1.0))
 
     def test_populations_validated(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,8 @@ z = log:2e-7:6e-7:3
 delta = 1e-2
 """
 
+RATES_POINT = "omega = omega_r\nT_W = 470\nT_M = 170\nz = 1e-6\ndelta = 110e-9\n"
+
 # one subdivision at a tolerance no panel meets: every point fails
 FAILING_SPEC = "rel_tol = 1e-14\nabs_tol = 0\nmax_subdivisions = 1\n"
 
@@ -108,6 +110,19 @@ z = 1e-6
     def test_negative_grid_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match=f"{key}: values must be >= 0"):
             load_config(write(tmp_path, f"{key} = -1,0\n"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("T_W", "inf"), ("z", "1e-6,inf"), ("delta", "nan"), ("t", "0,inf"),
+        ("z", "log:abc:1e-6:3"), ("omega", "e*omega_r"),
+        ("bracket", "1e-8,inf"), ("thermal_search", "1,nan"),
+        ("weights", "-1,0,0"), ("weights", "nan,0,1"), ("weights_31", "0.5,0.6,0"),
+        ("initial", "0.5,0.6,0"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, key, value):
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, f"{key} = {value}\n"))
+        assert str(info.value).startswith(f"{key}: ")
+        assert f"{key}: {key}:" not in str(info.value)
 
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate key: 'z'"):
@@ -323,6 +338,44 @@ t = -1,0
 """)
         assert run_command(["rates", "--config", cfg]) == EXIT_CONFIG
         assert "t: values must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text", [
+        ("rates", RATES_POINT + "weights = -1,0,0\n"),
+        ("crossover", "omega = 0.5*omega_r\nbracket = 1e-8,1e-4\nweights = 2,0,0\n"),
+    ])
+    def test_bad_weights_are_config_error(self, tmp_path, capsys, command, text):
+        assert run_command([command, "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert "config error: weights: orientation weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("eps_inf", "abc", "eps_inf: cannot parse 'abc'"),
+        ("omega_L", "inf", "omega_L: values must be finite"),
+    ])
+    def test_bad_material_value_is_config_error(self, tmp_path, capsys, key, value, message):
+        values = {"eps_inf": "2.0", "omega_L": "2e14", "omega_T": "1e14",
+                  "gamma_damp": "1e11", key: value}
+        mat = tmp_path / "bad.dat"
+        mat.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        cfg = write(tmp_path, f"material = {mat}\n" + RATES_POINT)
+        assert run_command(["rates", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: material: {message}\n"
+
+    def test_initial_checked_before_integration(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("alpha_pair called")
+        monkeypatch.setattr("neqatom.analysis.alpha_pair", fail)
+        cfg = write(tmp_path, """
+omega_31 = omega_p
+omega_32 = omega_r
+T_W = 570
+T_M = 170
+z = 3.6e-7
+delta = 1e-2
+t = 0,1
+initial = 0.5,0.6,0
+""")
+        assert run_command(["evolve", "--config", cfg]) == EXIT_CONFIG
+        assert "config error: initial: populations must sum to 1" in capsys.readouterr().err
 
     def test_crossover_without_sign_change_is_numerical(self, tmp_path):
         cfg = write(tmp_path, """

@@ -281,6 +281,19 @@ class TestMaterialFiles:
         with pytest.raises(ValueError, match="duplicate key: 'eps_inf'"):
             load_material(path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("eps_inf", "abc", "eps_inf: cannot parse 'abc'"),
+        ("omega_L", "inf", "omega_L: values must be finite"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, key, value, message):
+        values = {"eps_inf": "2.5", "omega_L": "2e14", "omega_T": "1e14",
+                  "gamma_damp": "1e11", key: value}
+        path = tmp_path / "mat.dat"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ValueError) as info:
+            load_material(path)
+        assert str(info.value) == message
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "mat.dat"
         path.write_text("eps_inf = 2.5\n")

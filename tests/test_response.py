@@ -144,6 +144,9 @@ class TestAlphaPair:
             alpha_pair(OMEGA_R, geom, SIC, dipole_weights=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             alpha_pair(OMEGA_R, geom, SIC, dipole_weights=(-0.2, 0.6, 0.6))
+        # rejected by the weight rule, not by the NaN alphas it would produce
+        with pytest.raises(ValueError, match="3 nonnegative entries"):
+            alpha_pair(OMEGA_R, geom, SIC, dipole_weights=(math.nan, 0.0, 1.0))
 
 
 class TestCrossover:
