@@ -234,6 +234,31 @@ def slab_coefficients(mode: PlaneWaveMode, model: DielectricModel, delta: float)
     return SlabCoefficients(rho=complex(rho), tau=complex(tau))
 
 
+def _slab_kzm(omega, eps, kz):
+    """k_zm from (eps - 1) omega^2/c^2 + kz^2, cancellation-free at the light line."""
+    return sqrt_im_nonneg((eps - 1.0) * (omega / c) ** 2 + kz * kz)
+
+
+def _interface_r(eps, kz, kzm):
+    """Vacuum-side reflection amplitudes (r_TE, r_TM) of the interface."""
+    return (kz - kzm) / (kz + kzm), (eps * kz - kzm) / (eps * kz + kzm)
+
+
+def loop_gain(omega: float, eps, kz, delta: float):
+    """Airy loop gain max(|r_TE^2|, |r_TM^2|) |e^{2i k_zm delta}| over an array of k_z.
+
+    One round trip inside the slab multiplies a wave by r^2 e^{2i k_zm delta};
+    the slab coefficients are the geometric series in it, so their fringes
+    in k have a contrast set by this gain. Same k_zm and r as
+    :func:`slab_amplitudes`.
+    """
+    kz = np.asarray(kz)
+    kzm = _slab_kzm(omega, eps, kz)
+    r_te, r_tm = _interface_r(eps, kz, kzm)
+    r2 = np.maximum(np.abs(r_te), np.abs(r_tm)) ** 2
+    return r2 * np.exp(-2.0 * kzm.imag * delta)
+
+
 def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
     """Vectorized slab (rho, tau) of both polarizations over an array of k_z.
 
@@ -247,11 +272,11 @@ def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
     is skipped with want_tau=False, which returns None in its place.
     """
     kz = np.asarray(kz)
-    kzm = sqrt_im_nonneg((eps - 1.0) * (omega / c) ** 2 + kz * kz)
+    kzm = _slab_kzm(omega, eps, kz)
     e2 = np.exp(2j * kzm * delta)
     phase = np.exp(1j * (kzm - kz) * delta) if want_tau else None
     rho, tau = [], []
-    for r in ((kz - kzm) / (kz + kzm), (eps * kz - kzm) / (eps * kz + kzm)):
+    for r in _interface_r(eps, kz, kzm):
         r2 = r * r
         den = 1.0 - r2 * e2
         if (np.abs(den) < 1e-13).any():

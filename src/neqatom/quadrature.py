@@ -249,8 +249,11 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     Initial panels are aligned to the phase of exp(2i k_z z): boundaries
     at every k_z z = m pi/2 and at the eighth-period points in between,
     which keeps accuracy uniform in z well beyond z = 100 c/omega without
-    consuming the subdivision budget, even when the integrand carries a
-    second comparable phase (caller-supplied breakpoints).
+    consuming the subdivision budget. A second phase in the integrand is
+    the caller's to resolve through ``breakpoints``: the slab response
+    passes the slab phase Re(k_zm) delta at every period, and at eighth
+    periods only in the fringes whose Airy loop gain makes them sharp, so
+    the height-phase edges stay fine where the two phases beat.
     """
     if z < 0.0:
         raise ValueError("z must be >= 0")

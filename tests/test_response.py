@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
-from neqatom.optics import DielectricModel, load_material
+from neqatom.optics import DielectricModel, load_material, loop_gain, permittivity
 from neqatom.quadrature import QuadratureSpec
 from neqatom.response import (
     AlphaPair,
     GeometryPoint,
     NoCrossoverError,
+    _slab_phase_breakpoints,
     alpha_pair,
     crossover_distance,
     response_vectors,
@@ -32,6 +33,80 @@ VACUUM = DielectricModel(eps_inf=1.0, omega_L=1e16, omega_T=1e16, gamma_damp=0.0
 LOSSLESS = DielectricModel(eps_inf=2.0, omega_L=2e14, omega_T=1e14, gamma_damp=0.0)
 
 CROSSOVER_FROZEN = 5.248766915253852e-06  # dense-scan oracle, omega_r/2, delta 1 cm
+
+# B, C, D recorded with the eighth-period slab-phase panels at the default
+# spec, keyed by (omega / omega_r, delta, z)
+RESPONSE_FROZEN = {
+    (0.5, 110e-9, 10e-9): (
+        (0.9991891723943095, 0.9991891723943095, 0.9997976182708513),
+        (-0.15513234370213547, -0.15513234370213547, -0.024216943428898307),
+        (2921.5137191753965, 2921.5137191753965, 5842.513359212202),
+    ),
+    (0.5, 110e-9, 1e-6): (
+        (0.9991891723943095, 0.9991891723943095, 0.9997976182708513),
+        (-0.2026893680267274, -0.2026893680267274, -0.015863037793895772),
+        (0.30795109307674545, 0.30795109307674545, 0.06823724055958237),
+    ),
+    (0.5, 110e-9, 100e-6): (
+        (0.9991891723943095, 0.9991891723943095, 0.9997976182708513),
+        (0.00368898705874424, 0.00368898705874424, -0.031542706302786314),
+        (0.00033759260860517917, 0.00033759260860517917, 0.03156970227857777),
+    ),
+    (0.5, 1e-2, 10e-9): (
+        (0.47534749203600507, 0.47534749203600507, 0.15235351026902227),
+        (-0.6604247635114816, -0.6604247635114816, -0.005204429106576539),
+        (2922.2422841623156, 2922.2422841623156, 5843.226318122518),
+    ),
+    (0.5, 1e-2, 1e-6): (
+        (0.47534749203600507, 0.47534749203600507, 0.15235351026902227),
+        (-0.6324021736316074, -0.6324021736316074, -0.013316172570768961),
+        (1.2359769295856633, 1.2359769295856633, 2.3218340311557246),
+    ),
+    (0.5, 1e-2, 100e-6): (
+        (0.47534749203600507, 0.47534749203600507, 0.15235351026902227),
+        (0.005765150392050691, 0.005765150392050691, -0.0047218823762685495),
+        (0.00019435966094296896, 0.00019435966094296896, 0.0041115254326609734),
+    ),
+    (2.0, 110e-9, 10e-9): (
+        (0.9994044917011184, 0.9994044917011184, 0.9997651288654139),
+        (-0.2768672762184956, -0.2768672762184956, -0.08279069258871916),
+        (38.990783600062535, 38.990783600062535, 77.06876466642807),
+    ),
+    (2.0, 110e-9, 1e-6): (
+        (0.9994044917011184, 0.9994044917011184, 0.9997651288654139),
+        (-0.4121695955886733, -0.4121695955886733, -0.07690076149157533),
+        (0.34809416663713066, 0.34809416663713066, 0.19516657505807145),
+    ),
+    (2.0, 110e-9, 100e-6): (
+        (0.9994044917011184, 0.9994044917011184, 0.9997651288654139),
+        (0.0006089904058511849, 0.0006089904058511849, -8.922794374314341e-06),
+        (1.04440686562734e-07, 1.04440686562734e-07, 2.599568199214229e-05),
+    ),
+    (2.0, 1e-2, 10e-9): (
+        (0.36647153331020954, 0.36647153331020954, 0.15083975160243582),
+        (-0.5584923463138789, -0.5584923463138789, -0.13418917613499234),
+        (40.21729217944205, 40.21729217944205, 80.04886015085528),
+    ),
+    (2.0, 1e-2, 1e-6): (
+        (0.36647153331020954, 0.36647153331020954, 0.15083975160243582),
+        (-0.27040125581185004, -0.27040125581185004, -0.19416340490719694),
+        (0.22345308025261976, 0.22345308025261976, 0.669077645163181),
+    ),
+    (2.0, 1e-2, 100e-6): (
+        (0.36647153331020954, 0.36647153331020954, 0.15083975160243582),
+        (0.0030336798823922817, 0.0030336798823922817, -0.00019649063226532225),
+        (1.7595607497052002e-05, 1.7595607497052002e-05, 0.00019667153108240027),
+    ),
+}
+
+# low-loss thick slab: eps = 1.25 + 2.8e-5 i at 3e14 rad/s, so the fringes
+# near the light line keep a loop gain near 0.5; B, C, D recorded as above
+LOW_LOSS = DielectricModel(2.0, 2e14, 1e14, gamma_damp=1e10)
+LOW_LOSS_FROZEN = (
+    (0.7094554772917422, 0.7094554772917422, 0.6792768524350732),
+    (-0.19940909489274794, -0.19940909489274794, -0.26031340053772334),
+    (0.22932664918042298, 0.22932664918042298, 0.4768774089087229),
+)
 
 
 class TestVacuumOracle:
@@ -76,6 +151,19 @@ class TestResponseProperties:
         rv = response_vectors(omega, GeometryPoint(z=0.3 * c / omega, delta=2e-6), LOSSLESS)
         assert np.abs(rv.D).max() < 1e-8
 
+    def test_real_permittivity_has_no_body_term(self):
+        # the guided-mode thickness of test_optics: eps = 10, and the TE pole
+        # sits on kappa = omega/c, an initial panel edge of D (rung 2**0 of
+        # the evanescent ladder, as z < c/(2 omega)); integrating D here
+        # raises SlabResonanceError
+        omega = 0.5e14
+        U = omega / c
+        q = math.sqrt(8.0) * U
+        delta = (4.0 * math.atan(U / q) + 2.0 * math.pi) / (2.0 * q)
+        rv = response_vectors(omega, GeometryPoint(z=0.3 * c / omega, delta=delta), LOSSLESS)
+        assert np.all(rv.D == 0.0)
+        assert np.all(np.isfinite(rv.B)) and np.all(np.isfinite(rv.C))
+
     def test_sign_structure(self):
         rv = response_vectors(OMEGA_R, GeometryPoint(z=2e-7, delta=110e-9), SIC)
         assert np.all(rv.B >= 0.0)
@@ -112,6 +200,51 @@ class TestResponseProperties:
             for name in ("B", "C", "D"):
                 diff = np.abs(getattr(r1, name) - getattr(r2, name)).max()
                 assert diff < 1e-6, (name, z, diff)
+
+
+class TestSlabPhasePanels:
+    @pytest.mark.parametrize("key", sorted(RESPONSE_FROZEN))
+    def test_frozen_responses(self, key):
+        w, delta, z = key
+        rv = response_vectors(w * OMEGA_R, GeometryPoint(z=z, delta=delta), SIC)
+        for name, frozen in zip("BCD", RESPONSE_FROZEN[key]):
+            np.testing.assert_allclose(getattr(rv, name), frozen, rtol=1e-9, atol=0.0,
+                                       err_msg=name)
+
+    def test_low_loss_thick_slab(self):
+        # with one-period panels throughout, B needs 952 splits here and C
+        # exhausts the 2,000-split budget
+        omega = 3e14
+        rv = response_vectors(omega, GeometryPoint(z=0.3 * c / omega, delta=1e-2), LOW_LOSS)
+        for name, frozen in zip("BCD", LOW_LOSS_FROZEN):
+            np.testing.assert_allclose(getattr(rv, name), frozen, rtol=1e-9, atol=0.0,
+                                       err_msg=name)
+
+    def test_transparent_thick_slab_edge_counts(self):
+        # eighth-period edges everywhere gave 5,631 propagative and 54,436
+        # evanescent edges; the loop gain here stays below 1.3e-9, so only the
+        # full-period edges remain
+        omega = 2.0 * OMEGA_R
+        eps = permittivity(SIC, omega)
+        U = omega / c
+        prop = _slab_phase_breakpoints(omega, 1e-2, eps, 0.0, U, 1e-9)
+        evan = _slab_phase_breakpoints(omega, 1e-2, eps, U, U * math.sqrt(eps.real) + U, 1e-9)
+        assert len(prop) <= 5631 / 6 and len(evan) <= 54436 / 6
+        assert (len(prop), len(evan)) == (704, 6805)
+
+    def test_high_gain_fringes_keep_eighth_periods(self):
+        # near the light line the low-loss slab's fringes are sharp
+        omega = 3e14
+        eps = permittivity(LOW_LOSS, omega)
+        U = omega / c
+        evan = _slab_phase_breakpoints(omega, 1e-2, eps, U, U * math.sqrt(eps.real) + U, 1e-9)
+        gain = loop_gain(omega, eps, 1j * np.sqrt(evan**2 - U**2), 1e-2)
+        # eighth-period index of each edge; fringe j holds indices 8j .. 8j+8
+        m = np.rint(np.sqrt(eps.real * U**2 - evan**2) * 1e-2 / (0.125 * math.pi)).astype(int)
+        hot = np.unique(m[gain > 0.01] // 8)
+        hot = hot[(8 * hot >= m.min()) & (8 * hot + 8 <= m.max())]
+        assert len(hot) > 100
+        assert set((8 * hot[:, None] + np.arange(9)).ravel()) <= set(m)
 
 
 class TestAlphaPair:
