@@ -26,15 +26,12 @@ from .atom import (
 )
 from .optics import DielectricModel
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
-from .response import GeometryPoint, _b_vector, alpha_pair
+from .response import _POINT_ERRORS, GeometryPoint, alpha_pair, response_vectors_many
 
 _GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
 
 DEFAULT_T_SEARCH = (1.0, 5000.0)
 DEFAULT_THERMAL_THRESHOLD = 2e-3
-
-# failures a scan records per point instead of raising
-_POINT_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,26 @@ def distance_to_thermal(p: Populations, atom: AtomModel, T: float) -> float:
     return float(np.linalg.norm(p.as_array() - q.as_array()))
 
 
+def _grid_distances(p: Populations, atom: AtomModel, T: np.ndarray) -> np.ndarray:
+    """Thermal distances at every temperature of ``T``, in one numpy pass."""
+    x3 = hbar * atom.omega_31 / (k_B * T)
+    x2 = hbar * (atom.omega_31 - atom.omega_32) / (k_B * T)
+    e2 = np.exp(-np.minimum(x2, 745.0))
+    e3 = np.exp(-np.minimum(x3, 745.0))
+    s = 1.0 + e2 + e3
+    return np.sqrt((p.p1 - 1.0 / s) ** 2 + (p.p2 - e2 / s) ** 2 + (p.p3 - e3 / s) ** 2)
+
+
+def _distance(p: Populations, atom: AtomModel, T: float) -> float:
+    """Thermal distance at one temperature: the formula of _grid_distances on floats."""
+    x3 = hbar * atom.omega_31 / (k_B * T)
+    x2 = hbar * (atom.omega_31 - atom.omega_32) / (k_B * T)
+    e2 = math.exp(-min(x2, 745.0))
+    e3 = math.exp(-min(x3, 745.0))
+    s = 1.0 + e2 + e3
+    return math.sqrt((p.p1 - 1.0 / s) ** 2 + (p.p2 - e2 / s) ** 2 + (p.p3 - e3 / s) ** 2)
+
+
 def closest_thermal(p: Populations, atom: AtomModel,
                     T_search=DEFAULT_T_SEARCH) -> ThermalComparison:
     """Temperature minimizing the thermal distance over a bracket.
@@ -91,32 +108,32 @@ def closest_thermal(p: Populations, atom: AtomModel,
     A 64-point log-spaced pre-scan locates the global basin, golden
     section refines it to better than 0.01 K. The state counts as thermal
     below DEFAULT_THERMAL_THRESHOLD. A minimum sitting on the search
-    boundary is flagged, not raised.
+    boundary is flagged, not raised. The reported distance is
+    :func:`distance_to_thermal` at the closest temperature.
     """
     T_lo, T_hi = T_search
     if not (0.0 < T_lo < T_hi):
         raise ValueError("need 0 < T_lo < T_hi")
 
     grid = np.geomspace(T_lo, T_hi, 64)
-    dists = [distance_to_thermal(p, atom, T) for T in grid]
-    j = int(np.argmin(dists))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
+    j = int(np.argmin(_grid_distances(p, atom, grid)))
+    lo = float(grid[max(j - 1, 0)])
+    hi = float(grid[min(j + 1, len(grid) - 1)])
 
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = distance_to_thermal(p, atom, x1)
-    f2 = distance_to_thermal(p, atom, x2)
+    f1 = _distance(p, atom, x1)
+    f2 = _distance(p, atom, x2)
     while (b - a) > 0.005:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = distance_to_thermal(p, atom, x1)
+            f1 = _distance(p, atom, x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = distance_to_thermal(p, atom, x2)
+            f2 = _distance(p, atom, x2)
     T_best = 0.5 * (a + b)
     d_best = distance_to_thermal(p, atom, T_best)
     at_boundary = j == 0 or j == len(grid) - 1
@@ -137,20 +154,19 @@ def transition_environments(atom: AtomModel, model: DielectricModel, geom: Geome
 def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
                  T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC,
                  T_search=DEFAULT_T_SEARCH, with_thermal: bool = True) -> ScanPoint:
-    """Full pipeline at one geometry point; failures recorded, not raised."""
-    try:
-        env31, env32 = transition_environments(atom, model, geom, T_W, T_M, spec)
-        pops = steady_state(env31.n_eff, env32.n_eff)
-        thermal = closest_thermal(pops, atom, T_search) if with_thermal else None
-        return ScanPoint(z=geom.z, delta=geom.delta, env31=env31, env32=env32,
-                         populations=pops, thermal=thermal)
-    except _POINT_ERRORS as exc:
-        return ScanPoint(z=geom.z, delta=geom.delta,
-                         error=f"{type(exc).__name__}: {exc}")
+    """Full pipeline at one geometry point; failures recorded, not raised.
+
+    The one-point case of :func:`scan`.
+    """
+    return scan(atom, model, [geom.z], [geom.delta], T_W, T_M, spec, T_search,
+                with_thermal).points[0]
 
 
 def _grid(z_values, delta_values):
-    """Validated z and delta arrays and their delta-major, z-minor geometry list."""
+    """Nonempty, strictly increasing z and delta grids as float arrays.
+
+    Their ranges (z > 0, delta >= 0) are checked by response_vectors_many.
+    """
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
     delta_values = np.atleast_1d(np.asarray(delta_values, dtype=float))
     if z_values.size == 0 or delta_values.size == 0:
@@ -158,9 +174,39 @@ def _grid(z_values, delta_values):
     for name, values in (("z", z_values), ("delta", delta_values)):
         if np.any(np.diff(values) <= 0):
             raise ValueError(f"{name} grid must be strictly increasing")
-    geoms = [GeometryPoint(z=float(z), delta=float(d))
-             for d in delta_values for z in z_values]
-    return z_values, delta_values, geoms
+    return z_values, delta_values
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _alpha_pairs(tasks, z_values, model, spec, threads):
+    """Per (omega, weights, delta) task, the AlphaPair or error text of every z.
+
+    One task integrates all its heights together
+    (:func:`response_vectors_many`); with ``threads`` > 1 the tasks run on
+    a thread pool. Task results come back in task order.
+    """
+    def work(task):
+        omega, weights, delta = task
+        pairs = []
+        for z, rv in zip(z_values.tolist(),
+                         response_vectors_many(omega, z_values, delta, model, spec)):
+            if isinstance(rv, Exception):
+                pairs.append(_describe(rv))
+                continue
+            try:
+                pairs.append(alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
+                                        weights, spec, vectors=rv))
+            except _POINT_ERRORS as exc:
+                pairs.append(_describe(exc))
+        return pairs
+
+    if threads <= 1:
+        return [work(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, tasks))
 
 
 def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
@@ -169,19 +215,38 @@ def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
          threads: int = 1) -> ScanResult:
     """Evaluate the full pipeline over the (delta, z) product grid.
 
-    Points are independent and may be computed in parallel; the result
-    order is fixed as delta-major, z-minor regardless of scheduling.
-    Per-point failures land in ``ScanPoint.error`` and the scan continues.
+    Each (transition, delta) pair is one task that integrates all heights
+    together; tasks may run in parallel. The result order is fixed as
+    delta-major, z-minor regardless of scheduling. Per-point failures
+    land in ``ScanPoint.error`` and the scan continues.
     """
-    z_values, delta_values, geoms = _grid(z_values, delta_values)
+    z_values, delta_values = _grid(z_values, delta_values)
+    tasks = [(omega, weights, delta) for delta in delta_values.tolist()
+             for omega, weights in ((atom.omega_31, atom.weights_31),
+                                    (atom.omega_32, atom.weights_32))]
+    pairs = _alpha_pairs(tasks, z_values, model, spec, threads)
+    points = []
+    for (_, _, delta), pairs31, pairs32 in zip(tasks[::2], pairs[::2], pairs[1::2]):
+        for z, a31, a32 in zip(z_values.tolist(), pairs31, pairs32):
+            points.append(_steady(atom, z, delta, a31, a32, T_W, T_M, T_search,
+                                  with_thermal))
+    return ScanResult(z_values=z_values, delta_values=delta_values, points=tuple(points))
 
-    def work(geom):
-        return steady_point(atom, model, geom, T_W, T_M, spec, T_search, with_thermal)
 
-    b_keys = [(omega, float(d)) for d in delta_values
-              for omega in (atom.omega_31, atom.omega_32)]
-    points = tuple(_map_points(work, geoms, threads, b_keys, model, spec))
-    return ScanResult(z_values=z_values, delta_values=delta_values, points=points)
+def _steady(atom, z, delta, a31, a32, T_W, T_M, T_search, with_thermal) -> ScanPoint:
+    """Scan point from the alpha pairs (or error texts) of both transitions."""
+    for a in (a31, a32):
+        if isinstance(a, str):
+            return ScanPoint(z=z, delta=delta, error=a)
+    try:
+        env31 = transition_rates(atom, "31", a31, T_W, T_M)
+        env32 = transition_rates(atom, "32", a32, T_W, T_M)
+        pops = steady_state(env31.n_eff, env32.n_eff)
+        thermal = closest_thermal(pops, atom, T_search) if with_thermal else None
+    except _POINT_ERRORS as exc:
+        return ScanPoint(z=z, delta=delta, error=_describe(exc))
+    return ScanPoint(z=z, delta=delta, env31=env31, env32=env32,
+                     populations=pops, thermal=thermal)
 
 
 def environment_scan(omega: float, weights, model: DielectricModel, z_values,
@@ -189,42 +254,22 @@ def environment_scan(omega: float, weights, model: DielectricModel, z_values,
                      spec: QuadratureSpec = DEFAULT_SPEC, threads: int = 1):
     """Single-transition z/delta scan: list of (z, delta, env-or-None, error).
 
-    The grids are checked as in :func:`scan`.
+    The grids are checked, and each delta is one task, as in :func:`scan`.
     """
-    _, delta_values, geoms = _grid(z_values, delta_values)
+    z_values, delta_values = _grid(z_values, delta_values)
     probe = AtomModel(omega_31=2.0 * omega, omega_32=omega,
                       weights_31=weights, weights_32=weights)
-
-    def work(geom):
-        try:
-            pair = alpha_pair(omega, geom, model, weights, spec)
-            env = transition_rates(probe, "32", pair, T_W, T_M)
-            return (geom.z, geom.delta, env, None)
-        except _POINT_ERRORS as exc:
-            return (geom.z, geom.delta, None, f"{type(exc).__name__}: {exc}")
-
-    b_keys = [(omega, float(d)) for d in delta_values]
-    return _map_points(work, geoms, threads, b_keys, model, spec)
-
-
-def _map_points(work, tasks, threads, b_keys, model, spec) -> list:
-    """``work`` over ``tasks`` in order, on ``threads`` worker threads.
-
-    With more than one thread, the B vector of every (omega, delta) in
-    ``b_keys`` is integrated first, once each: ``lru_cache`` does not
-    merge concurrent misses, so workers starting on the same key would
-    all integrate it. A B that fails is not cached; the points that need
-    it raise the failure again and record it as their own.
-    """
-    if threads <= 1:
-        return [work(t) for t in tasks]
-
-    def fill(key):
-        try:
-            _b_vector(*key, model, spec)
-        except _POINT_ERRORS:
-            pass
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, b_keys))
-        return list(pool.map(work, tasks))
+    tasks = [(omega, weights, delta) for delta in delta_values.tolist()]
+    records = []
+    for (_, _, delta), pairs in zip(tasks, _alpha_pairs(tasks, z_values, model, spec, threads)):
+        for z, pair in zip(z_values.tolist(), pairs):
+            if isinstance(pair, str):
+                records.append((z, delta, None, pair))
+                continue
+            try:
+                env = transition_rates(probe, "32", pair, T_W, T_M)
+            except _POINT_ERRORS as exc:
+                records.append((z, delta, None, _describe(exc)))
+                continue
+            records.append((z, delta, env, None))
+    return records

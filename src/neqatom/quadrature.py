@@ -24,6 +24,14 @@ half and appends the right half, so ``initial + max_subdivisions`` rows
 always suffice. A heap keyed on each panel's largest error component
 picks the next split; entries left stale by a split are skipped.
 
+The oscillatory and evanescent engines also take an ascending array of
+heights, integrated together on shared nodes: the integrand returns the
+columns of every height side by side, ``(N, m * n_z)``, and each column
+keeps its own tolerance. The largest height sets the height-phase edges;
+the smallest sets the evanescent cut and the tail bound of every column.
+With one height both engines reproduce the single-height edges and
+arithmetic bit for bit.
+
 Everything is deterministic: fixed node sets and a fixed split order.
 The returned value and error are sequential sums over the panel rows in
 ascending panel order (the error seeded with the constant error floor),
@@ -230,6 +238,14 @@ def _theta_from_k(k, omega):
     return np.arcsin(np.clip(np.asarray(k, dtype=float) * c / omega, 0.0, 1.0))
 
 
+def _heights(z):
+    """Heights as a 1-D ascending float array (a scalar is one height)."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.ndim != 1 or z.size == 0 or np.any(np.diff(z) < 0.0):
+        raise ValueError("heights must be a scalar or a nonempty ascending array")
+    return z
+
+
 def integrate_propagative(integrand, omega, spec=DEFAULT_SPEC, *, breakpoints=()):
     """Integrate f(k, k_z) dk over the propagative sector [0, omega/c].
 
@@ -246,26 +262,34 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     to the integrand in exact trigonometric form. ``breakpoints`` are
     optional interior k values used as initial panel boundaries.
 
+    ``z`` is one height or an ascending array of heights integrated on
+    shared nodes; the integrand then returns the columns of every height
+    side by side, and each column keeps its own tolerance.
+
     Initial panels are aligned to the phase of exp(2i k_z z): boundaries
     at every k_z z = m pi/2 and at the eighth-period points in between,
     which keeps accuracy uniform in z well beyond z = 100 c/omega without
-    consuming the subdivision budget. A second phase in the integrand is
-    the caller's to resolve through ``breakpoints``: the slab response
-    passes the slab phase Re(k_zm) delta at every period, and at eighth
-    periods only in the fringes whose Airy loop gain makes them sharp, so
-    the height-phase edges stay fine where the two phases beat.
+    consuming the subdivision budget. With several heights the largest
+    one sets these edges: its grid resolves every smaller height. A
+    second phase in the integrand is the caller's to resolve through
+    ``breakpoints``: the slab response passes the slab phase
+    Re(k_zm) delta at every period, and at eighth periods only in the
+    fringes whose Airy loop gain makes them sharp, so the height-phase
+    edges stay fine where the two phases beat.
     """
-    if z < 0.0:
+    heights = _heights(z)
+    if heights[0] < 0.0:
         raise ValueError("z must be >= 0")
+    z_max = heights[-1]
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     U = omega / c
     interior = list(np.asarray(breakpoints, dtype=float))
-    if z > 0.0:
-        m_max = int(math.floor(8.0 * z * U / math.pi))
+    if z_max > 0.0:
+        m_max = int(math.floor(8.0 * z_max * U / math.pi))
         if m_max > _MAX_INITIAL_PANELS:
             raise ValueError("oscillatory panel budget exceeded: z too large")
-        kz_pts = np.arange(1, m_max + 1) * (math.pi / (8.0 * z))
+        kz_pts = np.arange(1, m_max + 1) * (math.pi / (8.0 * z_max))
         interior.extend(np.sqrt(np.maximum(U**2 - kz_pts**2, 0.0)))
 
     def F(theta):
@@ -287,13 +311,21 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     where the damping factor exp(-2 kappa z) falls below 1e-14 of its
     peak, and the exponential tail beyond the cut is folded into the
     error estimate. Requires z > 0 strictly.
+
+    ``z`` is one height or an ascending array of heights integrated on
+    shared nodes, the integrand returning every height's columns side by
+    side. The smallest height sets the cut and the tail bound of every
+    column, which is conservative for the larger ones; the initial edges
+    are the union of every height's ladder.
     """
-    if not z > 0.0:
+    heights = _heights(z)
+    if not heights[0] > 0.0:
         raise ValueError("evanescent integral requires positive height")
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     U = omega / c
-    kappa_max = _EVANESCENT_CUT / z
+    z_min = heights[0]
+    kappa_max = _EVANESCENT_CUT / z_min
 
     def F(kappa):
         kappa = np.asarray(kappa, dtype=float)
@@ -303,16 +335,19 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
             y = y[:, None]
         return y * (kappa / k)[:, None]
 
-    # geometric ladder resolves the scale gap between omega/c, 1/(2z)
-    # and the truncation point before adaptivity takes over
-    interior = [kappa_max / 4.0**j for j in range(1, 16)]
-    scale = min(U, 0.5 / z)
-    interior.extend(scale * 2.0**j for j in range(-3, 4))
+    # geometric ladders resolve the scale gap between omega/c, 1/(2z)
+    # and each height's truncation point before adaptivity takes over
+    interior = []
+    for h in heights.tolist():
+        cut = _EVANESCENT_CUT / h
+        interior.extend(cut / 4.0**j for j in range(16))
+        scale = min(U, 0.5 / h)
+        interior.extend(scale * 2.0**j for j in range(-3, 4))
     pts = np.asarray(breakpoints, dtype=float)
     pts = pts[pts > U]
     interior.extend(np.sqrt(pts**2 - U**2))
 
-    tail = np.atleast_2d(F(np.array([kappa_max])))[0] / (2.0 * z)
+    tail = np.atleast_2d(F(np.array([kappa_max])))[0] / (2.0 * z_min)
     if not np.isfinite(tail).all():
         raise NonFiniteIntegrandError(kappa_max)
     edges = _merge_edges(0.0, kappa_max, interior)

@@ -11,6 +11,14 @@ C takes phi = -1. The wall/body weights are then
 
 with d the dipole orientation weights. B is independent of the atom
 height and cached per (frequency, thickness, material, tolerances).
+
+A z-scan at one frequency and slab goes through ``response_vectors_many``:
+it computes B and the slab-phase breakpoints once, and integrates C and
+D for the heights within one decade (at most 16 of them) in one adaptive
+pass, so that one slab-amplitude evaluation per node serves them all. A
+group that fails is integrated again height by height, so each failure
+stays with its own height. ``response_vectors`` and ``alpha_pair`` are
+its one-height case.
 """
 
 from __future__ import annotations
@@ -103,9 +111,10 @@ def check_weights(w) -> tuple:
 def _tm_weights(omega, k, kz_sq, phi):
     """TM orientation weights (c^2/omega^2)(phi |kz|^2, phi |kz|^2, 2 k^2)."""
     s = (c / omega) ** 2
-    xx = phi * s * kz_sq
-    zz = 2.0 * s * k**2
-    return np.stack((xx, xx, zz), axis=-1)
+    w = np.empty((len(k), 3))
+    w[:, 0] = w[:, 1] = phi * s * kz_sq
+    w[:, 2] = 2.0 * s * k**2
+    return w
 
 _TE_WEIGHTS = np.array([1.0, 1.0, 0.0])
 
@@ -181,9 +190,51 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     return integrate_propagative(integrand, omega, spec, breakpoints=bk)
 
 
-def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> ResponseVectors:
-    """Evaluate B, C and D for one frequency and geometry.
+# heights integrated in one adaptive pass at most: heights within a decade
+# share their panels, and the cap bounds the (nodes x columns) working set
+_GROUP_SIZE = 16
+
+# failures recorded against the height (or scan point) they belong to
+_POINT_ERRORS = (ArithmeticError, RuntimeError, ValueError)
+
+
+def _height_groups(z):
+    """Slices of the ascending heights ``z``, each spanning at most a decade.
+
+    The log-span of ``z`` is cut into the fewest equal parts of at most one
+    decade each, and each part into the fewest runs of at most _GROUP_SIZE
+    heights, of near-equal length. A grid from 1e-8 to 1e-6 makes two
+    groups: decades counted from floor(log10 z) would give its end point
+    a group of its own.
+    """
+    span = math.log10(z[-1] / z[0])
+    # a span a rounding error above a whole number of decades is that number
+    parts = max(1, math.ceil(span - 1e-9))
+    part = np.zeros(len(z), dtype=int)
+    if parts > 1:
+        part = np.minimum((np.log10(z / z[0]) * (parts / span)).astype(int), parts - 1)
+    bounds = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(z)]
+    groups = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        runs = -(-(hi - lo) // _GROUP_SIZE)
+        cuts = [lo + j * (hi - lo) // runs for j in range(runs + 1)]
+        groups.extend(slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
+    return groups
+
+
+def response_vectors_many(omega: float, z_values, delta: float, model: DielectricModel,
+                          spec: QuadratureSpec = DEFAULT_SPEC) -> list:
+    """B, C and D at every height of one frequency and slab, on shared nodes.
+
+    ``z_values`` are heights > 0 in strictly increasing order. Returns one
+    entry per height: its :class:`ResponseVectors`, or the exception (an
+    ArithmeticError, RuntimeError or ValueError) its integration raised.
+    B and the slab-phase breakpoints are computed once. Heights within a
+    decade of each other, at most _GROUP_SIZE of them, are integrated
+    together (see _height_groups): one integrand call serves all their
+    C (or D) columns, each held to its own tolerance. A group that fails is
+    integrated again one height at a time, so a failure lands on the
+    height that causes it; a failing B lands on every height.
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -191,55 +242,109 @@ def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
+    z = np.atleast_1d(np.asarray(z_values, dtype=float))
+    if z.ndim != 1 or z.size == 0 or not (np.all(z > 0.0) and np.all(np.diff(z) > 0.0)):
+        raise ValueError("heights must be > 0 and strictly increasing")
+    if not delta >= 0.0:
+        raise ValueError("delta must be >= 0")
     eps = permittivity(model, omega)
     U = omega / c
+    try:
+        b_res = _b_vector(omega, delta, model, spec)
+    except _POINT_ERRORS as exc:
+        return [exc] * len(z)
+    bk_prop = _slab_phase_breakpoints(omega, delta, eps, 0.0, U, spec.rel_tol)
+    bk_evan = None
+    if eps.imag != 0.0:
+        k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
+        bk_evan = _slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol)
+
+    def attempt(heights):
+        # ResponseVectors of each height, or the group's failure on each
+        try:
+            c_res, d_res = _c_and_d(omega, eps, heights, delta, bk_prop, bk_evan, spec)
+        except _POINT_ERRORS as exc:
+            return [exc] * len(heights)
+        n = len(heights)
+        C = c_res.value.reshape(n, 3)
+        D = d_res.value.reshape(n, 3)
+        error = (b_res.error_estimate + c_res.error_estimate.reshape(n, 3)
+                 + d_res.error_estimate.reshape(n, 3))
+        return [ResponseVectors(B=b_res.value, C=C[i], D=D[i], error=error[i])
+                for i in range(n)]
+
+    out = []
+    for group in _height_groups(z):
+        got = attempt(z[group])
+        if len(got) > 1 and isinstance(got[0], Exception):
+            got = [rv for i in range(group.start, group.stop) for rv in attempt(z[i:i + 1])]
+        out.extend(got)
+    return out
+
+
+def _c_and_d(omega, eps, z, delta, bk_prop, bk_evan, spec):
+    """C and D of the heights ``z`` (array), columns (xx, yy, zz) height by height.
+
+    ``bk_evan`` is None for a real permittivity: D is then zero.
+    """
     pref = 0.75 * c / omega
-    z = geom.z
-    delta = geom.delta
+    n = len(z)
 
-    b_res = _b_vector(omega, delta, model, spec)
-
+    # the integrands run once per split on 30 nodes, so they keep to few
+    # numpy calls; y is (node, height, orientation)
     def c_integrand(k, kz):
         (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
-        phase = np.exp(2j * kz * z)
-        te = (rho_te * phase).real[:, None] * _TE_WEIGHTS
-        tm = (rho_tm * phase).real[:, None] * _tm_weights(omega, k, kz**2, -1.0)
-        return pref * (k / kz)[:, None] * (te + tm)
+        phase = np.exp(np.multiply.outer(2j * kz, z))
+        y = (rho_te[:, None] * phase).real[:, :, None] * _TE_WEIGHTS
+        y += (rho_tm[:, None] * phase).real[:, :, None] * _tm_weights(omega, k, kz**2, -1.0)[:, None]
+        y *= (pref * (k / kz))[:, None, None]
+        return y.reshape(len(k), 3 * n)
 
-    bk_prop = _slab_phase_breakpoints(omega, delta, eps, 0.0, U, spec.rel_tol)
     c_res = integrate_oscillatory(c_integrand, omega, z, spec, breakpoints=bk_prop)
 
     def d_integrand(k, kappa):
-        kz = 1j * kappa
-        (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
-        damp = np.exp(-2.0 * kappa * z)
-        te = rho_te.imag[:, None] * _TE_WEIGHTS
-        tm = rho_tm.imag[:, None] * _tm_weights(omega, k, kappa**2, +1.0)
-        return pref * (k / kappa * damp)[:, None] * (te + tm)
+        (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
+        damp = np.exp(np.multiply.outer(-2.0 * kappa, z))
+        w = rho_te.imag[:, None] * _TE_WEIGHTS
+        w += rho_tm.imag[:, None] * _tm_weights(omega, k, kappa**2, +1.0)
+        y = (pref * ((k / kappa)[:, None] * damp))[:, :, None] * w[:, None, :]
+        return y.reshape(len(k), 3 * n)
 
-    if eps.imag == 0.0:
+    if bk_evan is None:
         # real eps: rho is real off the guided-mode poles, so Im rho = 0;
         # the poles' delta-function terms are left out
-        d_res = QuadratureResult(value=np.zeros(3), error_estimate=np.zeros(3), evaluations=0)
+        zero = np.zeros(3 * n)
+        d_res = QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
     else:
-        k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
-        bk_evan = _slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol)
         d_res = integrate_evanescent(d_integrand, omega, z, spec, breakpoints=bk_evan)
+    return c_res, d_res
 
-    error = b_res.error_estimate + c_res.error_estimate + d_res.error_estimate
-    return ResponseVectors(B=b_res.value, C=c_res.value, D=d_res.value, error=error)
+
+def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,
+                     spec: QuadratureSpec = DEFAULT_SPEC) -> ResponseVectors:
+    """Evaluate B, C and D for one frequency and geometry.
+
+    The one-height case of :func:`response_vectors_many`; a failure raises.
+    """
+    (rv,) = response_vectors_many(omega, [geom.z], geom.delta, model, spec)
+    if isinstance(rv, Exception):
+        raise rv
+    return rv
 
 
 def alpha_pair(omega: float, geom: GeometryPoint, model: DielectricModel,
                dipole_weights=ISOTROPIC_WEIGHTS,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> AlphaPair:
+               spec: QuadratureSpec = DEFAULT_SPEC, *, vectors=None) -> AlphaPair:
     """Wall/body weights alpha_W, alpha_M for one transition frequency.
 
     ``dipole_weights`` are the squared orientation fractions of the
     transition dipole, nonnegative and summing to 1 (isotropic default).
+    ``vectors`` are the point's :class:`ResponseVectors` when they are
+    already integrated (by :func:`response_vectors_many`); otherwise they
+    are integrated here.
     """
     d = np.asarray(check_weights(dipole_weights))
-    rv = response_vectors(omega, geom, model, spec)
+    rv = response_vectors(omega, geom, model, spec) if vectors is None else vectors
     a_w = float(0.5 * (1.0 + rv.B + 2.0 * rv.C) @ d)
     a_m = float(0.5 * (1.0 - rv.B + 2.0 * rv.D) @ d)
     tol = float(max(1e-10, 10.0 * (rv.error @ d)))

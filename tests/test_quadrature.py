@@ -157,6 +157,73 @@ class TestEvanescent:
             integrate_evanescent(lambda k, kappa: vec(k), OMEGA, -1e-9)
 
 
+class TestManyHeights:
+    """Several heights on shared nodes: one column per height, own tolerances."""
+
+    ZU = np.array([0.5, 7.0, 30.0, 100.0])
+
+    def test_oscillatory_columns_match_closed_form(self):
+        z = self.ZU / U
+
+        def kernel(k, kz):
+            return (k / kz)[:, None] * np.cos(2.0 * kz[:, None] * z)
+
+        res = integrate_oscillatory(kernel, OMEGA, z)
+        exact = np.sin(2.0 * z * U) / (2.0 * z)
+        assert res.value == pytest.approx(exact, rel=1e-8)
+
+    def test_evanescent_columns_match_closed_form(self):
+        z = np.array([1e-8, 3e-8, 7e-8])
+
+        def kernel(k, kappa):
+            return (k * kappa)[:, None] * np.exp(-2.0 * kappa[:, None] * z)
+
+        res = integrate_evanescent(kernel, OMEGA, z)
+        assert res.value == pytest.approx(1.0 / (4.0 * z**3), rel=1e-9)
+
+    def test_largest_height_sets_the_oscillatory_edges(self):
+        sizes = []
+
+        def kernel(k, kz):
+            sizes.append(len(k))
+            return vec(k / kz)
+
+        z = self.ZU / U
+        integrate_oscillatory(kernel, OMEGA, z)
+        integrate_oscillatory(kernel, OMEGA, z[-1])
+        assert sizes[0] == sizes[-1] > 15 * 100
+
+    def test_smallest_height_sets_every_tail_bound(self):
+        # F = 1 in kappa: the panels are exact, so each column's error is
+        # its tail bound |F(kappa_max)| / (2 z_min) alone
+        z = np.array([1e-8, 3e-8, 7e-8])
+
+        def kernel(k, kappa):
+            return (k / kappa)[:, None] * np.ones(3 * len(z))
+
+        res = integrate_evanescent(kernel, OMEGA, z, QuadratureSpec(rel_tol=1.0))
+        assert res.error_estimate == pytest.approx(np.full(9, 0.5 / z[0]), rel=1e-9)
+
+    @pytest.mark.parametrize("engine,z", [(integrate_oscillatory, 30.0 / U),
+                                          (integrate_evanescent, 1e-7)])
+    def test_one_height_array_is_the_scalar_case(self, engine, z):
+        def kernel(k, aux):
+            if engine is integrate_oscillatory:
+                return vec((k / aux) * np.cos(2.0 * aux * z))
+            return vec(k * aux * np.exp(-2.0 * aux * z))
+
+        scalar = engine(kernel, OMEGA, z)
+        array = engine(kernel, OMEGA, np.array([z]))
+        assert np.array_equal(scalar.value, array.value)
+        assert np.array_equal(scalar.error_estimate, array.error_estimate)
+        assert scalar.evaluations == array.evaluations
+
+    @pytest.mark.parametrize("engine", [integrate_oscillatory, integrate_evanescent])
+    def test_descending_heights_rejected(self, engine):
+        with pytest.raises(ValueError):
+            engine(kernel_one_over_kz, OMEGA, np.array([2e-7, 1e-7]))
+
+
 class TestFailureAndSpec:
     def test_tolerance_failure_carries_best_estimate(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
