@@ -25,13 +25,9 @@ from .atom import (
 )
 from .optics import (
     DielectricModel,
-    PlaneWaveMode,
-    Polarization,
-    SlabCoefficients,
-    fresnel,
     load_material,
     permittivity,
-    slab_coefficients,
+    slab_amplitudes,
     surface_mode_frequency,
 )
 from .quadrature import (

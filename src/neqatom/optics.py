@@ -4,10 +4,10 @@ Everything is SI: angular frequencies in rad/s, lengths in m. Complex
 square roots are taken on the branch with Im >= 0, so evanescent fields
 decay away from the interface that binds them.
 
-The slab is vacuum / medium / vacuum with thickness ``delta``; the single
-interface is described by the amplitude Fresnel coefficients (r, t, tbar)
-with the exact identity t*tbar = 1 - r**2, which is all the slab formulas
-consume.
+The slab is vacuum / medium / vacuum with thickness ``delta``. One
+vectorized path, :func:`slab_amplitudes`, gives its (rho, tau) for both
+polarizations from the interface reflection amplitude r alone, through the
+exact identity t*tbar = 1 - r**2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 
@@ -33,11 +32,6 @@ class DegenerateModeError(ArithmeticError):
 
 class SlabResonanceError(ArithmeticError):
     """Guided-mode resonance of a lossless slab (vanishing denominator)."""
-
-
-class Polarization(Enum):
-    TE = "TE"
-    TM = "TM"
 
 
 @dataclass(frozen=True)
@@ -152,96 +146,20 @@ def medium_kz(omega, k, eps):
     return sqrt_im_nonneg(eps * (omega / c) ** 2 - np.asarray(k, dtype=float) ** 2)
 
 
-@dataclass(frozen=True)
-class PlaneWaveMode:
-    """One field mode: polarization, transverse wavevector magnitude, frequency."""
-
-    polarization: Polarization
-    k: float
-    omega: float
-
-    def __post_init__(self):
-        if not self.k >= 0.0:
-            raise ValueError("k must be >= 0")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be > 0")
-
-    @property
-    def kz(self) -> complex:
-        """Vacuum z-wavevector; real >= 0 if ck < omega, +i|kz| otherwise."""
-        return complex(vacuum_kz(self.omega, self.k))
-
-    def kzm(self, eps) -> complex:
-        """z-wavevector inside a medium of permittivity eps (Im >= 0)."""
-        return complex(medium_kz(self.omega, self.k, eps))
-
-
-@dataclass(frozen=True)
-class SlabCoefficients:
-    """Reflection and transmission amplitudes of the finite slab, per mode."""
-
-    rho: complex
-    tau: complex
-
-
-def fresnel(mode: PlaneWaveMode, eps):
-    """Amplitude Fresnel coefficients (r, t, tbar) of the vacuum/medium interface.
-
-    r is the reflection amplitude on the vacuum side; t and tbar are the
-    forward (vacuum -> medium) and reverse transmission amplitudes. The
-    normalization satisfies t*tbar = 1 - r**2 exactly, which is the only
-    combination the slab formulas use.
-    """
-    kz = mode.kz
-    kzm = mode.kzm(eps)
-    if mode.polarization is Polarization.TE:
-        den = kz + kzm
-        if abs(den) <= 1e-12 * (abs(kz) + abs(kzm)) or den == 0:
-            raise DegenerateModeError("grazing degenerate mode")
-        r = (kz - kzm) / den
-        t = 2.0 * kz / den
-        tbar = 2.0 * kzm / den
-    else:
-        den = eps * kz + kzm
-        if abs(den) <= 1e-12 * (abs(eps * kz) + abs(kzm)) or den == 0:
-            raise DegenerateModeError("grazing degenerate mode")
-        n = complex(sqrt_im_nonneg(eps))
-        r = (eps * kz - kzm) / den
-        t = 2.0 * n * kz / den
-        tbar = 2.0 * n * kzm / den
-    return r, t, tbar
-
-
-def slab_coefficients(mode: PlaneWaveMode, model: DielectricModel, delta: float) -> SlabCoefficients:
-    """Reflection/transmission of a slab of thickness delta >= 0 in vacuum.
-
-    rho = r (1 - e) / (1 - r^2 e),  tau = t tbar e^{i(kzm - kz) delta} / (1 - r^2 e),
-    with e = exp(2 i kzm delta). The Im kzm >= 0 branch makes |e| <= 1,
-    so nothing overflows for any thickness.
-    """
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
-    eps = permittivity(model, mode.omega)
-    r, t, tbar = fresnel(mode, eps)
-    kz = mode.kz
-    kzm = mode.kzm(eps)
-    e2 = np.exp(2j * kzm * delta)
-    den = 1.0 - r * r * e2
-    if abs(den) < 1e-13:
-        raise SlabResonanceError("slab resonance")
-    rho = r * (1.0 - e2) / den
-    tau = t * tbar * np.exp(1j * (kzm - kz) * delta) / den
-    return SlabCoefficients(rho=complex(rho), tau=complex(tau))
-
-
 def _slab_kzm(omega, eps, kz):
     """k_zm from (eps - 1) omega^2/c^2 + kz^2, cancellation-free at the light line."""
     return sqrt_im_nonneg((eps - 1.0) * (omega / c) ** 2 + kz * kz)
 
 
 def _interface_r(eps, kz, kzm):
-    """Vacuum-side reflection amplitudes (r_TE, r_TM) of the interface."""
-    return (kz - kzm) / (kz + kzm), (eps * kz - kzm) / (eps * kz + kzm)
+    """Vacuum-side reflections (r_TE, r_TM); DegenerateModeError on a zero denominator."""
+    den_te, den_tm = kz + kzm, eps * kz + kzm
+    # for Im eps > 0 neither vanishes at real k_z > 0 or at k_z = i kappa:
+    # TE needs eps = 1, TM k_z^2 = U^2/(eps + 1) or kappa^2 = -U^2/(eps + 1),
+    # all with a real eps; so a lossy medium pays one scalar comparison
+    if eps.imag == 0.0 and not (den_te.all() and den_tm.all()):
+        raise DegenerateModeError("vanishing interface denominator")
+    return (kz - kzm) / den_te, (eps * kz - kzm) / den_tm
 
 
 def loop_gain(omega: float, eps, kz, delta: float):
@@ -265,12 +183,17 @@ def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
     ``kz`` is supplied by the caller (real for propagative modes, i*kappa
     for evanescent ones) so integration substitutions stay cancellation-free.
     k_zm comes from (eps - 1) omega^2/c^2 + kz^2, the cancellation-free
-    form of eps omega^2/c^2 - k^2 near the light line; it, e^{2i k_zm delta}
-    and the tau phase are shared by TE and TM. Uses t*tbar = 1 - r**2
-    directly. Returns ``((rho_TE, rho_TM), (tau_TE, tau_TM))``. For
-    evanescent incidence tau grows like exp((kappa - Im k_zm) delta) and
-    is skipped with want_tau=False, which returns None in its place.
+    form of eps omega^2/c^2 - k^2 near the light line; it, e = e^{2i k_zm delta}
+    (|e| <= 1 for any delta >= 0) and the tau phase are shared by TE and TM:
+    rho = r (1 - e) / (1 - r^2 e), tau = t tbar e^{i(k_zm - k_z) delta} / (1 - r^2 e)
+    with t tbar = 1 - r^2. Returns ``((rho_TE, rho_TM), (tau_TE, tau_TM))``.
+    For evanescent incidence tau grows like exp((kappa - Im k_zm) delta) and
+    is skipped with want_tau=False, which returns None in its place. Raises
+    ValueError for delta < 0, DegenerateModeError (see _interface_r), and
+    SlabResonanceError on a guided-mode pole of a lossless slab.
     """
+    if not delta >= 0.0:
+        raise ValueError("delta must be >= 0")
     kz = np.asarray(kz)
     kzm = _slab_kzm(omega, eps, kz)
     e2 = np.exp(2j * kzm * delta)

@@ -1,29 +1,29 @@
-"""Dielectric model, Fresnel coefficients and slab amplitudes."""
+"""Dielectric model, interface and slab amplitudes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neqatom.optics import (
     DegenerateModeError,
     DielectricModel,
     LosslessResonanceError,
-    PlaneWaveMode,
-    Polarization,
     SlabResonanceError,
-    fresnel,
     load_material,
+    loop_gain,
     medium_kz,
     permittivity,
     slab_amplitudes,
-    slab_coefficients,
     surface_mode_frequency,
     vacuum_kz,
 )
 
 SIC = DielectricModel(eps_inf=6.7, omega_L=1.827e14, omega_T=1.495e14, gamma_damp=0.9e12)
 LOSSLESS = DielectricModel(eps_inf=2.0, omega_L=2e14, omega_T=1e14, gamma_damp=0.0)
+OMEGA_P = surface_mode_frequency(SIC)
 
 
 class TestDielectricModel:
@@ -90,74 +90,106 @@ class TestBranches:
             assert medium_kz(omega, k, permittivity(SIC, omega)).imag >= 0.0
 
 
+def _kz(omega, k):
+    """Vacuum k_z of the transverse wavevectors ``k`` (array), Im >= 0."""
+    return vacuum_kz(omega, np.atleast_1d(np.asarray(k, dtype=float)))
+
+
+def _transfer_matrix(omega, eps, k, kz, delta):
+    """Characteristic-matrix (rho_TE, rho_TM, tau_TE, tau_TM) of the slab.
+
+    Born & Wolf, Principles of Optics, sec. 1.6: the layer matrix
+    [[cos b, -i sin(b)/p], [-i p sin(b), cos b]] with b = k_zm delta and
+    admittance p = k_zm (TE) or k_zm/eps (TM, magnetic-field amplitudes)
+    is even in k_zm, so no branch choice enters. Vacuum on both sides has
+    p0 = k_z. tau is referred to the entry plane like the slab formulas,
+    hence the factor e^{-i k_z delta}.
+    """
+    U = omega / 2.99792458e8
+    kzm = np.sqrt(eps * U**2 - k**2 + 0j)
+    b = kzm * delta
+    out = []
+    for p in (kzm, kzm / eps):
+        m11 = m22 = np.cos(b)
+        m12 = -1j * np.sin(b) / p
+        m21 = -1j * p * np.sin(b)
+        a = (m11 + m12 * kz) * kz
+        d = m21 + m22 * kz
+        out.append(((a - d) / (a + d), 2.0 * kz / (a + d) * np.exp(-1j * kz * delta)))
+    (rho_te, tau_te), (rho_tm, tau_tm) = out
+    return rho_te, rho_tm, tau_te, tau_tm
+
+
+def _both(omega, eps, kz, delta):
+    """slab_amplitudes as (polarization, rho, tau) for TE and TM."""
+    (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, delta)
+    return (("TE", rho_te, tau_te), ("TM", rho_tm, tau_tm))
+
+
 class TestFresnel:
+    """The interface amplitudes, seen through the slab they enter."""
+
     def test_no_interface(self):
-        for pol in Polarization:
-            mode = PlaneWaveMode(pol, k=3e5, omega=1.5e14)
-            r, t, tbar = fresnel(mode, 1.0 + 0j)
-            assert abs(r) < 1e-15
-            assert t == pytest.approx(1.0)
-            assert tbar == pytest.approx(1.0)
+        # eps = 1: r = 0 and t = tbar = 1 at every k_z, so rho = 0, tau = 1
+        omega = 1.5e14
+        U = omega / 2.99792458e8
+        for _, rho, tau in _both(omega, 1.0 + 0j, _kz(omega, [3e5, 2.0 * U]), 1e-6):
+            assert np.abs(rho).max() < 1e-15
+            np.testing.assert_allclose(tau, 1.0, rtol=1e-6)
 
     def test_normal_incidence_te(self):
-        eps = 4.0 + 0j
-        mode = PlaneWaveMode(Polarization.TE, k=0.0, omega=1.5e14)
-        r, _, _ = fresnel(mode, eps)
-        assert r == pytest.approx((1 - 2.0) / (1 + 2.0))
+        # a quarter-wave layer of index n = 2 (k_zm delta = pi/2, so the
+        # round-trip factor is -1) reflects (1 - n^2) / (1 + n^2)
+        omega = 1.5e14
+        U = omega / 2.99792458e8
+        delta = math.pi / (2.0 * 2.0 * U)
+        (_, rho, _), _ = _both(omega, 4.0 + 0j, _kz(omega, 0.0), delta)
+        assert rho[0] == pytest.approx((1 - 4.0) / (1 + 4.0))
 
-    def test_transmission_identity(self):
-        # t * tbar = 1 - r^2 for random lossless propagative modes
-        rng = np.random.RandomState(11)
-        for _ in range(100):
-            omega = 10 ** rng.uniform(13, 15)
-            U = omega / 2.99792458e8
-            k = rng.uniform(0.0, 0.999) * U
-            eps = complex(rng.uniform(1.0, 12.0))
-            for pol in Polarization:
-                mode = PlaneWaveMode(pol, k=k, omega=omega)
-                r, t, tbar = fresnel(mode, eps)
-                assert t * tbar == pytest.approx(1 - r * r, abs=1e-12)
+    @staticmethod
+    def _assert_degenerate(omega, eps, kz):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateModeError):
+                slab_amplitudes(omega, eps, kz, 1e-6)
+            with pytest.raises(DegenerateModeError):
+                loop_gain(omega, eps, kz, 1e-6)
 
     def test_degenerate_grazing_mode(self):
+        # eps = 1 at k_z = 0: k_z + k_zm and eps k_z + k_zm both vanish
         omega = 1.5e14
         U = omega / 2.99792458e8
-        mode = PlaneWaveMode(Polarization.TE, k=U, omega=omega)
-        with pytest.raises(DegenerateModeError):
-            fresnel(mode, 1.0 + 0j)
+        self._assert_degenerate(omega, 1.0 + 0j, U * np.array([0.5, 0.0]) + 0j)
 
     def test_degenerate_surface_plasmon_pole(self):
-        # lossless eps = -2 has its TM pole at k = sqrt(2) omega/c
+        # lossless eps = -2 has its TM pole at k = sqrt(2) omega/c, k_z = i omega/c
         omega = 1.5e14
         U = omega / 2.99792458e8
-        mode = PlaneWaveMode(Polarization.TM, k=math.sqrt(2.0) * U, omega=omega)
-        with pytest.raises(DegenerateModeError):
-            fresnel(mode, -2.0 + 0j)
+        self._assert_degenerate(omega, -2.0 + 0j, 1j * U * np.array([0.5, 1.0]))
 
 
 class TestSlab:
     def test_zero_thickness(self):
-        for pol in Polarization:
-            mode = PlaneWaveMode(pol, k=4e5, omega=1.5e14)
-            sc = slab_coefficients(mode, SIC, 0.0)
-            assert abs(sc.rho) < 1e-14
-            assert sc.tau == pytest.approx(1.0)
+        for _, rho, tau in _both(1.5e14, permittivity(SIC, 1.5e14), _kz(1.5e14, 4e5), 0.0):
+            assert abs(rho[0]) < 1e-14
+            assert tau[0] == pytest.approx(1.0)
 
     def test_semi_infinite_limit(self):
-        mode = PlaneWaveMode(Polarization.TM, k=3e5, omega=1.5e14)
-        eps = permittivity(SIC, mode.omega)
-        r, _, _ = fresnel(mode, eps)
-        sc = slab_coefficients(mode, SIC, 1.0)
-        assert sc.rho == pytest.approx(r, abs=1e-10)
-        assert abs(sc.tau) < 1e-12
+        omega = 1.5e14
+        eps = permittivity(SIC, omega)
+        kz = _kz(omega, 3e5)
+        kzm = medium_kz(omega, 3e5, eps)
+        r = {"TE": (kz - kzm) / (kz + kzm), "TM": (eps * kz - kzm) / (eps * kz + kzm)}
+        for pol, rho, tau in _both(omega, eps, kz, 1.0):
+            assert rho[0] == pytest.approx(r[pol][0], abs=1e-10)
+            assert abs(tau[0]) < 1e-12
 
     def test_vacuum_slab(self):
         # zero-strength oscillator: eps == 1, the slab is invisible
         vacuum = DielectricModel(eps_inf=1.0, omega_L=1e16, omega_T=1e16, gamma_damp=0.0)
-        for pol in Polarization:
-            mode = PlaneWaveMode(pol, k=4e5, omega=1.5e14)
-            sc = slab_coefficients(mode, vacuum, 3e-6)
-            assert abs(sc.rho) < 1e-14
-            assert sc.tau == pytest.approx(1.0, abs=1e-13)
+        for _, rho, tau in _both(1.5e14, permittivity(vacuum, 1.5e14), _kz(1.5e14, 4e5), 3e-6):
+            assert abs(rho[0]) < 1e-14
+            assert tau[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_propagative_passivity_lossy(self):
         rng = np.random.RandomState(5)
@@ -166,9 +198,28 @@ class TestSlab:
             U = omega / 2.99792458e8
             k = rng.uniform(0.0, 0.999) * U
             delta = 10 ** rng.uniform(-8, -3)
-            for pol in Polarization:
-                sc = slab_coefficients(PlaneWaveMode(pol, k=k, omega=omega), SIC, delta)
-                assert abs(sc.rho) ** 2 + abs(sc.tau) ** 2 <= 1.0 + 1e-12
+            for _, rho, tau in _both(omega, permittivity(SIC, omega), _kz(omega, k), delta):
+                assert abs(rho[0]) ** 2 + abs(tau[0]) ** 2 <= 1.0 + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        log_omega=st.floats(13.0, 15.0),
+        eps_re=st.floats(-50.0, 50.0),
+        log_eps_im=st.floats(-6.0, 3.0),
+        log_delta=st.floats(-9.0, -2.0),
+        log_kappa=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+    )
+    def test_evanescent_passivity_lossy(self, log_omega, eps_re, log_eps_im, log_delta, log_kappa):
+        # a lossy slab absorbs: Im rho >= 0 at k_z = i kappa, the sign the body
+        # term D relies on; and no interface denominator vanishes for Im eps > 0
+        omega = 10.0**log_omega
+        kappa = omega / 2.99792458e8 * 10.0 ** np.array(log_kappa)
+        eps = complex(eps_re, 10.0**log_eps_im)
+        delta = 10.0**log_delta
+        (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
+        for rho in (rho_te, rho_tm):
+            assert np.isfinite(rho).all()
+            assert (rho.imag >= 0.0).all()
 
     def test_propagative_unitarity_lossless(self):
         # both exterior sides propagative: |rho|^2 + |tau|^2 = 1, including
@@ -181,52 +232,49 @@ class TestSlab:
                 U = omega / 2.99792458e8
                 k = rng.uniform(0.0, 0.99) * U
                 delta = 10 ** rng.uniform(-7, -5)
-                for pol in Polarization:
-                    mode = PlaneWaveMode(pol, k=k, omega=omega)
-                    try:
-                        sc = slab_coefficients(mode, model, delta)
-                    except SlabResonanceError:
-                        continue
-                    assert abs(sc.rho) ** 2 + abs(sc.tau) ** 2 == pytest.approx(1.0, abs=1e-10)
+                try:
+                    pols = _both(omega, permittivity(model, omega), _kz(omega, k), delta)
+                except SlabResonanceError:
+                    continue
+                for _, rho, tau in pols:
+                    assert abs(rho[0]) ** 2 + abs(tau[0]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_continuity_across_light_line(self):
         # rho has a square-root cusp at ck = omega; the jump across a
         # straddle of width h must vanish as h -> 0
         omega = 1.5e14
         U = omega / 2.99792458e8
-        for pol in Polarization:
-            jumps = []
-            for h in (1e-6, 1e-9, 1e-12):
-                below = slab_coefficients(PlaneWaveMode(pol, k=U * (1 - h), omega=omega), SIC, 1e-6)
-                above = slab_coefficients(PlaneWaveMode(pol, k=U * (1 + h), omega=omega), SIC, 1e-6)
-                jumps.append(abs(below.rho - above.rho) + abs(below.tau - above.tau))
-            assert jumps[0] > jumps[1] > jumps[2]
-            assert jumps[2] < 1e-4
+        eps = permittivity(SIC, omega)
+        jumps = {"TE": [], "TM": []}
+        for h in (1e-6, 1e-9, 1e-12):
+            below = _both(omega, eps, _kz(omega, U * (1 - h)), 1e-6)
+            above = _both(omega, eps, _kz(omega, U * (1 + h)), 1e-6)
+            for (pol, rho_b, tau_b), (_, rho_a, tau_a) in zip(below, above):
+                jumps[pol].append(abs(rho_b[0] - rho_a[0]) + abs(tau_b[0] - tau_a[0]))
+        for j in jumps.values():
+            assert j[0] > j[1] > j[2]
+            assert j[2] < 1e-4
 
     def test_negative_thickness_rejected(self):
-        mode = PlaneWaveMode(Polarization.TE, k=1e5, omega=1.5e14)
         with pytest.raises(ValueError):
-            slab_coefficients(mode, SIC, -1e-9)
+            slab_amplitudes(1.5e14, permittivity(SIC, 1.5e14), _kz(1.5e14, 1e5), -1e-9)
 
 
 class TestSlabAmplitudes:
-    """The vectorized two-polarization path against the scalar one."""
+    """Both polarizations over an array of k_z, against an independent method."""
 
-    @pytest.mark.parametrize("omega", [0.5 * 1.495e14, 1.495e14, 2.0 * 1.495e14])
+    @pytest.mark.parametrize("omega", [0.5 * 1.495e14, 1.495e14, 2.0 * 1.495e14, OMEGA_P])
     @pytest.mark.parametrize("delta", [110e-9, 1e-6])
-    def test_matches_slab_coefficients(self, omega, delta):
+    def test_matches_transfer_matrix(self, omega, delta):
         U = omega / 2.99792458e8
         k = U * np.array([0.0, 0.3, 0.9, 1.1, 2.0, 8.0])
         kz = np.where(k < U, np.sqrt(np.abs(U**2 - k**2)) + 0j,
                       1j * np.sqrt(np.abs(k**2 - U**2)))
         eps = permittivity(SIC, omega)
         (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, delta)
-        for pol, rho, tau in ((Polarization.TE, rho_te, tau_te),
-                              (Polarization.TM, rho_tm, tau_tm)):
-            for i, ki in enumerate(k):
-                sc = slab_coefficients(PlaneWaveMode(pol, k=ki, omega=omega), SIC, delta)
-                assert abs(rho[i] - sc.rho) <= 1e-12 * max(1.0, abs(sc.rho))
-                assert abs(tau[i] - sc.tau) <= 1e-12 * max(1.0, abs(sc.tau))
+        reference = _transfer_matrix(omega, eps, k, kz, delta)
+        for x, ref in zip((rho_te, rho_tm, tau_te, tau_tm), reference):
+            np.testing.assert_allclose(x, ref, rtol=1e-12, atol=0.0)
 
     def test_rho_without_tau_is_identical(self):
         omega = 2.0 * 1.495e14
