@@ -13,7 +13,8 @@ All engines integrate a k-space density ``f(k, aux) -> (N, m)`` where
 endpoint singularity and the infinite domain are removed by substitution:
 k = (omega/c) sin(theta) on the propagative sector and kappa as the
 variable on the evanescent one. Nested Gauss-Kronrod (G7, K15) rule pairs
-give the per-panel error estimate; the worst panel is bisected on failure.
+give the per-panel error estimate; on failure the worst panels are bisected
+in rounds.
 Panels never evaluate interval endpoints, so 1/k_z densities are safe.
 An integrand that returns NaN or infinity raises NonFiniteIntegrandError
 naming the node; it never passes as converged.
@@ -21,8 +22,15 @@ naming the node; it never passes as converged.
 Panels live in preallocated arrays (edges, K15 values, error estimates)
 with one row per panel: a split overwrites the parent's row with its left
 half and appends the right half, so ``initial + max_subdivisions`` rows
-always suffice. A heap keyed on each panel's largest error component
-picks the next split; entries left stale by a split are skipped.
+always suffice. A heap holds one entry per panel, keyed on its largest
+error component. Each round pops the worst panels until the error left
+in the others would meet the tolerance in every column, or until the
+subdivision budget is spent, and bisects them all in one integrand call
+(the multi-region rule of S. G. Johnson's ``hcubature``), so an integral
+that needs many splits makes few calls. Left halves keep their rows and
+right halves are appended in pop order. Every call after the initial
+pass holds whole splits of 30 nodes; a failing integral spends the whole
+budget unless every panel reaches floating-point width first.
 
 The oscillatory and evanescent engines also take an ascending array of
 heights, integrated together on shared nodes: the integrand returns the
@@ -32,7 +40,7 @@ the smallest sets the evanescent cut and the tail bound of every column.
 With one height both engines reproduce the single-height edges and
 arithmetic bit for bit.
 
-Everything is deterministic: fixed node sets and a fixed split order.
+Everything is deterministic: fixed node sets and a fixed choice of splits.
 The returned value and error are sequential sums over the panel rows in
 ascending panel order (the error seeded with the constant error floor),
 so they are reproducible bit for bit and do not depend on the order in
@@ -100,6 +108,8 @@ class QuadratureResult:
     value: np.ndarray
     error_estimate: np.ndarray
     evaluations: int
+    splits: int = 0      # panels bisected after the initial pass
+    rounds: int = 0      # integrand calls after the initial pass
 
 
 class NonFiniteIntegrandError(ArithmeticError):
@@ -169,59 +179,66 @@ def _adaptive(F, edges, spec, extra_error=None):
     b[:n] = edges[1:]
     vals[:n] = vals0
     errs[:n] = errs0
-    emax0 = errs0.max(axis=1)
-    emax = emax0.tolist()                 # current heap key of every panel
-    heap = list(zip((-emax0).tolist(), range(n)))
+    # one entry per panel, keyed on its largest error component: a panel's
+    # row changes only after its entry is popped, so no entry goes stale
+    heap = list(zip((-errs0.max(axis=1)).tolist(), range(n)))
     heapq.heapify(heap)
     count = n
 
     total_val = vals0.sum(axis=0)
     total_err = errs0.sum(axis=0) + extra_error
-    splits = 0
-
-    def _tol():
-        return np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
+    splits = rounds = 0
 
     def _final(ok):
         # one sequential accumulation each, in ascending panel order
         order = np.argsort(a[:count], kind="stable")
         value = np.cumsum(np.vstack((np.zeros(m), vals[order])), axis=0)[-1]
         error = np.cumsum(np.vstack((extra_error, errs[order])), axis=0)[-1]
-        result = QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
+        result = QuadratureResult(value=value, error_estimate=error, evaluations=evaluations,
+                                  splits=splits, rounds=rounds)
         if not ok:
             raise QuadratureToleranceError(
                 f"tolerance not met after {splits} subdivisions", best=result)
         return result
 
-    while not (total_err <= _tol()).all():
+    while True:
+        tol = np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
+        if (total_err <= tol).all():
+            return _final(ok=True)
         if splits >= spec.max_subdivisions:
             return _final(ok=False)
-        while heap:
-            neg_err, i = heapq.heappop(heap)
-            if -neg_err == emax[i]:
+        # pop the worst panels until the error left outside them meets the
+        # tolerance, within the budget, and bisect them all in one call
+        left_err = total_err
+        picked = []
+        while heap and len(picked) < spec.max_subdivisions - splits:
+            i = heapq.heappop(heap)[1]
+            if not a[i] < 0.5 * (a[i] + b[i]) < b[i]:
+                # panel at floating-point resolution: accept its estimate as-is
+                continue
+            picked.append(i)
+            left_err = left_err - errs[i]
+            if (left_err <= tol).all():
                 break
-        else:
+        if not picked:
             # every remaining panel is at floating-point width
             return _final(ok=False)
-        lo, hi = a[i], b[i]
+        rows_in = np.array(picked)
+        k = len(picked)
+        lo, hi = a[rows_in], b[rows_in]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # panel at floating-point resolution: accept its estimate as-is
-            continue
-        pv, pe = _eval_panels(F, np.array([lo, mid]), np.array([mid, hi]))
-        evaluations += 30
-        splits += 1
-        total_val = total_val - vals[i] + pv[0] + pv[1]
-        total_err = total_err - errs[i] + pe[0] + pe[1]
-        left_max, right_max = pe.max(axis=1).tolist()
-        b[i], vals[i], errs[i], emax[i] = mid, pv[0], pe[0], left_max
-        a[count], b[count], vals[count], errs[count] = mid, hi, pv[1], pe[1]
-        emax.append(right_max)
-        heapq.heappush(heap, (-left_max, i))
-        heapq.heappush(heap, (-right_max, count))
-        count += 1
-
-    return _final(ok=True)
+        pv, pe = _eval_panels(F, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        evaluations += 30 * k
+        splits += k
+        rounds += 1
+        total_val = total_val - vals[rows_in].sum(axis=0) + pv.sum(axis=0)
+        total_err = total_err - errs[rows_in].sum(axis=0) + pe.sum(axis=0)
+        rows_out = slice(count, count + k)
+        b[rows_in], vals[rows_in], errs[rows_in] = mid, pv[:k], pe[:k]
+        a[rows_out], b[rows_out], vals[rows_out], errs[rows_out] = mid, hi, pv[k:], pe[k:]
+        for row, e in zip([*picked, *range(count, count + k)], pe.max(axis=1).tolist()):
+            heapq.heappush(heap, (-e, row))
+        count += k
 
 
 def _merge_edges(lo, hi, interior):

@@ -5,7 +5,9 @@ interference term Re(rho e^{2i k_z z}) and ``D`` the evanescent term
 Im(rho) e^{-2 Im(k_z) z}. Each is a 3-vector over dipole orientations
 (xx, yy, zz), combining TE with weight (1, 1, 0) and TM with weight
 (c^2/omega^2) (phi |k_z|^2, phi |k_z|^2, 2 k^2); B and D take phi = +1,
-C takes phi = -1. The wall/body weights are then
+C takes phi = -1. The xx and yy weights are equal, so only the (xx, zz)
+columns are integrated and yy is a copy of xx. The wall/body weights are
+then
 
     alpha_W = (1 + B + 2C)/2 . d,    alpha_M = (1 - B + 2D)/2 . d,
 
@@ -109,14 +111,19 @@ def check_weights(w) -> tuple:
 
 
 def _tm_weights(omega, k, kz_sq, phi):
-    """TM orientation weights (c^2/omega^2)(phi |kz|^2, phi |kz|^2, 2 k^2)."""
+    """TM (xx, zz) orientation weights (c^2/omega^2)(phi |kz|^2, 2 k^2)."""
     s = (c / omega) ** 2
-    w = np.empty((len(k), 3))
-    w[:, 0] = w[:, 1] = phi * s * kz_sq
-    w[:, 2] = 2.0 * s * k**2
+    w = np.empty((len(k), 2))
+    w[:, 0] = phi * s * kz_sq
+    w[:, 1] = 2.0 * s * k**2
     return w
 
-_TE_WEIGHTS = np.array([1.0, 1.0, 0.0])
+_TE_WEIGHTS = np.array([1.0, 0.0])
+
+
+def _with_yy(v):
+    """(..., 2) (xx, zz) columns as (..., 3) (xx, yy, zz), yy a copy of xx."""
+    return v[..., [0, 0, 1]]
 
 
 # Airy loop gain above which a fringe, and its two neighbours, keeps its
@@ -266,12 +273,12 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
         except _POINT_ERRORS as exc:
             return [exc] * len(heights)
         n = len(heights)
-        C = c_res.value.reshape(n, 3)
-        D = d_res.value.reshape(n, 3)
-        error = (b_res.error_estimate + c_res.error_estimate.reshape(n, 3)
-                 + d_res.error_estimate.reshape(n, 3))
-        return [ResponseVectors(B=b_res.value, C=C[i], D=D[i], error=error[i])
-                for i in range(n)]
+        C = _with_yy(c_res.value.reshape(n, 2))
+        D = _with_yy(d_res.value.reshape(n, 2))
+        error = _with_yy(b_res.error_estimate + c_res.error_estimate.reshape(n, 2)
+                         + d_res.error_estimate.reshape(n, 2))
+        B = _with_yy(b_res.value)
+        return [ResponseVectors(B=B, C=C[i], D=D[i], error=error[i]) for i in range(n)]
 
     out = []
     for group in _height_groups(z):
@@ -283,7 +290,7 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
 
 
 def _c_and_d(omega, eps, z, delta, bk_prop, bk_evan, spec):
-    """C and D of the heights ``z`` (array), columns (xx, yy, zz) height by height.
+    """C and D of the heights ``z`` (array), columns (xx, zz) height by height.
 
     ``bk_evan`` is None for a real permittivity: D is then zero.
     """
@@ -298,7 +305,7 @@ def _c_and_d(omega, eps, z, delta, bk_prop, bk_evan, spec):
         y = (rho_te[:, None] * phase).real[:, :, None] * _TE_WEIGHTS
         y += (rho_tm[:, None] * phase).real[:, :, None] * _tm_weights(omega, k, kz**2, -1.0)[:, None]
         y *= (pref * (k / kz))[:, None, None]
-        return y.reshape(len(k), 3 * n)
+        return y.reshape(len(k), 2 * n)
 
     c_res = integrate_oscillatory(c_integrand, omega, z, spec, breakpoints=bk_prop)
 
@@ -308,12 +315,12 @@ def _c_and_d(omega, eps, z, delta, bk_prop, bk_evan, spec):
         w = rho_te.imag[:, None] * _TE_WEIGHTS
         w += rho_tm.imag[:, None] * _tm_weights(omega, k, kappa**2, +1.0)
         y = (pref * ((k / kappa)[:, None] * damp))[:, :, None] * w[:, None, :]
-        return y.reshape(len(k), 3 * n)
+        return y.reshape(len(k), 2 * n)
 
     if bk_evan is None:
         # real eps: rho is real off the guided-mode poles, so Im rho = 0;
         # the poles' delta-function terms are left out
-        zero = np.zeros(3 * n)
+        zero = np.zeros(2 * n)
         d_res = QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
     else:
         d_res = integrate_evanescent(d_integrand, omega, z, spec, breakpoints=bk_evan)

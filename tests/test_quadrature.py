@@ -13,6 +13,7 @@ Oracle kernels and their closed forms:
   with a = w/c, which scales as 1/(4z^3) for z -> 0.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -369,6 +370,7 @@ class TestOrderedSum:
         assert res.value.tobytes() == value.tobytes()
         assert res.error_estimate.tobytes() == error.tobytes()
         assert res.evaluations == 15 * 3 + 30 * splits
+        assert res.splits == splits
 
     def test_best_estimate_on_failure(self, monkeypatch):
         panels = _record_panels(monkeypatch)
@@ -381,3 +383,171 @@ class TestOrderedSum:
         assert best.value.tobytes() == value.tobytes()
         assert best.error_estimate.tobytes() == error.tobytes()
         assert best.evaluations == 15 * 3 + 30 * 7
+        assert best.splits == 7
+
+
+def _one_panel_per_call(F, edges, spec, extra_error=None):
+    """The adaptive loop that batched rounds replaced, kept as an oracle.
+
+    Each integrand call after the initial pass bisects the one panel with
+    the largest error component; the result sums the panels in ascending
+    order and counts every call after the initial pass as a round.
+    """
+    edges = np.asarray(edges, dtype=float)
+    vals0, errs0 = quadrature._eval_panels(F, edges[:-1], edges[1:])
+    a, b, vals, errs = list(edges[:-1]), list(edges[1:]), list(vals0), list(errs0)
+    extra = np.zeros(vals0.shape[1]) if extra_error is None else extra_error
+    heap = [(-e.max(), i) for i, e in enumerate(errs)]
+    heapq.heapify(heap)
+    total_val, total_err = vals0.sum(axis=0), errs0.sum(axis=0) + extra
+    splits = 0
+
+    def result():
+        order = np.argsort(a, kind="stable")
+        return QuadratureResult(np.sum(np.array(vals)[order], axis=0),
+                                extra + np.sum(np.array(errs)[order], axis=0),
+                                15 * len(vals0) + 30 * splits, splits=splits, rounds=splits)
+
+    while not (total_err <= np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)).all():
+        if splits >= spec.max_subdivisions or not heap:
+            raise QuadratureToleranceError("tolerance not met", best=result())
+        neg_err, i = heapq.heappop(heap)
+        lo, hi = a[i], b[i]
+        mid = 0.5 * (lo + hi)
+        if -neg_err != errs[i].max() or not lo < mid < hi:
+            continue
+        pv, pe = quadrature._eval_panels(F, np.array([lo, mid]), np.array([mid, hi]))
+        splits += 1
+        total_val = total_val - vals[i] + pv[0] + pv[1]
+        total_err = total_err - errs[i] + pe[0] + pe[1]
+        b[i], vals[i], errs[i] = mid, pv[0], pe[0]
+        a.append(mid)
+        b.append(hi)
+        vals.append(pv[1])
+        errs.append(pe[1])
+        heapq.heappush(heap, (-pe[0].max(), i))
+        heapq.heappush(heap, (-pe[1].max(), len(a) - 1))
+    return result()
+
+
+def _spiky(k, kz):
+    return vec(1.0 / (1e-6 + (k / U - 0.3) ** 2))
+
+
+def _oscillatory_columns(k, kz):
+    return (k / kz)[:, None] * np.cos(2.0 * kz[:, None] * TestManyHeights.ZU / U)
+
+
+def _evanescent_columns(k, kappa):
+    z = np.array([1e-8, 3e-8, 7e-8])
+    return (k * kappa)[:, None] * np.exp(-2.0 * kappa[:, None] * z)
+
+
+BATCHED_CASES = {
+    "wavy": lambda spec: _adaptive(TestOrderedSum.wavy, np.linspace(0.0, 1.0, 4), spec),
+    "heights-oscillatory": lambda spec: integrate_oscillatory(
+        _oscillatory_columns, OMEGA, TestManyHeights.ZU / U, spec),
+    "heights-evanescent": lambda spec: integrate_evanescent(
+        _evanescent_columns, OMEGA, np.array([1e-8, 3e-8, 7e-8]), spec),
+    "spiky": lambda spec: integrate_propagative(_spiky, OMEGA, spec),
+}
+
+
+def _run(case, spec):
+    """(converged, result or best) of one case."""
+    try:
+        return True, BATCHED_CASES[case](spec)
+    except QuadratureToleranceError as err:
+        return False, err.best
+
+
+class TestBatchedRounds:
+    """Each round bisects all the worst panels it needs in one integrand call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(a, b) of every _eval_panels call, in order."""
+        seen = []
+        original = quadrature._eval_panels
+
+        def recording(F, a, b):
+            seen.append((a.copy(), b.copy()))
+            return original(F, a, b)
+
+        monkeypatch.setattr(quadrature, "_eval_panels", recording)
+        return seen
+
+    @staticmethod
+    def _depth(calls):
+        """Bisections from its initial panel to the narrowest final panel."""
+        a0, b0 = calls[0]
+        final = {}
+        for a, b in calls:
+            final.update(zip(a.tolist(), b.tolist()))    # a left half keeps its row's edge
+        lo = np.array(list(final))
+        width = np.array(list(final.values())) - lo
+        parent = np.searchsorted(a0, lo, side="right") - 1
+        return int(np.rint(np.log2((b0 - a0)[parent] / width)).max())
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    @pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+    def test_matches_one_panel_per_call(self, monkeypatch, calls, case, rel_tol):
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        ok, res = _run(case, spec)
+        n_calls, depth = len(calls), self._depth(calls)
+        monkeypatch.setattr(quadrature, "_adaptive", _one_panel_per_call)
+        oracle_ok, oracle = _run(case, spec)
+
+        assert ok == oracle_ok
+        tol = np.maximum(rel_tol * np.abs(oracle.value), spec.abs_tol)
+        assert np.all(np.abs(res.value - oracle.value) <= tol)
+        assert res.splits <= 1.1 * oracle.splits
+        assert n_calls == 1 + res.rounds
+        # a round bisects a panel at most once, so the deepest panel bounds
+        # the rounds from below; the rule reaches that bound (wavy at 1e-12:
+        # 23 splits in 5 rounds; spiky: 32 splits, 12 levels deep)
+        assert res.rounds == depth
+
+    @pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+    def test_budget_ends_at_exactly_max_subdivisions(self, calls, case):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=2000)
+        ok, best = _run(case, spec)
+        assert not ok
+        assert best.splits == 2000
+        assert best.rounds <= 40 and len(calls) == 1 + best.rounds
+        # best.evaluations leaves out the evanescent tail node
+        assert best.evaluations == 15 * len(calls[0][0]) + 30 * 2000
+        assert sum(len(a) for a, _ in calls[1:]) == 2 * 2000
+
+    def test_halves_of_a_round(self, calls):
+        # left halves keep their rows and right halves are appended, both
+        # in pop order: one call holds every left half, then every right
+        res = _adaptive(TestOrderedSum.wavy, np.linspace(0.0, 1.0, 4),
+                        QuadratureSpec(rel_tol=1e-12, abs_tol=0.0))
+        assert res.evaluations == 15 * 3 + 30 * res.splits
+        for a, b in calls[1:]:
+            k = len(a) // 2
+            assert np.array_equal(b[:k], a[k:])
+            assert np.all(a[:k] < b[:k]) and np.all(a[k:] < b[k:])
+
+    def test_nan_in_a_round_of_several_panels(self):
+        sizes = []
+
+        def nan_late(x):
+            y = TestOrderedSum.wavy(x)
+            sizes.append(len(x))
+            if len(sizes) > 1 and len(x) > 30:
+                y[-1, 1] = np.nan                # last node of the round's last panel
+                nan_late.node = x[-1]
+            return y
+
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            _adaptive(nan_late, np.linspace(0.0, 1.0, 4), QuadratureSpec(rel_tol=1e-12))
+        assert sizes[-1] > 30 and all(s <= 30 for s in sizes[1:-1])
+        assert err.value.node == nan_late.node
+
+    def test_result_counts(self):
+        res = integrate_propagative(_spiky, OMEGA)
+        assert res.splits > res.rounds > 0
+        assert res.evaluations == 15 + 30 * res.splits
+        assert QuadratureResult(np.zeros(3), np.zeros(3), 0).splits == 0
