@@ -40,6 +40,13 @@ the smallest sets the evanescent cut and the tail bound of every column.
 With one height both engines reproduce the single-height edges and
 arithmetic bit for bit.
 
+A result carries its final panel edges, sorted, in the engine's own
+variable, also on failure (``QuadratureToleranceError.best``). The
+oscillatory and evanescent engines take such edges as initial edges
+(``_seeds``) without converting them through k: near grazing incidence
+and near the light line that conversion rounds neighbouring edges
+together.
+
 Everything is deterministic: fixed node sets and a fixed choice of splits.
 The returned value and error are sequential sums over the panel rows in
 ascending panel order (the error seeded with the constant error floor),
@@ -105,11 +112,23 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass
 class QuadratureResult:
+    """Value and error estimate of one integral, with its panel counts.
+
+    ``edges`` are the final panel edges, ascending, in the engine's own
+    variable (theta on the propagative sector, kappa on the evanescent
+    one); a later integral over the same sector can start from them. The
+    defaults describe an integral that was not run (D = 0 on a lossless
+    slab): no panels, nothing split, converged.
+    """
+
     value: np.ndarray
     error_estimate: np.ndarray
     evaluations: int
-    splits: int = 0      # panels bisected after the initial pass
-    rounds: int = 0      # integrand calls after the initial pass
+    splits: int = 0            # panels bisected after the initial pass
+    rounds: int = 0            # integrand calls after the initial pass
+    initial_panels: int = 0    # panels of the initial pass
+    converged: bool = True     # False on QuadratureToleranceError.best
+    edges: np.ndarray | None = None
 
 
 class NonFiniteIntegrandError(ArithmeticError):
@@ -195,7 +214,8 @@ def _adaptive(F, edges, spec, extra_error=None):
         value = np.cumsum(np.vstack((np.zeros(m), vals[order])), axis=0)[-1]
         error = np.cumsum(np.vstack((extra_error, errs[order])), axis=0)[-1]
         result = QuadratureResult(value=value, error_estimate=error, evaluations=evaluations,
-                                  splits=splits, rounds=rounds)
+                                  splits=splits, rounds=rounds, initial_panels=n,
+                                  converged=ok, edges=np.append(a[order], b[order[-1]]))
         if not ok:
             raise QuadratureToleranceError(
                 f"tolerance not met after {splits} subdivisions", best=result)
@@ -271,13 +291,16 @@ def integrate_propagative(integrand, omega, spec=DEFAULT_SPEC, *, breakpoints=()
     return integrate_oscillatory(integrand, omega, 0.0, spec, breakpoints=breakpoints)
 
 
-def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=()):
+def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=(), _seeds=()):
     """Integrate f(k, k_z) dk over [0, omega/c], f carrying exp(2i k_z z).
 
     The substitution k = (omega/c) sin(theta) removes the 1/k_z endpoint
     singularity; both k and the real k_z = (omega/c) cos(theta) are handed
     to the integrand in exact trigonometric form. ``breakpoints`` are
-    optional interior k values used as initial panel boundaries.
+    optional interior k values used as initial panel boundaries;
+    ``_seeds`` are more of them given in theta, such as the final edges of
+    an earlier integral over the sector (a round trip through k would lose
+    digits near theta = pi/2, where refinement gathers).
 
     ``z`` is one height or an ascending array of heights integrated on
     shared nodes; the integrand then returns the columns of every height
@@ -317,11 +340,11 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
             y = y[:, None]
         return y * (U * np.cos(theta))[:, None]
 
-    edges = _merge_edges(0.0, 0.5 * math.pi, _theta_from_k(interior, omega))
-    return _adaptive(F, edges, spec)
+    theta = np.concatenate((_theta_from_k(interior, omega), np.asarray(_seeds, dtype=float)))
+    return _adaptive(F, _merge_edges(0.0, 0.5 * math.pi, theta), spec)
 
 
-def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=()):
+def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=(), _seeds=()):
     """Integrate f(k, kappa) dk over the evanescent sector k > omega/c.
 
     kappa = Im k_z is the integration variable; the domain is truncated
@@ -333,7 +356,10 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     shared nodes, the integrand returning every height's columns side by
     side. The smallest height sets the cut and the tail bound of every
     column, which is conservative for the larger ones; the initial edges
-    are the union of every height's ladder.
+    are the union of every height's ladder. ``breakpoints`` are optional
+    interior k values used as initial panel boundaries, ``_seeds`` more of
+    them given in kappa (a round trip through k would lose digits near the
+    light line, where guided-mode poles sit).
     """
     heights = _heights(z)
     if not heights[0] > 0.0:
@@ -363,6 +389,7 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     pts = np.asarray(breakpoints, dtype=float)
     pts = pts[pts > U]
     interior.extend(np.sqrt(pts**2 - U**2))
+    interior.extend(np.asarray(_seeds, dtype=float))
 
     tail = np.atleast_2d(F(np.array([kappa_max])))[0] / (2.0 * z_min)
     if not np.isfinite(tail).all():

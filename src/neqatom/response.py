@@ -11,16 +11,25 @@ then
 
     alpha_W = (1 + B + 2C)/2 . d,    alpha_M = (1 - B + 2D)/2 . d,
 
-with d the dipole orientation weights. B is independent of the atom
-height and cached per (frequency, thickness, material, tolerances).
+with d the dipole orientation weights.
+
+What does not depend on the atom height is computed once per (frequency,
+thickness, material, tolerances), in one cached slab pass (``_b_vector``):
+B itself, and the panel edges every height's C and D start from. C starts
+from B's final edges (in theta), which hold the slab-phase breakpoints
+and B's refinement toward grazing incidence. D starts from the
+evanescent slab-phase breakpoints when the slab has any; otherwise from
+the final edges (in kappa) of one adaptive pass over the D density
+without its height factor, which resolves the guided-mode poles near the
+light line. Each height adds its own phase edges (C) or ladder (D), so
+the seeds move where panels start, not what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
-it computes B and the slab-phase breakpoints once, and integrates C and
-D for the heights within one decade (at most 16 of them) in one adaptive
-pass, so that one slab-amplitude evaluation per node serves them all. A
-group that fails is integrated again height by height, so each failure
-stays with its own height. ``response_vectors`` and ``alpha_pair`` are
-its one-height case.
+it takes the slab pass, and integrates C and D for the heights within
+one decade (at most 16 of them) in one adaptive pass, so that one
+slab-amplitude evaluation per node serves them all. A group that fails
+is integrated again height by height, so each failure stays with its own
+height. ``response_vectors`` and ``alpha_pair`` are its one-height case.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ from .quadrature import (
     DEFAULT_SPEC,
     QuadratureResult,
     QuadratureSpec,
+    QuadratureToleranceError,
+    _adaptive,
     integrate_evanescent,
     integrate_oscillatory,
     integrate_propagative,
@@ -181,9 +192,62 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol):
     return k_pts[full | hot[m // 8 - j0]]
 
 
+@dataclass(frozen=True)
+class _SlabPass:
+    """The height-free integrals of one (frequency, thickness, material, spec).
+
+    ``B`` is the B result (columns xx, zz). Every height's C starts from
+    its final edges ``B.edges``, in theta: they hold the slab-phase
+    breakpoints of the propagative sector and B's refinement, toward
+    grazing incidence among others. ``kappa_seeds`` are the initial edges
+    every height's D adds to its own ladder, in kappa, or None for a real
+    permittivity (D = 0).
+    """
+
+    B: QuadratureResult
+    kappa_seeds: np.ndarray | None
+
+
+def _d_weights(omega, eps, delta, k, kappa):
+    """Im rho_TE w_TE + Im rho_TM w_TM at k = sqrt(kappa^2 + omega^2/c^2), (xx, zz)."""
+    (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
+    w = rho_te.imag[:, None] * _TE_WEIGHTS
+    w += rho_tm.imag[:, None] * _tm_weights(omega, k, kappa**2, +1.0)
+    return w
+
+
+def _kappa_seeds(omega, eps, delta, spec):
+    """Initial D edges in kappa that no height's ladder provides.
+
+    The slab-phase breakpoints of the evanescent sector up to the band
+    k_osc where the slab oscillates, when there are any. Otherwise the
+    final edges of one adaptive pass over that band of the D density
+    without its height factor e^{-2 kappa z}: it resolves the guided-mode
+    poles near the light line once, where each height would refine them
+    again. A pass that misses the tolerance still seeds, from its best
+    panels.
+    """
+    U = omega / c
+    k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
+    bk = np.asarray(_slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol))
+    if len(bk):
+        return np.sqrt(bk**2 - U**2)
+    pref = 0.75 * c / omega
+
+    def density(kappa):
+        return pref * _d_weights(omega, eps, delta, np.hypot(kappa, U), kappa)
+
+    try:
+        res = _adaptive(density, np.array([0.0, math.sqrt(k_osc**2 - U**2)]), spec)
+    except QuadratureToleranceError as exc:
+        res = exc.best
+    return res.edges
+
+
 @lru_cache(maxsize=256)
 def _b_vector(omega: float, delta: float, model: DielectricModel,
-              spec: QuadratureSpec) -> QuadratureResult:
+              spec: QuadratureSpec) -> _SlabPass:
+    """B and the C and D seed edges of one (omega, delta), shared by every height."""
     eps = permittivity(model, omega)
     pref = 0.75 * c / omega
 
@@ -194,7 +258,9 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
         return pref * (k / kz)[:, None] * (te + tm)
 
     bk = _slab_phase_breakpoints(omega, delta, eps, 0.0, omega / c, spec.rel_tol)
-    return integrate_propagative(integrand, omega, spec, breakpoints=bk)
+    b_res = integrate_propagative(integrand, omega, spec, breakpoints=bk)
+    kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
+    return _SlabPass(B=b_res, kappa_seeds=kappa)
 
 
 # heights integrated in one adaptive pass at most: heights within a decade
@@ -236,12 +302,12 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     ``z_values`` are heights > 0 in strictly increasing order. Returns one
     entry per height: its :class:`ResponseVectors`, or the exception (an
     ArithmeticError, RuntimeError or ValueError) its integration raised.
-    B and the slab-phase breakpoints are computed once. Heights within a
+    B and the seed edges of C and D are computed once. Heights within a
     decade of each other, at most _GROUP_SIZE of them, are integrated
     together (see _height_groups): one integrand call serves all their
     C (or D) columns, each held to its own tolerance. A group that fails is
     integrated again one height at a time, so a failure lands on the
-    height that causes it; a failing B lands on every height.
+    height that causes it; a failing slab pass lands on every height.
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -255,29 +321,23 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     if not delta >= 0.0:
         raise ValueError("delta must be >= 0")
     eps = permittivity(model, omega)
-    U = omega / c
     try:
-        b_res = _b_vector(omega, delta, model, spec)
+        slab = _b_vector(omega, delta, model, spec)
     except _POINT_ERRORS as exc:
         return [exc] * len(z)
-    bk_prop = _slab_phase_breakpoints(omega, delta, eps, 0.0, U, spec.rel_tol)
-    bk_evan = None
-    if eps.imag != 0.0:
-        k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
-        bk_evan = _slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol)
 
     def attempt(heights):
         # ResponseVectors of each height, or the group's failure on each
         try:
-            c_res, d_res = _c_and_d(omega, eps, heights, delta, bk_prop, bk_evan, spec)
+            c_res, d_res = _c_and_d(omega, eps, heights, delta, slab, spec)
         except _POINT_ERRORS as exc:
             return [exc] * len(heights)
         n = len(heights)
         C = _with_yy(c_res.value.reshape(n, 2))
         D = _with_yy(d_res.value.reshape(n, 2))
-        error = _with_yy(b_res.error_estimate + c_res.error_estimate.reshape(n, 2)
+        error = _with_yy(slab.B.error_estimate + c_res.error_estimate.reshape(n, 2)
                          + d_res.error_estimate.reshape(n, 2))
-        B = _with_yy(b_res.value)
+        B = _with_yy(slab.B.value)
         return [ResponseVectors(B=B, C=C[i], D=D[i], error=error[i]) for i in range(n)]
 
     out = []
@@ -289,10 +349,11 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     return out
 
 
-def _c_and_d(omega, eps, z, delta, bk_prop, bk_evan, spec):
+def _c_and_d(omega, eps, z, delta, slab, spec):
     """C and D of the heights ``z`` (array), columns (xx, zz) height by height.
 
-    ``bk_evan`` is None for a real permittivity: D is then zero.
+    Both start from the seed edges of ``slab``, the :class:`_SlabPass` of
+    (omega, delta).
     """
     pref = 0.75 * c / omega
     n = len(z)
@@ -307,23 +368,21 @@ def _c_and_d(omega, eps, z, delta, bk_prop, bk_evan, spec):
         y *= (pref * (k / kz))[:, None, None]
         return y.reshape(len(k), 2 * n)
 
-    c_res = integrate_oscillatory(c_integrand, omega, z, spec, breakpoints=bk_prop)
+    c_res = integrate_oscillatory(c_integrand, omega, z, spec, _seeds=slab.B.edges)
 
     def d_integrand(k, kappa):
-        (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
+        w = _d_weights(omega, eps, delta, k, kappa)
         damp = np.exp(np.multiply.outer(-2.0 * kappa, z))
-        w = rho_te.imag[:, None] * _TE_WEIGHTS
-        w += rho_tm.imag[:, None] * _tm_weights(omega, k, kappa**2, +1.0)
         y = (pref * ((k / kappa)[:, None] * damp))[:, :, None] * w[:, None, :]
         return y.reshape(len(k), 2 * n)
 
-    if bk_evan is None:
+    if slab.kappa_seeds is None:
         # real eps: rho is real off the guided-mode poles, so Im rho = 0;
         # the poles' delta-function terms are left out
         zero = np.zeros(2 * n)
         d_res = QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
     else:
-        d_res = integrate_evanescent(d_integrand, omega, z, spec, breakpoints=bk_evan)
+        d_res = integrate_evanescent(d_integrand, omega, z, spec, _seeds=slab.kappa_seeds)
     return c_res, d_res
 
 

@@ -341,6 +341,11 @@ def _sequential_sums(panels, m, extra_error):
     return value, error
 
 
+def _final_edges(panels):
+    lo = sorted(panels)
+    return np.array(lo + [panels[lo[-1]][1]])
+
+
 class TestOrderedSum:
     """_adaptive sums panel rows in ascending panel order, bit for bit."""
 
@@ -371,6 +376,8 @@ class TestOrderedSum:
         assert res.error_estimate.tobytes() == error.tobytes()
         assert res.evaluations == 15 * 3 + 30 * splits
         assert res.splits == splits
+        assert (res.initial_panels, res.converged) == (3, True)
+        assert np.array_equal(res.edges, _final_edges(panels))
 
     def test_best_estimate_on_failure(self, monkeypatch):
         panels = _record_panels(monkeypatch)
@@ -384,6 +391,8 @@ class TestOrderedSum:
         assert best.error_estimate.tobytes() == error.tobytes()
         assert best.evaluations == 15 * 3 + 30 * 7
         assert best.splits == 7
+        assert (best.initial_panels, best.converged) == (3, False)
+        assert np.array_equal(best.edges, _final_edges(panels))
 
 
 def _one_panel_per_call(F, edges, spec, extra_error=None):
@@ -550,4 +559,18 @@ class TestBatchedRounds:
         res = integrate_propagative(_spiky, OMEGA)
         assert res.splits > res.rounds > 0
         assert res.evaluations == 15 + 30 * res.splits
-        assert QuadratureResult(np.zeros(3), np.zeros(3), 0).splits == 0
+        default = QuadratureResult(np.zeros(3), np.zeros(3), 0)
+        assert (default.splits, default.rounds, default.initial_panels) == (0, 0, 0)
+        assert default.converged and default.edges is None
+
+    def test_seeds_are_initial_edges_in_the_engine_variable(self, calls):
+        # seeds within a few ulps of grazing or of the light line survive
+        # bit for bit: no round trip through k
+        theta = np.array([0.3, 0.5 * math.pi * (1.0 - 1e-12)])
+        integrate_oscillatory(lambda k, kz: vec(np.ones_like(k)), OMEGA, 1e-9, _seeds=theta)
+        assert set(theta) <= set(calls[0][0])
+        n = len(calls)
+        kappa = np.array([1e-9 * U, 0.5 * U])
+        integrate_evanescent(lambda k, kappa: vec(np.exp(-2e-7 * kappa)), OMEGA, 1e-7,
+                             _seeds=kappa)
+        assert set(kappa) <= set(calls[n][0])

@@ -1,0 +1,200 @@
+"""The height-free slab pass and the seed edges every height starts from.
+
+``_b_vector`` integrates B once per (omega, delta) and keeps its final
+panel edges (theta) and a set of evanescent edges (kappa) from which each
+height's C and D start. The oracle below is the construction without
+seeds: every integral starts from the slab-phase breakpoints in k alone.
+Seeds only move where panels start, so B, C and D may move within the
+quadrature tolerance, never beyond it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.constants import c
+
+from neqatom import quadrature, response
+from neqatom.optics import DielectricModel, load_material, permittivity, slab_amplitudes
+from neqatom.optics import surface_mode_frequency
+from neqatom.quadrature import (
+    DEFAULT_SPEC,
+    NonFiniteIntegrandError,
+    QuadratureSpec,
+    integrate_evanescent,
+    integrate_oscillatory,
+    integrate_propagative,
+)
+from neqatom.response import (
+    _ROOT_SPEC,
+    GeometryPoint,
+    _b_vector,
+    _slab_phase_breakpoints,
+    response_vectors,
+    response_vectors_many,
+)
+
+SIC = load_material("sic")
+OMEGA_R = 1.495e14
+LOW_LOSS = DielectricModel(2.0, 2e14, 1e14, gamma_damp=1e10)
+
+_TE = np.array([1.0, 0.0])
+
+
+def _tm(omega, k, kz_sq, phi):
+    s = (c / omega) ** 2
+    return np.stack((phi * s * kz_sq, 2.0 * s * k**2), axis=-1)
+
+
+def _unseeded(omega, z, delta, model, spec):
+    """(B, C, D) as (xx, yy, zz) vectors, each integral started from the
+    slab-phase breakpoints in k alone; raises what an engine raises."""
+    eps = permittivity(model, omega)
+    U = omega / c
+    pref = 0.75 * c / omega
+
+    def b_density(k, kz):
+        (r_te, r_tm), (t_te, t_tm) = slab_amplitudes(omega, eps, kz, delta)
+        return pref * (k / kz)[:, None] * (
+            (abs(r_te) ** 2 + abs(t_te) ** 2)[:, None] * _TE
+            + (abs(r_tm) ** 2 + abs(t_tm) ** 2)[:, None] * _tm(omega, k, kz**2, 1.0))
+
+    def c_density(k, kz):
+        (r_te, r_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
+        phase = np.exp(2j * kz * z)
+        return pref * (k / kz)[:, None] * (
+            (r_te * phase).real[:, None] * _TE
+            + (r_tm * phase).real[:, None] * _tm(omega, k, kz**2, -1.0))
+
+    def d_density(k, kappa):
+        (r_te, r_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
+        return pref * (k / kappa * np.exp(-2.0 * kappa * z))[:, None] * (
+            r_te.imag[:, None] * _TE + r_tm.imag[:, None] * _tm(omega, k, kappa**2, 1.0))
+
+    bk_prop = _slab_phase_breakpoints(omega, delta, eps, 0.0, U, spec.rel_tol)
+    B = integrate_propagative(b_density, omega, spec, breakpoints=bk_prop).value
+    C = integrate_oscillatory(c_density, omega, z, spec, breakpoints=bk_prop).value
+    D = np.zeros(2)
+    if eps.imag != 0.0:
+        k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
+        bk_evan = _slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol)
+        D = integrate_evanescent(d_density, omega, z, spec, breakpoints=bk_evan).value
+    return tuple(v[[0, 0, 1]] for v in (B, C, D))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return exc
+
+
+def _seeded(omega, z, delta, model, spec):
+    rv = response_vectors(omega, GeometryPoint(z=z, delta=delta), model, spec)
+    return rv.B, rv.C, rv.D
+
+
+# SiC below, at and above its resonance and at its surface mode, and the
+# low-loss slab above omega_L
+GRID = [(SIC, f * OMEGA_R) for f in (0.5, 1.0, 2.0)] + [
+    (SIC, surface_mode_frequency(SIC)), (LOW_LOSS, 3e14)]
+GRID_IDS = ["sic-0.5wr", "sic-wr", "sic-2wr", "sic-wp", "low-loss"]
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, _ROOT_SPEC], ids=["default", "root"])
+@pytest.mark.parametrize("delta", [0.0, 1e-8, 110e-9, 1e-2])
+@pytest.mark.parametrize("case", GRID, ids=GRID_IDS)
+def test_seeded_matches_unseeded(case, delta, spec):
+    model, omega = case
+    for z in (1e-8, 1e-6, 1e-4):
+        want = _outcome(_unseeded, omega, z, delta, model, spec)
+        got = _outcome(_seeded, omega, z, delta, model, spec)
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert type(got) is type(want), (z, got, want)
+            continue
+        bound = 10.0 * spec.rel_tol * (1.0 + np.abs(want[1]) + np.abs(want[2]))
+        for name, g, w in zip("BCD", got, want):
+            assert np.all(np.abs(g - w) <= bound), (z, name)
+
+
+def _bits(rv):
+    return tuple(getattr(rv, n).tobytes() for n in ("B", "C", "D", "error"))
+
+
+# (omega, delta): no evanescent slab-phase breakpoints, so D is seeded by
+# the height-free pass; and the transparent thick slab, seeded by them
+@pytest.mark.parametrize("omega,delta", [(0.5 * OMEGA_R, 110e-9), (2.0 * OMEGA_R, 1e-2)],
+                         ids=["seed-pass", "breakpoints"])
+def test_cache_warmth_leaves_a_height_unchanged(omega, delta):
+    z = 1e-6
+    geom = GeometryPoint(z=z, delta=delta)
+    _b_vector.cache_clear()
+    cold = _bits(response_vectors(omega, geom, SIC, _ROOT_SPEC))
+    assert _bits(response_vectors(omega, geom, SIC, _ROOT_SPEC)) == cold
+    assert _b_vector.cache_info().hits == 1
+    # a decade apart, each height is a group of its own
+    _b_vector.cache_clear()
+    grid = response_vectors_many(omega, [1e-2 * z, z, 1e2 * z], delta, SIC, _ROOT_SPEC)
+    assert _bits(grid[1]) == cold
+    assert _bits(response_vectors(omega, geom, SIC, _ROOT_SPEC)) == cold
+    warm_grid = response_vectors_many(omega, [1e-2 * z, z, 1e2 * z], delta, SIC, _ROOT_SPEC)
+    assert [_bits(rv) for rv in warm_grid] == [_bits(rv) for rv in grid]
+
+
+def test_seeds_spare_the_rounds(monkeypatch):
+    # unseeded, C needs 8 rounds and D 13 here: D refines the TM0 guided
+    # mode just past the light line, C the grazing edge, at every height
+    results = {}
+    for name in ("integrate_oscillatory", "integrate_evanescent"):
+        engine = getattr(response, name)
+
+        def recording(*args, _engine=engine, _name=name, **kwargs):
+            results[_name] = _engine(*args, **kwargs)
+            return results[_name]
+
+        monkeypatch.setattr(response, name, recording)
+    _b_vector.cache_clear()
+    response_vectors(0.5 * OMEGA_R, GeometryPoint(z=1e-6, delta=110e-9), SIC, _ROOT_SPEC)
+    assert results["integrate_oscillatory"].rounds <= 2
+    assert results["integrate_evanescent"].rounds <= 3
+
+
+def _capped_adaptive(F, edges, spec, extra_error=None):
+    # the seed pass at a one-split budget: it misses the tolerance
+    return quadrature._adaptive(
+        F, edges, QuadratureSpec(spec.rel_tol, spec.abs_tol, 1), extra_error)
+
+
+def test_seed_pass_tolerance_failure_still_seeds(monkeypatch):
+    omega, z, delta = 0.5 * OMEGA_R, 1e-6, 110e-9
+    want = _unseeded(omega, z, delta, SIC, DEFAULT_SPEC)
+    monkeypatch.setattr(response, "_adaptive", _capped_adaptive)
+    _b_vector.cache_clear()
+    try:
+        got = _seeded(omega, z, delta, SIC, DEFAULT_SPEC)
+    finally:
+        _b_vector.cache_clear()
+    bound = 10.0 * DEFAULT_SPEC.rel_tol * (1.0 + np.abs(want[1]) + np.abs(want[2]))
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= bound)
+
+
+def test_seed_pass_other_failure_lands_on_every_height(monkeypatch):
+    def non_finite(F, edges, spec, extra_error=None):
+        raise NonFiniteIntegrandError(1.0)
+
+    monkeypatch.setattr(response, "_adaptive", non_finite)
+    _b_vector.cache_clear()
+    try:
+        many = response_vectors_many(0.5 * OMEGA_R, [1e-8, 1e-6, 1e-4], 110e-9, SIC)
+    finally:
+        _b_vector.cache_clear()
+    assert [type(e) for e in many] == [NonFiniteIntegrandError] * 3
+
+
+def test_resonant_thin_slab_converges_at_the_root_spec():
+    # the geometry of a known root-spec failure, whose D misses its
+    # tolerance at the surface-mode frequency; at the resonance all converge
+    rv = response_vectors(OMEGA_R, GeometryPoint(z=1e-6, delta=110e-9), SIC, _ROOT_SPEC)
+    size = np.abs(rv.B) + np.abs(rv.C) + np.abs(rv.D)
+    assert np.all(rv.error <= _ROOT_SPEC.rel_tol * size + 3.0 * _ROOT_SPEC.abs_tol)
