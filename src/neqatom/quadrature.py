@@ -299,8 +299,7 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     to the integrand in exact trigonometric form. ``breakpoints`` are
     optional interior k values used as initial panel boundaries;
     ``_seeds`` are more of them given in theta, such as the final edges of
-    an earlier integral over the sector (a round trip through k would lose
-    digits near theta = pi/2, where refinement gathers).
+    an earlier integral over the sector.
 
     ``z`` is one height or an ascending array of heights integrated on
     shared nodes; the integrand then returns the columns of every height
@@ -312,9 +311,9 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     consuming the subdivision budget. With several heights the largest
     one sets these edges: its grid resolves every smaller height. A
     second phase in the integrand is the caller's to resolve through
-    ``breakpoints``: the slab response passes the slab phase
-    Re(k_zm) delta at every period, and at eighth periods only in the
-    fringes whose Airy loop gain makes them sharp, so the height-phase
+    ``breakpoints`` or ``_seeds``: the slab response passes the slab
+    phase Re(k_zm) delta at every period, and at eighth periods only in
+    the fringes whose Airy loop gain makes them sharp, so the height-phase
     edges stay fine where the two phases beat.
     """
     heights = _heights(z)
@@ -358,8 +357,7 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     column, which is conservative for the larger ones; the initial edges
     are the union of every height's ladder. ``breakpoints`` are optional
     interior k values used as initial panel boundaries, ``_seeds`` more of
-    them given in kappa (a round trip through k would lose digits near the
-    light line, where guided-mode poles sit).
+    them given in kappa.
     """
     heights = _heights(z)
     if not heights[0] > 0.0:
