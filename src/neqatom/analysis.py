@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .atom import (
     AtomModel,
@@ -24,6 +23,7 @@ from .atom import (
     steady_state,
     transition_rates,
 )
+from .constants import hbar, k_B
 from .optics import DielectricModel
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .response import _POINT_ERRORS, GeometryPoint, alpha_pair, response_vectors_many

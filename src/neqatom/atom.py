@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c, epsilon_0, hbar, k as k_B
-from scipy.linalg import expm
 
+from .constants import c, epsilon_0, hbar, k_B
 from .response import ISOTROPIC_WEIGHTS, AlphaPair, check_weights
 
 
@@ -93,27 +92,43 @@ class Populations:
 
     def __post_init__(self):
         ps = (self.p1, self.p2, self.p3)
-        if any(p < -1e-12 or p > 1.0 + 1e-12 for p in ps):
+        if not all(-1e-12 <= p <= 1.0 + 1e-12 for p in ps):
             raise ValueError("populations must lie in [0, 1]")
-        if abs(sum(ps) - 1.0) > 1e-12:
+        if not abs(sum(ps) - 1.0) <= 1e-12:
             raise ValueError("populations must sum to 1")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3])
 
 
+def _check_frequency(omega: float) -> None:
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise ValueError("omega must be finite and > 0")
+
+
+def _check_nonnegative(name: str, *values: float) -> None:
+    if not all(v >= 0.0 and math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 def bose_occupation(omega: float, T: float) -> float:
-    """Mean photon number n(omega, T); 0 at T = 0."""
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
-    if T < 0.0:
-        raise ValueError("T must be >= 0")
-    if T == 0.0:
+    """Mean photon number n(omega, T); 0 at T = 0.
+
+    Raises ValueError for a non-finite input, and when hbar*omega/(k_B*T)
+    is so small that n overflows (down to x = 0 by underflow).
+    """
+    _check_frequency(omega)
+    _check_nonnegative("T", T)
+    kT = k_B * T
+    if kT == 0.0:
         return 0.0
-    x = hbar * omega / (k_B * T)
+    x = hbar * omega / kT
     if x > 700.0:
         return 0.0
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if n == math.inf:
+        raise ValueError("hbar*omega/(k_B*T) underflows: n(omega, T) overflows")
+    return n
 
 
 def effective_occupation(omega: float, T_W: float, T_M: float, alphas: AlphaPair) -> float:
@@ -127,11 +142,15 @@ def effective_occupation(omega: float, T_W: float, T_M: float, alphas: AlphaPair
 
 def effective_temperature(omega: float, n_eff: float) -> float:
     """Temperature whose equilibrium occupation at omega equals n_eff."""
-    if n_eff < 0.0:
-        raise ValueError("n_eff must be >= 0")
+    _check_frequency(omega)
+    _check_nonnegative("n_eff", n_eff)
     if n_eff == 0.0:
         return 0.0
-    return hbar * omega / (k_B * math.log1p(1.0 / n_eff))
+    k_x = k_B * math.log1p(1.0 / n_eff)  # hbar * omega / T
+    T = hbar * omega / k_x if k_x > 0.0 else math.inf
+    if T == math.inf:
+        raise ValueError("n_eff too large: T_eff overflows")
+    return T
 
 
 def transition_rates(atom: AtomModel, which: str, alphas: AlphaPair,
@@ -159,11 +178,12 @@ def transition_rates(atom: AtomModel, which: str, alphas: AlphaPair,
 
 def steady_state(n31: float, n32: float) -> Populations:
     """Closed-form stationary populations from the two effective occupations."""
-    if n31 < 0.0 or n32 < 0.0:
-        raise ValueError("occupations must be >= 0")
+    _check_nonnegative("occupations", n31, n32)
     Z = 3.0 * n31 * n32 + n31 + n32
     if Z < 1e-300:
         raise DegenerateSteadyStateError("steady state not unique at zero temperature")
+    if Z == math.inf:
+        raise ValueError("occupations too large: the normalization overflows")
     p = np.array([n32 * (1.0 + n31), n31 * (1.0 + n32), n31 * n32]) / Z
     p /= p.sum()
     return Populations(p1=float(p[0]), p2=float(p[1]), p3=float(p[2]))
@@ -186,8 +206,9 @@ def rate_generator(env31: TransitionEnvironment, env32: TransitionEnvironment) -
 def evolve_populations(initial: Populations, env31: TransitionEnvironment,
                        env32: TransitionEnvironment, t: float) -> Populations:
     """Propagate the populations for a time t >= 0 via the matrix exponential."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    from scipy.linalg import expm  # imported here, so that only `evolve` loads scipy
+
+    _check_nonnegative("t", t)
     G = rate_generator(env31, env32)
     p = expm(G * t) @ initial.as_array()
     p = np.clip(p, 0.0, None)
@@ -197,6 +218,5 @@ def evolve_populations(initial: Populations, env31: TransitionEnvironment,
 
 def inversion_predicate(n31: float, n32: float) -> bool:
     """True iff the steady state orders the two ground states as p2 > p1."""
-    if n31 < 0.0 or n32 < 0.0:
-        raise ValueError("occupations must be >= 0")
+    _check_nonnegative("occupations", n31, n32)
     return n32 < n31

@@ -19,7 +19,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c
+
+from .constants import c
 
 
 class LosslessResonanceError(ArithmeticError):

@@ -61,7 +61,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c
+
+from .constants import c
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK values).
 _XGK = np.array([

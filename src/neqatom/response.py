@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.constants import c
 
+from .constants import c
 from .optics import (
     DielectricModel,
     loop_gain,

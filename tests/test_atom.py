@@ -261,3 +261,65 @@ class TestAtomModel:
             Populations(0.5, 0.6, -0.1)
         with pytest.raises(ValueError):
             Populations(0.5, 0.4, 0.2)
+
+
+class TestNonFiniteInputs:
+    """Every scalar entry point raises ValueError; no NaN or inf gets through."""
+
+    NAN, INF = math.nan, math.inf
+
+    @pytest.mark.parametrize("omega, T", [
+        (1e14, NAN), (1e14, INF), (1e14, -INF), (NAN, 300.0), (INF, 300.0),
+        (1e-30, 1e300),  # hbar*omega/(k_B*T) underflows to 0
+        (1.0, 1e298),  # x is subnormal, so 1/expm1(x) overflows
+    ])
+    def test_bose_occupation(self, omega, T):
+        with pytest.raises(ValueError):
+            bose_occupation(omega, T)
+
+    def test_bose_occupation_when_k_B_T_underflows(self):
+        # T > 0 but k_B*T == 0: the T -> 0 limit, not a division by zero
+        assert bose_occupation(1e14, 1e-310) == 0.0
+
+    @pytest.mark.parametrize("omega, n_eff", [
+        (1e14, NAN), (1e14, INF), (NAN, 1.0), (INF, 1.0), (-1e14, 1.0),
+        (1e14, 1e305),  # k_B*log1p(1/n_eff) underflows to 0
+    ])
+    def test_effective_temperature(self, omega, n_eff):
+        with pytest.raises(ValueError):
+            effective_temperature(omega, n_eff)
+
+    @pytest.mark.parametrize("n31, n32", [
+        (NAN, 1.0), (1.0, NAN), (INF, 1.0), (1.0, INF), (NAN, NAN),
+        (1e200, 1e200),  # the normalization overflows
+    ])
+    def test_steady_state(self, n31, n32):
+        with pytest.raises(ValueError):
+            steady_state(n31, n32)
+
+    @pytest.mark.parametrize("n31, n32", [(NAN, 1.0), (1.0, NAN), (INF, 1.0), (1.0, INF)])
+    def test_inversion_predicate(self, n31, n32):
+        with pytest.raises(ValueError):
+            inversion_predicate(n31, n32)
+
+    @pytest.mark.parametrize("t", [NAN, INF])
+    def test_evolve_populations(self, t):
+        env = env_from_rates(2.0, 0.7)
+        with pytest.raises(ValueError):
+            evolve_populations(Populations(1, 0, 0), env, env, t)
+
+    @pytest.mark.parametrize("ps", [(NAN, 0.5, 0.5), (NAN, NAN, NAN), (1.0, 0.0, INF)])
+    def test_populations(self, ps):
+        with pytest.raises(ValueError):
+            Populations(*ps)
+
+    def test_valid_outputs_match_the_closed_forms_bit_for_bit(self):
+        rng = np.random.RandomState(9)
+        for _ in range(500):
+            omega = 10 ** rng.uniform(11, 16)
+            T = 10 ** rng.uniform(-1, 5)
+            x = hbar * omega / (k_B * T)
+            n = 0.0 if x > 700.0 else 1.0 / math.expm1(x)
+            assert bose_occupation(omega, T) == n
+            if n > 0.0:
+                assert effective_temperature(omega, n) == hbar * omega / (k_B * math.log1p(1.0 / n))
