@@ -2,9 +2,9 @@
 
 ``c``, ``h`` and ``k_B`` are exact in the 2019 SI. ``hbar = h / (2 pi)``
 is bit-equal to ``scipy.constants.hbar``. ``epsilon_0`` is the CODATA 2022
-value (scipy >= 1.15 ships it; older releases carry CODATA 2018's
-8.8541878128e-12), so explicit-dipole rates do not depend on the installed
-scipy. Holding them here keeps scipy off the import path: only
+value, the one scipy 1.17 ships; older scipy releases carry CODATA 2018's
+8.8541878128e-12. Pinning it makes explicit-dipole rates independent of the
+installed scipy. Holding them here keeps scipy off the import path: only
 ``evolve_populations`` loads it, for ``expm``.
 """
 
