@@ -10,7 +10,6 @@ occasional double minimum of the distance profile.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +111,8 @@ def closest_thermal(p: Populations, atom: AtomModel,
     :func:`distance_to_thermal` at the closest temperature.
     """
     T_lo, T_hi = T_search
-    if not (0.0 < T_lo < T_hi):
-        raise ValueError("need 0 < T_lo < T_hi")
+    if not (0.0 < T_lo < T_hi < math.inf):
+        raise ValueError(f"need 0 < T_lo < T_hi < inf, got {T_search!r}")
 
     grid = np.geomspace(T_lo, T_hi, 64)
     j = int(np.argmin(_grid_distances(p, atom, grid)))
@@ -163,7 +162,7 @@ def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
 
 
 def _grid(z_values, delta_values):
-    """Nonempty, strictly increasing z and delta grids as float arrays.
+    """Nonempty, strictly increasing z and delta grids as float arrays; z finite.
 
     Their ranges (z > 0, delta >= 0) are checked by response_vectors_many.
     """
@@ -171,6 +170,9 @@ def _grid(z_values, delta_values):
     delta_values = np.atleast_1d(np.asarray(delta_values, dtype=float))
     if z_values.size == 0 or delta_values.size == 0:
         raise ValueError("grids must be nonempty")
+    finite = np.isfinite(z_values)
+    if not finite.all():
+        raise ValueError(f"z must be finite, got {float(z_values[~finite][0])!r}")
     for name, values in (("z", z_values), ("delta", delta_values)):
         if np.any(np.diff(values) <= 0):
             raise ValueError(f"{name} grid must be strictly increasing")
@@ -181,52 +183,39 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _alpha_pairs(tasks, z_values, model, spec, threads):
-    """Per (omega, weights, delta) task, the AlphaPair or error text of every z.
+def _alpha_pairs(omega, weights, delta, z_values, model, spec):
+    """The AlphaPair, or the error text, of every z at one (omega, delta).
 
-    One task integrates all its heights together
-    (:func:`response_vectors_many`); with ``threads`` > 1 the tasks run on
-    a thread pool. Task results come back in task order.
+    All the heights are integrated together (:func:`response_vectors_many`).
     """
-    def work(task):
-        omega, weights, delta = task
-        pairs = []
-        for z, rv in zip(z_values.tolist(),
-                         response_vectors_many(omega, z_values, delta, model, spec)):
-            if isinstance(rv, Exception):
-                pairs.append(_describe(rv))
-                continue
-            try:
-                pairs.append(alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
-                                        weights, spec, vectors=rv))
-            except _POINT_ERRORS as exc:
-                pairs.append(_describe(exc))
-        return pairs
-
-    if threads <= 1:
-        return [work(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, tasks))
+    pairs = []
+    for z, rv in zip(z_values.tolist(),
+                     response_vectors_many(omega, z_values, delta, model, spec)):
+        if isinstance(rv, Exception):
+            pairs.append(_describe(rv))
+            continue
+        try:
+            pairs.append(alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
+                                    weights, spec, vectors=rv))
+        except _POINT_ERRORS as exc:
+            pairs.append(_describe(exc))
+    return pairs
 
 
 def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
          T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC,
-         T_search=DEFAULT_T_SEARCH, with_thermal: bool = True,
-         threads: int = 1) -> ScanResult:
+         T_search=DEFAULT_T_SEARCH, with_thermal: bool = True) -> ScanResult:
     """Evaluate the full pipeline over the (delta, z) product grid.
 
-    Each (transition, delta) pair is one task that integrates all heights
-    together; tasks may run in parallel. The result order is fixed as
-    delta-major, z-minor regardless of scheduling. Per-point failures
-    land in ``ScanPoint.error`` and the scan continues.
+    For each delta, each transition integrates all heights together. The
+    result order is delta-major, z-minor. Per-point failures land in
+    ``ScanPoint.error`` and the scan continues.
     """
     z_values, delta_values = _grid(z_values, delta_values)
-    tasks = [(omega, weights, delta) for delta in delta_values.tolist()
-             for omega, weights in ((atom.omega_31, atom.weights_31),
-                                    (atom.omega_32, atom.weights_32))]
-    pairs = _alpha_pairs(tasks, z_values, model, spec, threads)
     points = []
-    for (_, _, delta), pairs31, pairs32 in zip(tasks[::2], pairs[::2], pairs[1::2]):
+    for delta in delta_values.tolist():
+        pairs31 = _alpha_pairs(atom.omega_31, atom.weights_31, delta, z_values, model, spec)
+        pairs32 = _alpha_pairs(atom.omega_32, atom.weights_32, delta, z_values, model, spec)
         for z, a31, a32 in zip(z_values.tolist(), pairs31, pairs32):
             points.append(_steady(atom, z, delta, a31, a32, T_W, T_M, T_search,
                                   with_thermal))
@@ -251,18 +240,19 @@ def _steady(atom, z, delta, a31, a32, T_W, T_M, T_search, with_thermal) -> ScanP
 
 def environment_scan(omega: float, weights, model: DielectricModel, z_values,
                      delta_values, T_W: float, T_M: float,
-                     spec: QuadratureSpec = DEFAULT_SPEC, threads: int = 1):
+                     spec: QuadratureSpec = DEFAULT_SPEC):
     """Single-transition z/delta scan: list of (z, delta, env-or-None, error).
 
-    The grids are checked, and each delta is one task, as in :func:`scan`.
+    The grids are checked, and each delta integrates all heights together,
+    as in :func:`scan`.
     """
     z_values, delta_values = _grid(z_values, delta_values)
     probe = AtomModel(omega_31=2.0 * omega, omega_32=omega,
                       weights_31=weights, weights_32=weights)
-    tasks = [(omega, weights, delta) for delta in delta_values.tolist()]
     records = []
-    for (_, _, delta), pairs in zip(tasks, _alpha_pairs(tasks, z_values, model, spec, threads)):
-        for z, pair in zip(z_values.tolist(), pairs):
+    for delta in delta_values.tolist():
+        for z, pair in zip(z_values.tolist(),
+                           _alpha_pairs(omega, weights, delta, z_values, model, spec)):
             if isinstance(pair, str):
                 records.append((z, delta, None, pair))
                 continue

@@ -329,11 +329,10 @@ def _rows(records, columns):
     return rows, failures
 
 
-def _run_rates(cfg, threads, command):
+def _run_rates(cfg, command):
     records = []
     for z, d, env, err in environment_scan(cfg.omega, cfg.weights, cfg.model, cfg.z_values,
-                                           cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec,
-                                           threads):
+                                           cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec):
         rec = {"delta": d, "z": z, "error": err}
         if env is not None:
             rec.update(asdict(env), gamma_down_over_gamma0=env.gamma_down / env.gamma0,
@@ -342,10 +341,10 @@ def _run_rates(cfg, threads, command):
     return records
 
 
-def _run_steady(cfg, threads, command):
+def _run_steady(cfg, command):
     result = scan(cfg.atom(), cfg.model, cfg.z_values, cfg.delta_values,
                   cfg.T_W, cfg.T_M, cfg.spec, cfg.thermal_search,
-                  with_thermal=(command == "thermal-track"), threads=threads)
+                  with_thermal=(command == "thermal-track"))
     records = []
     for pt in result.points:
         rec = {"delta": pt.delta, "z": pt.z, "error": pt.error}
@@ -359,7 +358,7 @@ def _run_steady(cfg, threads, command):
     return records
 
 
-def _run_evolve(cfg, threads, command):
+def _run_evolve(cfg, command):
     if cfg.z_values.size != 1 or cfg.delta_values.size != 1:
         raise ConfigError("evolve: z and delta must be single values")
     atom = cfg.atom()
@@ -369,7 +368,7 @@ def _run_evolve(cfg, threads, command):
             for t in cfg.t_values]
 
 
-def _run_crossover(cfg, threads, command):
+def _run_crossover(cfg, command):
     if cfg.delta_values.size != 1:
         raise ConfigError("crossover: delta must be a single value")
     delta = float(cfg.delta_values[0])
@@ -380,7 +379,7 @@ def _run_crossover(cfg, threads, command):
              "alpha_W": pair.alpha_W, "alpha_M": pair.alpha_M}]
 
 
-# every runner takes (cfg, threads, command) and returns one record per row
+# every runner takes (cfg, command) and returns one record per row
 _RUNNERS = {
     "rates": _run_rates,
     "teff-map": _run_rates,
@@ -413,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to config file")
     parser.add_argument("--out", default="-", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, help="ignored: every scan runs sequentially")
     parser.add_argument("--rel-tol", type=float, default=None,
                         help="override quadrature relative tolerance")
     return parser
@@ -432,7 +431,7 @@ def run_command(argv) -> int:
     try:
         cfg = load_config(args.config, overrides)
         _require(cfg, args.command)
-        records = _RUNNERS[args.command](cfg, args.threads, args.command)
+        records = _RUNNERS[args.command](cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

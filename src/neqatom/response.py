@@ -77,8 +77,8 @@ class GeometryPoint:
     delta: float
 
     def __post_init__(self):
-        if not self.z > 0.0:
-            raise ValueError("z must be > 0")
+        if not 0.0 < self.z < math.inf:
+            raise ValueError(f"z must be finite and > 0, got {self.z!r}")
         if not self.delta >= 0.0:
             raise ValueError("delta must be >= 0")
 
@@ -101,8 +101,9 @@ class AlphaPair:
     alpha_M: float
 
     def __post_init__(self):
-        if not (self.alpha_W >= 0.0 and self.alpha_M >= 0.0):
-            raise ValueError("alpha weights must be >= 0")
+        if not (0.0 <= self.alpha_W < math.inf and 0.0 <= self.alpha_M < math.inf):
+            raise ValueError("alpha weights must be finite and >= 0, got "
+                             f"({self.alpha_W!r}, {self.alpha_M!r})")
 
 
 ISOTROPIC_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -318,6 +319,8 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     z = np.atleast_1d(np.asarray(z_values, dtype=float))
     if z.ndim != 1 or z.size == 0 or not (np.all(z > 0.0) and np.all(np.diff(z) > 0.0)):
         raise ValueError("heights must be > 0 and strictly increasing")
+    if not z[-1] < np.inf:  # increasing: only the last height can be infinite
+        raise ValueError(f"heights must be finite, got {float(z[-1])!r}")
     if not delta >= 0.0:
         raise ValueError("delta must be >= 0")
     eps = permittivity(model, omega)

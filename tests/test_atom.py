@@ -302,6 +302,12 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             inversion_predicate(n31, n32)
 
+    @pytest.mark.parametrize("alpha_W, alpha_M", [(INF, 1.0), (1.0, INF), (NAN, 1.0)])
+    def test_alpha_pair(self, alpha_W, alpha_M):
+        # an infinite weight would make effective_occupation return NaN
+        with pytest.raises(ValueError):
+            AlphaPair(alpha_W, alpha_M)
+
     @pytest.mark.parametrize("t", [NAN, INF])
     def test_evolve_populations(self, t):
         env = env_from_rates(2.0, 0.7)

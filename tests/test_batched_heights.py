@@ -135,7 +135,8 @@ class TestGrouping:
         response_vectors_many(OMEGA_R, np.geomspace(1.1e-8, 9e-6, 40), 110e-9, SIC)
         assert sum(seen) == 40 and len(seen) == 3
 
-    @pytest.mark.parametrize("z", [[], [1e-7, 1e-7], [2e-7, 1e-7], [0.0, 1e-7], [np.nan]])
+    @pytest.mark.parametrize("z", [[], [1e-7, 1e-7], [2e-7, 1e-7], [0.0, 1e-7], [np.nan],
+                                   [1e-7, np.inf]])
     def test_bad_heights_rejected(self, z):
         with pytest.raises(ValueError):
             response_vectors_many(OMEGA_R, z, 110e-9, SIC)

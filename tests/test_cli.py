@@ -168,7 +168,9 @@ delta = 110e-9
         cfg = write(tmp_path, FIG5A)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_command(["thermal-track", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-        assert run_command(["thermal-track", "--config", cfg, "--out", str(out2)]) == EXIT_OK
+        # --threads is accepted and changes nothing
+        assert run_command(["thermal-track", "--config", cfg, "--out", str(out2),
+                            "--threads", "2"]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         text = out1.read_text()
         for needle in ("# command = thermal-track", "# version =", "# rel_tol =",

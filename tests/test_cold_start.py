@@ -1,4 +1,4 @@
-"""The import path of neqatom and its CLI stays free of scipy.
+"""The import path of neqatom and its CLI stays free of scipy and of threads.
 
 Only ``evolve`` loads scipy, for ``scipy.linalg.expm``. Each check runs in
 a fresh interpreter, so modules imported by the test session do not count.
@@ -52,6 +52,8 @@ for command in ("rates", "thermal-track"):
     assert code == 0, (command, code)
 loaded = [m for m in sys.modules if m.startswith("scipy.")]
 assert not loaded and sys.modules["scipy"] is None, loaded
+# scans run sequentially: no thread pool on the import path
+assert "concurrent.futures" not in sys.modules
 """
 
 EVOLVE_LOADS_SCIPY = """

@@ -316,6 +316,11 @@ class TestValidation:
             GeometryPoint(z=0.0, delta=1e-6)
         with pytest.raises(ValueError):
             GeometryPoint(z=1e-6, delta=-1e-9)
+        with pytest.raises(ValueError, match="got inf"):
+            GeometryPoint(z=math.inf, delta=1e-6)
+        # the bracket end fails as a height, before any root step
+        with pytest.raises(ValueError, match="got inf"):
+            crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, math.inf))
 
     def test_alpha_pair_type_invariants(self):
         with pytest.raises(ValueError):
