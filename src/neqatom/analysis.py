@@ -1,10 +1,20 @@
-"""Derived diagnostics: thermal-state comparison and parameter scans.
+"""Derived diagnostics: the scan pipeline and thermal-state comparison.
+
+One path turns the response of a height into its transition environment.
+:func:`_environments` integrates every height of one (omega, delta)
+together (:func:`response_vectors_many`), then takes each height's alpha
+pair and rates. It returns the environment, or the exception raised, of
+every height. :func:`scan` and :func:`environment_scan` loop over it,
+delta by delta; :func:`steady_point` and :func:`transition_environments`
+are its one-point cases. Argument errors (grids, temperatures,
+``T_search``, ``omega``) raise ValueError before any integral; numerical
+failures are recorded per point.
 
 The steady state of the Lambda system is diagonal, so the distance to a
 thermal (Gibbs) state reduces to the Euclidean norm of the population
-difference. The closest thermal state is found by a coarse logarithmic
-pre-scan followed by golden-section refinement, which guards against the
-occasional double minimum of the distance profile.
+difference. The closest thermal state is found by a 64-point logarithmic
+pre-scan, which picks the basin of the global minimum when the distance
+profile has two or more minima, and golden-section refinement within it.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from .atom import (
     AtomModel,
     Populations,
     TransitionEnvironment,
-    bose_occupation,
     steady_state,
     transition_rates,
 )
@@ -100,6 +109,14 @@ def _distance(p: Populations, atom: AtomModel, T: float) -> float:
     return math.sqrt((p.p1 - 1.0 / s) ** 2 + (p.p2 - e2 / s) ** 2 + (p.p3 - e3 / s) ** 2)
 
 
+def _check_bracket(T_search):
+    """``(T_lo, T_hi)`` of ``T_search``; ValueError unless 0 < T_lo < T_hi < inf."""
+    T_lo, T_hi = T_search
+    if not (0.0 < T_lo < T_hi < math.inf):
+        raise ValueError(f"need 0 < T_lo < T_hi < inf, got {T_search!r}")
+    return T_lo, T_hi
+
+
 def closest_thermal(p: Populations, atom: AtomModel,
                     T_search=DEFAULT_T_SEARCH) -> ThermalComparison:
     """Temperature minimizing the thermal distance over a bracket.
@@ -110,10 +127,7 @@ def closest_thermal(p: Populations, atom: AtomModel,
     boundary is flagged, not raised. The reported distance is
     :func:`distance_to_thermal` at the closest temperature.
     """
-    T_lo, T_hi = T_search
-    if not (0.0 < T_lo < T_hi < math.inf):
-        raise ValueError(f"need 0 < T_lo < T_hi < inf, got {T_search!r}")
-
+    T_lo, T_hi = _check_bracket(T_search)
     grid = np.geomspace(T_lo, T_hi, 64)
     j = int(np.argmin(_grid_distances(p, atom, grid)))
     lo = float(grid[max(j - 1, 0)])
@@ -141,13 +155,46 @@ def closest_thermal(p: Populations, atom: AtomModel,
                              at_boundary=at_boundary)
 
 
+def _environments(atom: AtomModel, which: str, model: DielectricModel, z_values,
+                  delta: float, T_W: float, T_M: float, spec: QuadratureSpec) -> list:
+    """The TransitionEnvironment, or the exception raised, of every height.
+
+    All the heights ``z_values`` of one transition ``which`` and slab
+    ``delta`` are integrated together (:func:`response_vectors_many`);
+    each height's alpha pair and rates follow. The temperatures, and the
+    heights, are checked before any integral.
+    """
+    for key, T in (("T_W", T_W), ("T_M", T_M)):
+        if not 0.0 <= T < math.inf:
+            raise ValueError(f"{key} must be finite and >= 0, got {T!r}")
+    omega, _, weights = atom.transition(which)
+    # each height's vectors give way to its environment, or to its failure
+    envs = response_vectors_many(omega, z_values, delta, model, spec)
+    for i, (z, rv) in enumerate(zip(z_values, envs)):
+        if isinstance(rv, Exception):
+            continue
+        try:
+            pair = alpha_pair(omega, GeometryPoint(z=z, delta=delta), model, weights,
+                              spec, vectors=rv)
+            envs[i] = transition_rates(atom, which, pair, T_W, T_M)
+        except _POINT_ERRORS as exc:
+            envs[i] = exc
+    return envs
+
+
 def transition_environments(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
                             T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Radiative environments ``(env31, env32)`` of both transitions at one point."""
-    a31 = alpha_pair(atom.omega_31, geom, model, atom.weights_31, spec)
-    a32 = alpha_pair(atom.omega_32, geom, model, atom.weights_32, spec)
-    return (transition_rates(atom, "31", a31, T_W, T_M),
-            transition_rates(atom, "32", a32, T_W, T_M))
+    """Radiative environments ``(env31, env32)`` of both transitions at one point.
+
+    The one-point case of :func:`_environments`; a failure raises.
+    """
+    envs = []
+    for which in ("31", "32"):
+        (env,) = _environments(atom, which, model, [geom.z], geom.delta, T_W, T_M, spec)
+        if isinstance(env, Exception):
+            raise env
+        envs.append(env)
+    return tuple(envs)
 
 
 def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
@@ -162,44 +209,19 @@ def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
 
 
 def _grid(z_values, delta_values):
-    """Nonempty, strictly increasing z and delta grids as float arrays; z finite.
+    """z and delta grids as float arrays; delta nonempty and strictly increasing.
 
-    Their ranges (z > 0, delta >= 0) are checked by response_vectors_many.
+    The heights, and the range of delta, are checked by response_vectors_many.
     """
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
     delta_values = np.atleast_1d(np.asarray(delta_values, dtype=float))
-    if z_values.size == 0 or delta_values.size == 0:
-        raise ValueError("grids must be nonempty")
-    finite = np.isfinite(z_values)
-    if not finite.all():
-        raise ValueError(f"z must be finite, got {float(z_values[~finite][0])!r}")
-    for name, values in (("z", z_values), ("delta", delta_values)):
-        if np.any(np.diff(values) <= 0):
-            raise ValueError(f"{name} grid must be strictly increasing")
+    if delta_values.size == 0 or np.any(np.diff(delta_values) <= 0):
+        raise ValueError("delta grid must be nonempty and strictly increasing")
     return z_values, delta_values
 
 
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _alpha_pairs(omega, weights, delta, z_values, model, spec):
-    """The AlphaPair, or the error text, of every z at one (omega, delta).
-
-    All the heights are integrated together (:func:`response_vectors_many`).
-    """
-    pairs = []
-    for z, rv in zip(z_values.tolist(),
-                     response_vectors_many(omega, z_values, delta, model, spec)):
-        if isinstance(rv, Exception):
-            pairs.append(_describe(rv))
-            continue
-        try:
-            pairs.append(alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
-                                    weights, spec, vectors=rv))
-        except _POINT_ERRORS as exc:
-            pairs.append(_describe(exc))
-    return pairs
 
 
 def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
@@ -208,28 +230,28 @@ def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
     """Evaluate the full pipeline over the (delta, z) product grid.
 
     For each delta, each transition integrates all heights together. The
-    result order is delta-major, z-minor. Per-point failures land in
-    ``ScanPoint.error`` and the scan continues.
+    result order is delta-major, z-minor. Argument errors raise before any
+    integral; per-point failures land in ``ScanPoint.error`` and the scan
+    continues.
     """
     z_values, delta_values = _grid(z_values, delta_values)
+    if with_thermal:
+        _check_bracket(T_search)
     points = []
     for delta in delta_values.tolist():
-        pairs31 = _alpha_pairs(atom.omega_31, atom.weights_31, delta, z_values, model, spec)
-        pairs32 = _alpha_pairs(atom.omega_32, atom.weights_32, delta, z_values, model, spec)
-        for z, a31, a32 in zip(z_values.tolist(), pairs31, pairs32):
-            points.append(_steady(atom, z, delta, a31, a32, T_W, T_M, T_search,
-                                  with_thermal))
+        envs31 = _environments(atom, "31", model, z_values, delta, T_W, T_M, spec)
+        envs32 = _environments(atom, "32", model, z_values, delta, T_W, T_M, spec)
+        for z, env31, env32 in zip(z_values.tolist(), envs31, envs32):
+            points.append(_steady(atom, z, delta, env31, env32, T_search, with_thermal))
     return ScanResult(z_values=z_values, delta_values=delta_values, points=tuple(points))
 
 
-def _steady(atom, z, delta, a31, a32, T_W, T_M, T_search, with_thermal) -> ScanPoint:
-    """Scan point from the alpha pairs (or error texts) of both transitions."""
-    for a in (a31, a32):
-        if isinstance(a, str):
-            return ScanPoint(z=z, delta=delta, error=a)
+def _steady(atom, z, delta, env31, env32, T_search, with_thermal) -> ScanPoint:
+    """Scan point from the environments (or exceptions) of both transitions."""
+    for env in (env31, env32):
+        if isinstance(env, Exception):
+            return ScanPoint(z=z, delta=delta, error=_describe(env))
     try:
-        env31 = transition_rates(atom, "31", a31, T_W, T_M)
-        env32 = transition_rates(atom, "32", a32, T_W, T_M)
         pops = steady_state(env31.n_eff, env32.n_eff)
         thermal = closest_thermal(pops, atom, T_search) if with_thermal else None
     except _POINT_ERRORS as exc:
@@ -243,23 +265,20 @@ def environment_scan(omega: float, weights, model: DielectricModel, z_values,
                      spec: QuadratureSpec = DEFAULT_SPEC):
     """Single-transition z/delta scan: list of (z, delta, env-or-None, error).
 
-    The grids are checked, and each delta integrates all heights together,
-    as in :func:`scan`.
+    Each delta integrates all heights together, as in :func:`scan`, on a
+    probe atom whose transition 32 is ``omega``.
     """
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     z_values, delta_values = _grid(z_values, delta_values)
     probe = AtomModel(omega_31=2.0 * omega, omega_32=omega,
                       weights_31=weights, weights_32=weights)
     records = []
     for delta in delta_values.tolist():
-        for z, pair in zip(z_values.tolist(),
-                           _alpha_pairs(omega, weights, delta, z_values, model, spec)):
-            if isinstance(pair, str):
-                records.append((z, delta, None, pair))
-                continue
-            try:
-                env = transition_rates(probe, "32", pair, T_W, T_M)
-            except _POINT_ERRORS as exc:
-                records.append((z, delta, None, _describe(exc)))
-                continue
-            records.append((z, delta, env, None))
+        for z, env in zip(z_values.tolist(), _environments(probe, "32", model, z_values,
+                                                           delta, T_W, T_M, spec)):
+            if isinstance(env, Exception):
+                records.append((z, delta, None, _describe(env)))
+            else:
+                records.append((z, delta, env, None))
     return records

@@ -19,9 +19,9 @@ from neqatom.analysis import (
 )
 from neqatom.atom import AtomModel, Populations, bose_occupation, steady_state
 from neqatom.optics import load_material, surface_mode_frequency
-from neqatom import response
+from neqatom import analysis, response
 from neqatom.quadrature import QuadratureResult, QuadratureSpec, QuadratureToleranceError
-from neqatom.response import GeometryPoint, _b_vector
+from neqatom.response import ISOTROPIC_WEIGHTS, GeometryPoint, _b_vector
 
 SIC = load_material("sic")
 OMEGA_R = 1.495e14
@@ -164,6 +164,34 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(FIG5_ATOM, SIC, [1e-6, 1e-7], [1e-7], 470.0, 170.0)
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [1e-2], math.nan, 170.0),
+         "T_W must be finite and >= 0, got nan"),
+        (lambda: scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [1e-2], -1.0, 170.0),
+         "T_W must be finite and >= 0, got -1.0"),
+        (lambda: scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [1e-2], 570.0, math.inf),
+         "T_M must be finite and >= 0, got inf"),
+        (lambda: scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [1e-2], 570.0, 170.0,
+                      T_search=(10.0, 1.0)),
+         re.escape("got (10.0, 1.0)")),
+        (lambda: environment_scan(-1.0, ISOTROPIC_WEIGHTS, SIC, [1e-7], [1e-2], 470.0, 170.0),
+         "omega must be finite and > 0, got -1.0"),
+        (lambda: environment_scan(math.nan, ISOTROPIC_WEIGHTS, SIC, [1e-7], [1e-2], 470.0, 170.0),
+         "omega must be finite and > 0, got nan"),
+    ], ids=["nan-T_W", "negative-T_W", "infinite-T_M", "reversed-T_search",
+            "negative-omega", "nan-omega"])
+    def test_argument_error_raises_before_any_integral(self, monkeypatch, call, match):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated before the arguments were checked")
+
+        monkeypatch.setattr(analysis, "response_vectors_many", no_integral)
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_zero_temperature_is_valid(self):
+        (pt,) = scan(FIG5_ATOM, SIC, [1e-7], [1e-2], 0.0, 170.0, with_thermal=False).points
+        assert pt.error is None
+
 
 class TestTransitionEnvironments:
     def test_matches_steady_point(self):
@@ -171,6 +199,18 @@ class TestTransitionEnvironments:
         env31, env32 = transition_environments(FIG5_ATOM, SIC, geom, 570.0, 170.0)
         pt = steady_point(FIG5_ATOM, SIC, geom, 570.0, 170.0, with_thermal=False)
         assert (env31, env32) == (pt.env31, pt.env32)
+        # a single-transition scan at the same point gives the same environment
+        for omega, weights, env in ((FIG5_ATOM.omega_31, FIG5_ATOM.weights_31, env31),
+                                    (FIG5_ATOM.omega_32, FIG5_ATOM.weights_32, env32)):
+            records = environment_scan(omega, weights, SIC, [geom.z], [geom.delta],
+                                       570.0, 170.0)
+            assert records[0][2] == env
+
+    def test_failure_raises(self):
+        geom = GeometryPoint(z=3.6e-7, delta=1e-2)
+        with pytest.raises(QuadratureToleranceError):
+            transition_environments(FIG5_ATOM, SIC, geom, 570.0, 170.0,
+                                    QuadratureSpec(1e-14, 0.0, 1))
 
 
 class TestEnvironmentScan:
@@ -207,7 +247,7 @@ class TestEnvironmentScan:
         assert near.alpha_M > near.alpha_W
         assert far.alpha_W > far.alpha_M
 
-    def test_threads_integrate_b_once(self):
+    def test_heights_share_one_b_integral(self):
         _b_vector.cache_clear()
         # four heights of one (omega, delta) share one B integral
         records = environment_scan(0.5 * OMEGA_R, (1 / 3, 1 / 3, 1 / 3), SIC,
@@ -215,7 +255,7 @@ class TestEnvironmentScan:
         assert all(r[3] is None for r in records)
         assert _b_vector.cache_info().misses == 1
 
-    def test_threads_b_failure_lands_in_every_point(self, monkeypatch):
+    def test_b_failure_lands_in_every_point(self, monkeypatch):
         calls = []
 
         def failing_b(*args, **kwargs):

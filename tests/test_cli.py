@@ -300,6 +300,14 @@ max_subdivisions = 1
         _, rows = rows_of(out)
         assert rows[0]["error"]
 
+    def test_evolve_failure_exits_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, "omega_31 = omega_p\nomega_32 = omega_r\nT_W = 570\n"
+                              "T_M = 170\nz = 1e-7\ndelta = 110e-9\nt = 0,1\n" + FAILING_SPEC)
+        assert run_command(["evolve", "--config", cfg]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: QuadratureToleranceError")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command,text", [
         ("teff-map", "omega = omega_r\nT_W = 470\nT_M = 170\nz = 1e-7,1e-6\ndelta = 110e-9\n"),
