@@ -209,12 +209,17 @@ def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
 
 
 def _grid(z_values, delta_values):
-    """z and delta grids as float arrays; delta nonempty and strictly increasing.
+    """z and delta grids as float arrays; delta finite, >= 0, nonempty, increasing.
 
-    The heights, and the range of delta, are checked by response_vectors_many.
+    The heights are checked by response_vectors_many before its first
+    integral. It sees one delta at a time, so the whole delta grid is
+    checked here.
     """
     z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
     delta_values = np.atleast_1d(np.asarray(delta_values, dtype=float))
+    bad = delta_values[~((delta_values >= 0.0) & (delta_values < np.inf))]
+    if bad.size:
+        raise ValueError(f"delta must be finite and >= 0, got {float(bad[0])!r}")
     if delta_values.size == 0 or np.any(np.diff(delta_values) <= 0):
         raise ValueError("delta grid must be nonempty and strictly increasing")
     return z_values, delta_values

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -60,6 +60,10 @@ class DielectricModel:
     gamma_damp: float
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not self.eps_inf >= 1.0:
             raise ValueError("eps_inf must be >= 1")
         # omega_L == omega_T is the zero-strength oscillator: a
@@ -76,15 +80,16 @@ class DielectricModel:
 
 
 def permittivity(model: DielectricModel, omega):
-    """Drude-Lorentz permittivity at angular frequency omega > 0.
+    """Drude-Lorentz permittivity at finite angular frequencies omega > 0.
 
     Passivity (Im eps >= 0 for omega > 0) is guaranteed by the parameter
     constraints. A lossless model evaluated exactly at omega_T has a pole
-    and raises LosslessResonanceError.
+    and raises LosslessResonanceError; a NaN, infinite or non-positive
+    omega raises ValueError.
     """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
-        raise ValueError("permittivity requires omega > 0")
+    if not np.all((omega > 0.0) & (omega < np.inf)):
+        raise ValueError("permittivity requires finite omega > 0")
     if model.dispersionless:
         eps = np.full(omega.shape, complex(model.eps_inf))
         return complex(model.eps_inf) if omega.ndim == 0 else eps
@@ -97,38 +102,29 @@ def permittivity(model: DielectricModel, omega):
 
 
 def surface_mode_frequency(model: DielectricModel) -> float:
-    """Frequency where Re eps(omega) = -1 (surface phonon-polariton).
+    """Frequency where Re eps(omega) = -1 (surface phonon-polariton), in closed form.
 
-    Bisection on (omega_T, omega_L) to a relative width of 1e-12; Re eps
-    runs from large negative just above the resonance up through -1
-    towards 0 at omega_L.
+    With x = omega**2/omega_T**2, l = omega_L**2/omega_T**2 and
+    g = gamma_damp**2/omega_T**2, Re eps + 1 has the sign of the quadratic
+    a*x**2 - b*x + c' with a = eps_inf + 1, c' = eps_inf*l + 1 and
+    b = a + c' - a*g. The quadratic is a*g >= 0 at x = 1 (omega_T) and
+    (l - 1)**2 + a*g*l > 0 at x = l (omega_L), so Re eps climbs back
+    through -1 at the larger root x+ = (b + sqrt(disc))/(2a), and the
+    surface mode is omega_T*sqrt(x+) when 1 < x+ < l. The discriminant b**2 - 4ac' is written as
+    (eps_inf (l - 1))**2 + a g (a g - 2(a + c')), which does not cancel as
+    gamma_damp -> 0. At gamma_damp = 0 the root is
+    sqrt((eps_inf*omega_L**2 + omega_T**2)/(eps_inf + 1)). Raises
+    ValueError when there is no such root: a dispersionless model, or one
+    damped so strongly that Re eps stays above -1.
     """
-    hi = model.omega_L
-
-    def g(w):
-        return permittivity(model, w).real + 1.0
-
-    # damping smooths the resonance: walk up from omega_T until the
-    # negative-permittivity band is reached
-    lo = None
-    for x in np.geomspace(1e-9, 0.5, 60):
-        w = model.omega_T * (1.0 + x)
-        if w < hi and g(w) < 0.0:
-            lo = w
-            break
-    if lo is None or g(hi) < 0.0:
-        raise ValueError("no surface mode: Re eps = -1 not bracketed")
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0 or (hi - lo) < 1e-12 * mid:
-            return float(mid)
-        if glo * gm < 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return float(0.5 * (lo + hi))
+    l, g = (model.omega_L / model.omega_T) ** 2, (model.gamma_damp / model.omega_T) ** 2
+    a = model.eps_inf + 1.0
+    c1 = model.eps_inf * l + 1.0
+    disc = (model.eps_inf * (l - 1.0)) ** 2 + a * g * (a * g - 2.0 * (a + c1))
+    x = (a + c1 - a * g + math.sqrt(disc)) / (2.0 * a) if disc > 0.0 else 0.0
+    if not 1.0 < x < l:
+        raise ValueError("no surface mode: Re eps = -1 has no root in (omega_T, omega_L)")
+    return model.omega_T * math.sqrt(x)
 
 
 def sqrt_im_nonneg(w):
@@ -190,11 +186,12 @@ def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
     with t tbar = 1 - r^2. Returns ``((rho_TE, rho_TM), (tau_TE, tau_TM))``.
     For evanescent incidence tau grows like exp((kappa - Im k_zm) delta) and
     is skipped with want_tau=False, which returns None in its place. Raises
-    ValueError for delta < 0, DegenerateModeError (see _interface_r), and
-    SlabResonanceError on a guided-mode pole of a lossless slab.
+    ValueError unless delta is finite and >= 0, DegenerateModeError (see
+    _interface_r), and SlabResonanceError on a guided-mode pole of a
+    lossless slab.
     """
-    if not delta >= 0.0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     kz = np.asarray(kz)
     kzm = _slab_kzm(omega, eps, kz)
     e2 = np.exp(2j * kzm * delta)

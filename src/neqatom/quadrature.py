@@ -100,12 +100,16 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if not self.abs_tol >= 0.0:
-            raise ValueError("abs_tol must be >= 0")
-        if not self.max_subdivisions >= 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        # an infinite tolerance would accept every initial estimate, and a
+        # non-integer budget would fail later, inside the engine
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
+        if not (isinstance(self.max_subdivisions, (int, np.integer))
+                and self.max_subdivisions >= 1):
+            raise ValueError(f"max_subdivisions must be an integer >= 1, "
+                             f"got {self.max_subdivisions!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

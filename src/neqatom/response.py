@@ -79,8 +79,8 @@ class GeometryPoint:
     def __post_init__(self):
         if not 0.0 < self.z < math.inf:
             raise ValueError(f"z must be finite and > 0, got {self.z!r}")
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be >= 0")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,8 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
         raise ValueError("heights must be > 0 and strictly increasing")
     if not z[-1] < np.inf:  # increasing: only the last height can be infinite
         raise ValueError(f"heights must be finite, got {float(z[-1])!r}")
-    if not delta >= 0.0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     eps = permittivity(model, omega)
     try:
         slab = _b_vector(omega, delta, model, spec)

@@ -178,8 +178,16 @@ class TestScan:
          "omega must be finite and > 0, got -1.0"),
         (lambda: environment_scan(math.nan, ISOTROPIC_WEIGHTS, SIC, [1e-7], [1e-2], 470.0, 170.0),
          "omega must be finite and > 0, got nan"),
+        (lambda: scan(FIG5_ATOM, SIC, [1e-7], [1e-2, math.nan], 570.0, 170.0),
+         "delta must be finite and >= 0, got nan"),
+        (lambda: scan(FIG5_ATOM, SIC, [1e-7], [1e-2, math.inf], 570.0, 170.0),
+         "delta must be finite and >= 0, got inf"),
+        (lambda: environment_scan(1.6e14, ISOTROPIC_WEIGHTS, SIC, [1e-7], [math.nan, 1e-2],
+                                  470.0, 170.0),
+         "delta must be finite and >= 0, got nan"),
     ], ids=["nan-T_W", "negative-T_W", "infinite-T_M", "reversed-T_search",
-            "negative-omega", "nan-omega"])
+            "negative-omega", "nan-omega", "nan-delta", "infinite-delta",
+            "environment-scan-nan-delta"])
     def test_argument_error_raises_before_any_integral(self, monkeypatch, call, match):
         def no_integral(*args, **kwargs):
             raise AssertionError("integrated before the arguments were checked")

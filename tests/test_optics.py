@@ -35,6 +35,14 @@ class TestDielectricModel:
         with pytest.raises(ValueError):
             DielectricModel(eps_inf=2.0, omega_L=2e14, omega_T=1e14, gamma_damp=-1.0)
 
+    @pytest.mark.parametrize("field", ["eps_inf", "omega_L", "omega_T", "gamma_damp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = dict(eps_inf=6.7, omega_L=1.8e14, omega_T=1.5e14, gamma_damp=1e12)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+            DielectricModel(**fields)
+
     def test_dispersionless_degenerate_oscillator(self):
         vacuum = DielectricModel(eps_inf=1.0, omega_L=1e14, omega_T=1e14, gamma_damp=0.0)
         assert vacuum.dispersionless
@@ -55,7 +63,7 @@ class TestDielectricModel:
     def test_surface_mode_frequency_matches_quoted_value(self):
         omega_p = surface_mode_frequency(SIC)
         assert omega_p == pytest.approx(1.787e14, rel=1e-3)
-        assert permittivity(SIC, omega_p).real == pytest.approx(-1.0, abs=1e-9)
+        assert abs(permittivity(SIC, omega_p).real + 1.0) <= 1e-14
 
     def test_lossless_resonance_raises(self):
         with pytest.raises(LosslessResonanceError):
@@ -70,6 +78,95 @@ class TestDielectricModel:
     def test_requires_positive_frequency(self):
         with pytest.raises(ValueError):
             permittivity(SIC, 0.0)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, [1.6e14, math.nan]],
+                             ids=["nan", "inf", "nan-in-array"])
+    def test_requires_finite_frequency(self, omega):
+        with pytest.raises(ValueError, match="finite omega > 0"):
+            permittivity(SIC, omega)
+
+
+def _oracle_surface_mode(model):
+    """The walk-and-bisect search that the closed form replaced, or None.
+
+    Walks up from omega_T on a 60-point geometric ladder to the first
+    frequency with Re eps < -1, then bisects towards omega_L to a relative
+    width of 1e-12. The walk stops at 1.5 omega_T, so it misses the surface
+    mode of a model so damped that Re eps first drops below -1 further up.
+    """
+    hi = model.omega_L
+
+    def g(w):
+        return permittivity(model, w).real + 1.0
+
+    lo = None
+    for x in np.geomspace(1e-9, 0.5, 60):
+        w = model.omega_T * (1.0 + x)
+        if w < hi and g(w) < 0.0:
+            lo = w
+            break
+    if lo is None or g(hi) < 0.0:
+        return None
+    glo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0 or (hi - lo) < 1e-12 * mid:
+            return float(mid)
+        if glo * gm < 0.0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    return float(0.5 * (lo + hi))
+
+
+def _random_models(n=500, seed=13):
+    """Seeded models from near-degenerate to strongly damped oscillators."""
+    rng = np.random.default_rng(seed)
+    omega_T = 1e14
+    return [DielectricModel(eps_inf=float(10 ** rng.uniform(0.0, 1.5)),
+                            omega_L=float(omega_T * 10 ** rng.uniform(1e-6, 1.2)),
+                            omega_T=omega_T,
+                            gamma_damp=float(omega_T * 10 ** rng.uniform(-8.0, 0.6)))
+            for _ in range(n)]
+
+
+class TestSurfaceModeFrequency:
+    def test_agrees_with_search_oracle(self):
+        found = 0
+        for model in _random_models():
+            expected = _oracle_surface_mode(model)
+            try:
+                omega_p = surface_mode_frequency(model)
+            except ValueError:
+                assert expected is None, model
+                continue
+            found += 1
+            assert model.omega_T < omega_p < model.omega_L, model
+            assert abs(permittivity(model, omega_p).real + 1.0) <= 1e-11, model
+            if expected is not None:
+                assert omega_p == pytest.approx(expected, rel=1e-12, abs=0.0), model
+        assert found >= 400
+
+    def test_finds_mode_the_search_missed(self):
+        # Re eps reaches -1.25 at 1.74e14 rad/s, above the walk's 1.5 omega_T
+        model = DielectricModel(eps_inf=4.0, omega_L=3.45e14, omega_T=1e14, gamma_damp=2.05e14)
+        assert _oracle_surface_mode(model) is None
+        omega_p = surface_mode_frequency(model)
+        assert omega_p == pytest.approx(2.0520e14, rel=1e-4)
+        assert abs(permittivity(model, omega_p).real + 1.0) <= 1e-14
+
+    def test_lossless_root(self):
+        for model in _random_models(100, seed=7):
+            lossless = DielectricModel(model.eps_inf, model.omega_L, model.omega_T, 0.0)
+            e, wL, wT = model.eps_inf, model.omega_L, model.omega_T
+            expected = math.sqrt((e * wL**2 + wT**2) / (e + 1.0))
+            assert surface_mode_frequency(lossless) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gamma_damp", [0.0, 1e12, 5e14])
+    def test_dispersionless_model_has_no_mode(self, gamma_damp):
+        with pytest.raises(ValueError, match="no surface mode"):
+            surface_mode_frequency(DielectricModel(2.0, 1e14, 1e14, gamma_damp))
 
 
 class TestBranches:
@@ -258,6 +355,11 @@ class TestSlab:
     def test_negative_thickness_rejected(self):
         with pytest.raises(ValueError):
             slab_amplitudes(1.5e14, permittivity(SIC, 1.5e14), _kz(1.5e14, 1e5), -1e-9)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_thickness_rejected(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta!r}"):
+            slab_amplitudes(1.6e14, 2.0 + 0j, np.array([1e6]), delta)
 
 
 class TestSlabAmplitudes:

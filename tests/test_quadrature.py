@@ -246,6 +246,16 @@ class TestFailureAndSpec:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+        # an infinite tolerance would accept the initial panels as converged
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="rel_tol must be finite and > 0"):
+                QuadratureSpec(rel_tol=value)
+            with pytest.raises(ValueError, match="abs_tol must be finite and >= 0"):
+                QuadratureSpec(abs_tol=value)
+        for value in (2.5, 2000.0, math.inf, "2000"):
+            with pytest.raises(ValueError, match="max_subdivisions must be an integer >= 1"):
+                QuadratureSpec(max_subdivisions=value)
+        assert QuadratureSpec(max_subdivisions=np.int64(7)).max_subdivisions == 7
 
     def test_convergence_monotonicity(self):
         # halving rel_tol never worsens the true error on the oracle kernel

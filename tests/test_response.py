@@ -23,6 +23,7 @@ from neqatom.response import (
     alpha_pair,
     crossover_distance,
     response_vectors,
+    response_vectors_many,
 )
 
 SIC = load_material("sic")
@@ -318,6 +319,11 @@ class TestValidation:
             GeometryPoint(z=1e-6, delta=-1e-9)
         with pytest.raises(ValueError, match="got inf"):
             GeometryPoint(z=math.inf, delta=1e-6)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta!r}"):
+                GeometryPoint(z=1e-6, delta=delta)
+            with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta!r}"):
+                response_vectors_many(OMEGA_R, [1e-7, 1e-6], delta, SIC)
         # the bracket end fails as a height, before any root step
         with pytest.raises(ValueError, match="got inf"):
             crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, math.inf))
