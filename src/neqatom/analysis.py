@@ -76,8 +76,7 @@ def thermal_populations(atom: AtomModel, T: float) -> Populations:
     """Boltzmann populations at temperature T with energies (0, E2, E3)."""
     if not T > 0.0:
         raise ValueError("T must be > 0")
-    x3 = hbar * atom.omega_31 / (k_B * T)
-    x2 = hbar * (atom.omega_31 - atom.omega_32) / (k_B * T)
+    x2, x3 = _exponents(atom, T)
     q = np.array([1.0, math.exp(-min(x2, 745.0)), math.exp(-min(x3, 745.0))])
     q /= q.sum()
     return Populations(p1=float(q[0]), p2=float(q[1]), p3=float(q[2]))
@@ -89,10 +88,20 @@ def distance_to_thermal(p: Populations, atom: AtomModel, T: float) -> float:
     return float(np.linalg.norm(p.as_array() - q.as_array()))
 
 
+def _exponents(atom: AtomModel, T: float):
+    """Boltzmann exponents (x2, x3) = (E2, E3)/(k_B T); infinite where k_B T underflows."""
+    kT = k_B * T
+    if kT == 0.0:
+        return math.inf, math.inf
+    return hbar * (atom.omega_31 - atom.omega_32) / kT, hbar * atom.omega_31 / kT
+
+
 def _grid_distances(p: Populations, atom: AtomModel, T: np.ndarray) -> np.ndarray:
     """Thermal distances at every temperature of ``T``, in one numpy pass."""
-    x3 = hbar * atom.omega_31 / (k_B * T)
-    x2 = hbar * (atom.omega_31 - atom.omega_32) / (k_B * T)
+    # a k_B T that underflows to 0 gives x = inf, as in _exponents
+    with np.errstate(divide="ignore"):
+        x3 = hbar * atom.omega_31 / (k_B * T)
+        x2 = hbar * (atom.omega_31 - atom.omega_32) / (k_B * T)
     e2 = np.exp(-np.minimum(x2, 745.0))
     e3 = np.exp(-np.minimum(x3, 745.0))
     s = 1.0 + e2 + e3
@@ -101,8 +110,7 @@ def _grid_distances(p: Populations, atom: AtomModel, T: np.ndarray) -> np.ndarra
 
 def _distance(p: Populations, atom: AtomModel, T: float) -> float:
     """Thermal distance at one temperature: the formula of _grid_distances on floats."""
-    x3 = hbar * atom.omega_31 / (k_B * T)
-    x2 = hbar * (atom.omega_31 - atom.omega_32) / (k_B * T)
+    x2, x3 = _exponents(atom, T)
     e2 = math.exp(-min(x2, 745.0))
     e3 = math.exp(-min(x3, 745.0))
     s = 1.0 + e2 + e3

@@ -398,7 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "env overrides: NEQATOM_REL_TOL, NEQATOM_ABS_TOL, NEQATOM_MAX_SUBDIVISIONS\n"
         "output columns (fixed order):\n"
         + "\n".join(f"  {cmd}: {','.join(cols)}" for cmd, cols in _COLUMNS.items())
-        + "\nexit codes: 0 success, 2 config error, 3 numerical failure"
+        + "\nexit codes: 0 success, 2 config error or unwritable output,"
+          " 3 numerical failure"
     )
     parser = argparse.ArgumentParser(
         prog="neqatom",
@@ -440,7 +441,11 @@ def run_command(argv) -> int:
         return EXIT_NUMERICAL
 
     rows, failures = _rows(records, _COLUMNS[args.command])
-    _write(args.out, args.format, args.command, cfg, _COLUMNS[args.command], rows)
+    try:
+        _write(args.out, args.format, args.command, cfg, _COLUMNS[args.command], rows)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if failures:
         z, d, err = failures[0]
         print(f"numerical failure at z={z!r}, delta={d!r}: {err}"

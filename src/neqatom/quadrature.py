@@ -36,9 +36,9 @@ The oscillatory and evanescent engines also take an ascending array of
 heights, integrated together on shared nodes: the integrand returns the
 columns of every height side by side, ``(N, m * n_z)``, and each column
 keeps its own tolerance. The largest height sets the height-phase edges;
-the smallest sets the evanescent cut and the tail bound of every column.
-With one height both engines reproduce the single-height edges and
-arithmetic bit for bit.
+the smallest sets the evanescent cut, the tail bound and the initial
+ladder of every column. With one height both engines reproduce the
+single-height edges and arithmetic bit for bit.
 
 A result carries its final panel edges, sorted, in the engine's own
 variable, also on failure (``QuadratureToleranceError.best``). The
@@ -358,9 +358,11 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
 
     ``z`` is one height or an ascending array of heights integrated on
     shared nodes, the integrand returning every height's columns side by
-    side. The smallest height sets the cut and the tail bound of every
-    column, which is conservative for the larger ones; the initial edges
-    are the union of every height's ladder. ``breakpoints`` are optional
+    side. The smallest height sets the cut, the tail bound and the
+    initial ladder of every column, which is conservative for the larger
+    ones: the cut ladder reaches nine decades below the cut, past every
+    larger height's scale 1/(2z), and adaptivity refines where a column
+    needs it. ``breakpoints`` are optional
     interior k values used as initial panel boundaries, ``_seeds`` more of
     them given in kappa.
     """
@@ -381,14 +383,11 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
             y = y[:, None]
         return y * (kappa / k)[:, None]
 
-    # geometric ladders resolve the scale gap between omega/c, 1/(2z)
-    # and each height's truncation point before adaptivity takes over
-    interior = []
-    for h in heights.tolist():
-        cut = _EVANESCENT_CUT / h
-        interior.extend(cut / 4.0**j for j in range(16))
-        scale = min(U, 0.5 / h)
-        interior.extend(scale * 2.0**j for j in range(-3, 4))
+    # geometric ladders of the smallest height resolve the scale gap
+    # between omega/c, 1/(2 z_min) and the cut before adaptivity takes over
+    interior = [kappa_max / 4.0**j for j in range(16)]
+    scale = min(U, 0.5 / z_min)
+    interior.extend(scale * 2.0**j for j in range(-3, 4))
     pts = np.asarray(breakpoints, dtype=float)
     pts = pts[pts > U]
     interior.extend(np.sqrt(pts**2 - U**2))

@@ -21,8 +21,9 @@ and B's refinement toward grazing incidence. D starts from the
 evanescent slab-phase breakpoints when the slab has any; otherwise from
 the final edges (in kappa) of one adaptive pass over the D density
 without its height factor, which resolves the guided-mode poles near the
-light line. Each height adds its own phase edges (C) or ladder (D), so
-the seeds move where panels start, not what each integral must meet.
+light line. C adds the phase edges of the largest height of a pass and
+D the ladder of the smallest, so the seeds move where panels start, not
+what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, and integrates C and D for the heights within
@@ -54,6 +55,7 @@ from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
     QuadratureToleranceError,
+    _MAX_INITIAL_PANELS,
     _adaptive,
     integrate_evanescent,
     integrate_oscillatory,
@@ -143,7 +145,7 @@ def _with_yy(v):
 _FRINGE_GAIN = 0.01
 
 
-def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol):
+def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=None):
     """Initial panel boundaries tracking the slab phase Re(k_zm) delta.
 
     Interfering reflections inside the slab make every coefficient
@@ -155,6 +157,10 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol):
     amplitude exp(-2 Im(k_zm) delta) cannot disturb the requested
     tolerance the splitting is skipped entirely, before any gain is
     computed.
+
+    ``max_points`` is the initial panel budget of an integral that takes
+    every point as an edge: when the full periods alone exceed it, the
+    ValueError of that budget is raised before any array is built.
     """
     if delta <= 0.0:
         return ()
@@ -165,14 +171,23 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol):
     phase_lo = kzm_lo.real * delta
     phase_hi = complex(medium_kz(omega, k_hi, eps)).real * delta
     q = 0.125 * math.pi
-    m_lo = int(math.ceil(min(phase_lo, phase_hi) / q))
-    m_hi = int(math.floor(max(phase_lo, phase_hi) / q))
+    # invert Re(k_zm) ~ sqrt(Re(eps) omega^2/c^2 - k^2); exactness is not
+    # required, the points only seed panel boundaries. Indices whose k
+    # falls outside (k_lo, k_hi) are dropped, so the range is cut to
+    # those that can fall inside, one index wider against rounding
+    k_top_sq = eps.real * (omega / c) ** 2
+    m_lo = max(int(math.ceil(min(phase_lo, phase_hi) / q)),
+               int(math.sqrt(max(k_top_sq - k_hi**2, 0.0)) * delta / q) - 1)
+    m_hi = min(int(math.floor(max(phase_lo, phase_hi) / q)),
+               int(math.ceil(math.sqrt(max(k_top_sq - k_lo**2, 0.0)) * delta / q)) + 1)
     if m_hi < m_lo:
         return ()
-    # invert Re(k_zm) ~ sqrt(Re(eps) omega^2/c^2 - k^2); exactness is not
-    # required, the points only seed panel boundaries
+    # all but a few of the full periods counted here are points: the
+    # widening, and points that round onto k_lo or k_hi, lose the rest
+    if max_points is not None and (m_hi - m_lo) // 8 > max_points + 8:
+        raise ValueError("initial panel budget exceeded")
     m = np.arange(m_lo, m_hi + 1)
-    k_sq = eps.real * (omega / c) ** 2 - (m * q / delta) ** 2
+    k_sq = k_top_sq - (m * q / delta) ** 2
     k_pts = np.sqrt(np.maximum(k_sq, 0.0))
     inside = (k_pts > k_lo) & (k_pts < k_hi)
     m, k_pts = m[inside], k_pts[inside]
@@ -201,7 +216,7 @@ class _SlabPass:
     its final edges ``B.edges``, in theta: they hold the slab-phase
     breakpoints of the propagative sector and B's refinement, toward
     grazing incidence among others. ``kappa_seeds`` are the initial edges
-    every height's D adds to its own ladder, in kappa, or None for a real
+    every pass of D adds to its ladder, in kappa, or None for a real
     permittivity (D = 0).
     """
 
@@ -218,7 +233,7 @@ def _d_weights(omega, eps, delta, k, kappa):
 
 
 def _kappa_seeds(omega, eps, delta, spec):
-    """Initial D edges in kappa that no height's ladder provides.
+    """Initial D edges in kappa that no ladder provides.
 
     The slab-phase breakpoints of the evanescent sector up to the band
     k_osc where the slab oscillates, when there are any. Otherwise the
@@ -258,7 +273,10 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
         tm = (np.abs(rho_tm) ** 2 + np.abs(tau_tm) ** 2)[:, None] * _tm_weights(omega, k, kz**2, +1.0)
         return pref * (k / kz)[:, None] * (te + tm)
 
-    bk = _slab_phase_breakpoints(omega, delta, eps, 0.0, omega / c, spec.rel_tol)
+    # B takes every breakpoint as an initial edge; D's seeds are clipped
+    # at each height's cut, so only B's count is bounded up front
+    bk = _slab_phase_breakpoints(omega, delta, eps, 0.0, omega / c, spec.rel_tol,
+                                 max_points=_MAX_INITIAL_PANELS)
     b_res = integrate_propagative(integrand, omega, spec, breakpoints=bk)
     kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
     return _SlabPass(B=b_res, kappa_seeds=kappa)

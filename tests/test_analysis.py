@@ -28,6 +28,10 @@ OMEGA_R = 1.495e14
 OMEGA_P = surface_mode_frequency(SIC)
 
 FIG5_ATOM = AtomModel(omega_31=1.787e14, omega_32=OMEGA_R)
+COOLING_ATOM = AtomModel(omega_31=OMEGA_P, omega_32=SIC.omega_T)
+
+# k_B T rounds to 0 below about 2e-301 K
+UNDERFLOW_T = 1e-310
 
 
 class TestThermalPopulations:
@@ -52,6 +56,10 @@ class TestThermalPopulations:
         with pytest.raises(ValueError):
             thermal_populations(FIG5_ATOM, 0.0)
 
+    def test_underflowing_temperature_is_the_ground_state(self):
+        assert thermal_populations(COOLING_ATOM, UNDERFLOW_T) == \
+            thermal_populations(COOLING_ATOM, 1e-300)
+
 
 class TestDistance:
     def test_zero_at_own_temperature(self):
@@ -67,6 +75,10 @@ class TestDistance:
         p = thermal_populations(FIG5_ATOM, T)
         d = distance_to_thermal(p, FIG5_ATOM, T + 1.0)
         assert d == pytest.approx(expected, rel=0.05)
+
+    def test_underflowing_temperature(self):
+        d = distance_to_thermal(Populations(1.0, 0.0, 0.0), COOLING_ATOM, UNDERFLOW_T)
+        assert d <= 1e-300
 
 
 class TestClosestThermal:
@@ -95,6 +107,10 @@ class TestClosestThermal:
         p = thermal_populations(FIG5_ATOM, 4500.0)
         res = closest_thermal(p, FIG5_ATOM, T_search=(1.0, 100.0))
         assert res.at_boundary
+
+    def test_bracket_down_to_underflowing_temperature(self):
+        res = closest_thermal(Populations(1.0, 0.0, 0.0), COOLING_ATOM, (UNDERFLOW_T, 10.0))
+        assert res.at_boundary and res.is_thermal
 
     def test_bracket_validation(self):
         p = thermal_populations(FIG5_ATOM, 300.0)

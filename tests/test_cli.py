@@ -281,6 +281,14 @@ class TestExitCodes:
     def test_unreadable_config(self, tmp_path):
         assert run_command(["rates", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_output(self, tmp_path, capsys, target):
+        cfg = write(tmp_path, "omega = omega_r\nT_W = 470\nT_M = 170\nz = 1e-7\n"
+                              "delta = 110e-9\n")
+        out = str(tmp_path / target)
+        assert run_command(["rates", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+
     def test_numerical_failure_names_point(self, tmp_path, capsys):
         cfg = write(tmp_path, """
 omega = omega_r

@@ -194,6 +194,35 @@ class TestManyHeights:
         integrate_oscillatory(kernel, OMEGA, z[-1])
         assert sizes[0] == sizes[-1] > 15 * 100
 
+    def test_smallest_height_sets_the_evanescent_edges(self):
+        # call 0 is the one-node tail bound, call 1 the initial pass
+        sizes = []
+        z = np.geomspace(1e-8, 9e-8, 16)
+
+        def kernel(k, kappa):
+            sizes.append(len(k))
+            return vec(k * kappa * np.exp(-2.0 * kappa * z[0]))
+
+        integrate_evanescent(kernel, OMEGA, z)
+        many = sizes[1]
+        sizes.clear()
+        integrate_evanescent(kernel, OMEGA, z[0])
+        assert many == sizes[1]
+
+    def test_one_height_edges_are_its_ladders(self):
+        # the cut ladder and the scale ladder, unrefined at rel_tol 1
+        z = 1e-7
+        cut = quadrature._EVANESCENT_CUT / z
+        ladder = [cut / 4.0**j for j in range(16)]
+        ladder += [min(U, 0.5 / z) * 2.0**j for j in range(-3, 4)]
+
+        def kernel(k, kappa):
+            return vec(k * kappa * np.exp(-2.0 * kappa * z))
+
+        res = integrate_evanescent(kernel, OMEGA, z, QuadratureSpec(rel_tol=1.0))
+        assert res.splits == 0
+        assert np.array_equal(res.edges, np.unique([0.0, *ladder]))
+
     def test_smallest_height_sets_every_tail_bound(self):
         # F = 1 in kappa: the panels are exact, so each column's error is
         # its tail bound |F(kappa_max)| / (2 z_min) alone

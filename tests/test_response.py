@@ -233,6 +233,14 @@ class TestSlabPhasePanels:
         assert len(prop) <= 5631 / 6 and len(evan) <= 54436 / 6
         assert (len(prop), len(evan)) == (704, 6805)
 
+    @pytest.mark.parametrize("delta", [1.0, 1e3])
+    def test_thick_slab_exceeds_the_panel_budget(self, delta):
+        # 1.6e6 eighth-period indices at 1 m, 1.6e9 at 1 km: the full periods
+        # alone exceed the initial panel budget of B
+        model = DielectricModel(2.0, 2e14, 1e14, 0.0)
+        with pytest.raises(ValueError, match="initial panel budget exceeded"):
+            response_vectors(3e14, GeometryPoint(z=1e-6, delta=delta), model)
+
     def test_high_gain_fringes_keep_eighth_periods(self):
         # near the light line the low-loss slab's fringes are sharp
         omega = 3e14
