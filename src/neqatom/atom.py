@@ -49,6 +49,10 @@ class AtomModel:
     weights_32: tuple = ISOTROPIC_WEIGHTS
 
     def __post_init__(self):
+        for name in ("omega_31", "omega_32", "d31_mag", "d32_mag"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.omega_31 > self.omega_32 > 0.0):
             raise ValueError("need omega_31 > omega_32 > 0")
         object.__setattr__(self, "weights_31", check_weights(self.weights_31))
@@ -162,7 +166,12 @@ def transition_rates(atom: AtomModel, which: str, alphas: AlphaPair,
     (1 + n) / n detailed-balance factors at the effective occupation.
     """
     omega, d_mag, _ = atom.transition(which)
-    gamma0 = omega**3 * d_mag**2 / (3.0 * math.pi * epsilon_0 * hbar * c**3)
+    try:
+        gamma0 = omega**3 * d_mag**2 / (3.0 * math.pi * epsilon_0 * hbar * c**3)
+    except OverflowError:  # a float power out of range
+        gamma0 = math.inf
+    if gamma0 == math.inf:
+        raise ValueError(f"vacuum rate of transition {which} overflows")
     n_eff = effective_occupation(omega, T_W, T_M, alphas)
     base = gamma0 * (alphas.alpha_W + alphas.alpha_M)
     return TransitionEnvironment(

@@ -90,6 +90,12 @@ _MAX_INITIAL_PANELS = 1 << 17
 # Evanescent upper cut: damping factor below 1e-14 of its peak.
 _EVANESCENT_CUT = 0.5 * math.log(1e14)
 
+# Rungs of the evanescent cut ladder kappa_max / 4**j, and the reach of
+# the smallest height's ladder: its lowest rung lies at or below the scale
+# 1/(2 z) of every height z <= _EVANESCENT_REACH * z_min.
+_CUT_RUNGS = 16
+_EVANESCENT_REACH = 4.0 ** (_CUT_RUNGS - 1) / (2.0 * _EVANESCENT_CUT)
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -288,6 +294,11 @@ def _heights(z):
     return z
 
 
+def _phase_edge_count(omega, z):
+    """Height-phase edges the oscillatory engine places for the largest height z."""
+    return int(math.floor(8.0 * z * (omega / c) / math.pi))
+
+
 def integrate_propagative(integrand, omega, spec=DEFAULT_SPEC, *, breakpoints=()):
     """Integrate f(k, k_z) dk over the propagative sector [0, omega/c].
 
@@ -330,7 +341,7 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     U = omega / c
     interior = list(np.asarray(breakpoints, dtype=float))
     if z_max > 0.0:
-        m_max = int(math.floor(8.0 * z_max * U / math.pi))
+        m_max = _phase_edge_count(omega, z_max)
         if m_max > _MAX_INITIAL_PANELS:
             raise ValueError("oscillatory panel budget exceeded: z too large")
         kz_pts = np.arange(1, m_max + 1) * (math.pi / (8.0 * z_max))
@@ -385,7 +396,7 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
 
     # geometric ladders of the smallest height resolve the scale gap
     # between omega/c, 1/(2 z_min) and the cut before adaptivity takes over
-    interior = [kappa_max / 4.0**j for j in range(16)]
+    interior = [kappa_max / 4.0**j for j in range(_CUT_RUNGS)]
     scale = min(U, 0.5 / z_min)
     interior.extend(scale * 2.0**j for j in range(-3, 4))
     pts = np.asarray(breakpoints, dtype=float)

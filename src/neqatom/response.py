@@ -26,11 +26,17 @@ D the ladder of the smallest, so the seeds move where panels start, not
 what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
-it takes the slab pass, and integrates C and D for the heights within
-one decade (at most 16 of them) in one adaptive pass, so that one
-slab-amplitude evaluation per node serves them all. A group that fails
-is integrated again height by height, so each failure stays with its own
-height. ``response_vectors`` and ``alpha_pair`` are its one-height case.
+it takes the slab pass, then integrates C and D each in passes of
+several heights, so that one slab-amplitude evaluation per node serves
+them all. The two integrals group the ascending heights differently. C
+keeps a pass within one decade, because its height-phase edges grow with
+the largest height. D's initial edges are the smallest height's ladders
+and the height-free seeds, so a pass holds every height within that
+ladder's reach (about 3.3e7 times the smallest). Either way a pass of
+several heights keeps nodes x columns of every integrand call within
+_MAX_CELLS. A pass that fails is integrated again height by height, for
+that integral only, so each failure stays with its own height.
+``response_vectors`` and ``alpha_pair`` are its one-height case.
 """
 
 from __future__ import annotations
@@ -55,8 +61,10 @@ from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
     QuadratureToleranceError,
+    _EVANESCENT_REACH,
     _MAX_INITIAL_PANELS,
     _adaptive,
+    _phase_edge_count,
     integrate_evanescent,
     integrate_oscillatory,
     integrate_propagative,
@@ -282,22 +290,51 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     return _SlabPass(B=b_res, kappa_seeds=kappa)
 
 
-# heights integrated in one adaptive pass at most: heights within a decade
-# share their panels, and the cap bounds the (nodes x columns) working set
-_GROUP_SIZE = 16
+# nodes x columns of one integrand call at most, in a pass of several
+# heights: it bounds the working set of the integrands
+_MAX_CELLS = 1 << 21
 
 # failures recorded against the height (or scan point) they belong to
 _POINT_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _height_groups(z):
-    """Slices of the ascending heights ``z``, each spanning at most a decade.
+def _fit(n_panels, n_heights, spec):
+    """Whether ``n_heights`` fit one pass that starts from ``n_panels`` panels.
 
+    A call evaluates 15 nodes per initial panel, or 30 per split of a
+    round, of which a round makes at most max_subdivisions; every height
+    adds two columns (xx, zz). One height always fits.
+    """
+    nodes = max(15 * n_panels, 30 * spec.max_subdivisions)
+    return n_heights == 1 or nodes * 2 * n_heights <= _MAX_CELLS
+
+
+def _passes(n, fits):
+    """Consecutive slices covering ``range(n)``, greedy from the start.
+
+    A pass takes the next height while ``fits(start, stop)`` still holds
+    for it; one height is always a pass. Both rules below only get harder
+    to meet as a pass grows, so this makes the fewest passes.
+    """
+    passes, start = [], 0
+    for stop in range(2, n + 1):
+        if not fits(start, stop):
+            passes.append(slice(start, stop - 1))
+            start = stop - 1
+    passes.append(slice(start, n))
+    return passes
+
+
+def _c_passes(omega, z, slab, spec):
+    """Slices of the ascending heights ``z`` that share a C pass.
+
+    C keeps its heights within a decade: its height-phase edges grow with
+    the largest height, so a wider pass costs more columns on more nodes.
     The log-span of ``z`` is cut into the fewest equal parts of at most one
-    decade each, and each part into the fewest runs of at most _GROUP_SIZE
-    heights, of near-equal length. A grid from 1e-8 to 1e-6 makes two
-    groups: decades counted from floor(log10 z) would give its end point
-    a group of its own.
+    decade each (a grid from 1e-8 to 1e-6 makes two: decades counted from
+    floor(log10 z) would give its end point a part of its own), and a pass
+    stays in one part. It starts from B's final edges plus the phase edges
+    of its largest height, which bounds its panels.
     """
     span = math.log10(z[-1] / z[0])
     # a span a rounding error above a whole number of decades is that number
@@ -305,13 +342,30 @@ def _height_groups(z):
     part = np.zeros(len(z), dtype=int)
     if parts > 1:
         part = np.minimum((np.log10(z / z[0]) * (parts / span)).astype(int), parts - 1)
-    bounds = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(z)]
-    groups = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        runs = -(-(hi - lo) // _GROUP_SIZE)
-        cuts = [lo + j * (hi - lo) // runs for j in range(runs + 1)]
-        groups.extend(slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
-    return groups
+    n_edges = len(slab.B.edges)
+
+    def fits(start, stop):
+        n_panels = n_edges + _phase_edge_count(omega, z[stop - 1])
+        return part[start] == part[stop - 1] and _fit(n_panels, stop - start, spec)
+
+    return _passes(len(z), fits)
+
+
+def _d_passes(z, slab, spec):
+    """Slices of the ascending heights ``z`` that share a D pass.
+
+    The smallest height of a pass sets its ladder, so a pass holds every
+    height within that ladder's reach (_EVANESCENT_REACH), as many as the
+    cell cap allows. It starts from at most n_seeds + 24 panels: the
+    kappa seeds and the 23 rungs of the two ladders are its interior edges.
+    """
+    n_seeds = 0 if slab.kappa_seeds is None else len(slab.kappa_seeds)
+
+    def fits(start, stop):
+        return (z[stop - 1] <= _EVANESCENT_REACH * z[start]
+                and _fit(n_seeds + 24, stop - start, spec))
+
+    return _passes(len(z), fits)
 
 
 def response_vectors_many(omega: float, z_values, delta: float, model: DielectricModel,
@@ -321,12 +375,15 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     ``z_values`` are heights > 0 in strictly increasing order. Returns one
     entry per height: its :class:`ResponseVectors`, or the exception (an
     ArithmeticError, RuntimeError or ValueError) its integration raised.
-    B and the seed edges of C and D are computed once. Heights within a
-    decade of each other, at most _GROUP_SIZE of them, are integrated
-    together (see _height_groups): one integrand call serves all their
-    C (or D) columns, each held to its own tolerance. A group that fails is
-    integrated again one height at a time, so a failure lands on the
-    height that causes it; a failing slab pass lands on every height.
+    B and the seed edges of C and D are computed once. C and D each
+    integrate their heights in passes of several heights (see _c_passes
+    and _d_passes): one integrand call serves the C (or D) columns of all
+    of a pass's heights, each held to its own tolerance, and no call of a
+    pass of several heights exceeds _MAX_CELLS nodes x columns. A pass
+    that fails is integrated again one height at a time, for that
+    integral only, so a failure lands on the height that causes it; a
+    height whose C fails reports C's error, otherwise D's. A failing slab
+    pass lands on every height.
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -347,41 +404,49 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     except _POINT_ERRORS as exc:
         return [exc] * len(z)
 
-    def attempt(heights):
-        # ResponseVectors of each height, or the group's failure on each
+    def attempt(integrate, heights):
+        # (value, error) rows of each height, or the pass's failure on each
         try:
-            c_res, d_res = _c_and_d(omega, eps, heights, delta, slab, spec)
+            res = integrate(omega, eps, heights, delta, slab, spec)
         except _POINT_ERRORS as exc:
             return [exc] * len(heights)
         n = len(heights)
-        C = _with_yy(c_res.value.reshape(n, 2))
-        D = _with_yy(d_res.value.reshape(n, 2))
-        error = _with_yy(slab.B.error_estimate + c_res.error_estimate.reshape(n, 2)
-                         + d_res.error_estimate.reshape(n, 2))
-        B = _with_yy(slab.B.value)
-        return [ResponseVectors(B=B, C=C[i], D=D[i], error=error[i]) for i in range(n)]
+        return list(zip(res.value.reshape(n, 2), res.error_estimate.reshape(n, 2)))
 
+    def run(integrate, passes):
+        out = []
+        for p in passes:
+            got = attempt(integrate, z[p])
+            if len(got) > 1 and isinstance(got[0], Exception):
+                got = [row for i in range(p.start, p.stop) for row in attempt(integrate, z[i:i + 1])]
+            out.extend(got)
+        return out
+
+    B = _with_yy(slab.B.value)
     out = []
-    for group in _height_groups(z):
-        got = attempt(z[group])
-        if len(got) > 1 and isinstance(got[0], Exception):
-            got = [rv for i in range(group.start, group.stop) for rv in attempt(z[i:i + 1])]
-        out.extend(got)
+    for c_row, d_row in zip(run(_c_pass, _c_passes(omega, z, slab, spec)),
+                            run(_d_pass, _d_passes(z, slab, spec))):
+        if isinstance(c_row, Exception) or isinstance(d_row, Exception):
+            out.append(c_row if isinstance(c_row, Exception) else d_row)
+            continue
+        (C, c_err), (D, d_err) = c_row, d_row
+        out.append(ResponseVectors(B=B, C=_with_yy(C), D=_with_yy(D),
+                                   error=_with_yy(slab.B.error_estimate + c_err + d_err)))
     return out
 
 
-def _c_and_d(omega, eps, z, delta, slab, spec):
-    """C and D of the heights ``z`` (array), columns (xx, zz) height by height.
+def _c_pass(omega, eps, z, delta, slab, spec):
+    """C of the heights ``z`` (array), columns (xx, zz) height by height.
 
-    Both start from the seed edges of ``slab``, the :class:`_SlabPass` of
+    It starts from B's final edges in ``slab``, the :class:`_SlabPass` of
     (omega, delta).
     """
     pref = 0.75 * c / omega
     n = len(z)
 
-    # the integrands run once per split on 30 nodes, so they keep to few
-    # numpy calls; y is (node, height, orientation)
-    def c_integrand(k, kz):
+    # the integrands run once per split round, so they keep to few numpy
+    # calls; y is (node, height, orientation)
+    def integrand(k, kz):
         (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
         phase = np.exp(np.multiply.outer(2j * kz, z))
         y = (rho_te[:, None] * phase).real[:, :, None] * _TE_WEIGHTS
@@ -389,22 +454,29 @@ def _c_and_d(omega, eps, z, delta, slab, spec):
         y *= (pref * (k / kz))[:, None, None]
         return y.reshape(len(k), 2 * n)
 
-    c_res = integrate_oscillatory(c_integrand, omega, z, spec, _seeds=slab.B.edges)
+    return integrate_oscillatory(integrand, omega, z, spec, _seeds=slab.B.edges)
 
-    def d_integrand(k, kappa):
+
+def _d_pass(omega, eps, z, delta, slab, spec):
+    """D of the heights ``z`` (array), columns (xx, zz) height by height.
+
+    It starts from the kappa seeds of ``slab``. For a real permittivity
+    rho is real off the guided-mode poles, so Im rho = 0 and D is zero;
+    the poles' delta-function terms are left out.
+    """
+    n = len(z)
+    if slab.kappa_seeds is None:
+        zero = np.zeros(2 * n)
+        return QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
+    pref = 0.75 * c / omega
+
+    def integrand(k, kappa):
         w = _d_weights(omega, eps, delta, k, kappa)
         damp = np.exp(np.multiply.outer(-2.0 * kappa, z))
         y = (pref * ((k / kappa)[:, None] * damp))[:, :, None] * w[:, None, :]
         return y.reshape(len(k), 2 * n)
 
-    if slab.kappa_seeds is None:
-        # real eps: rho is real off the guided-mode poles, so Im rho = 0;
-        # the poles' delta-function terms are left out
-        zero = np.zeros(2 * n)
-        d_res = QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
-    else:
-        d_res = integrate_evanescent(d_integrand, omega, z, spec, _seeds=slab.kappa_seeds)
-    return c_res, d_res
+    return integrate_evanescent(integrand, omega, z, spec, _seeds=slab.kappa_seeds)
 
 
 def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,

@@ -256,6 +256,22 @@ class TestAtomModel:
         with pytest.raises(ValueError):
             AtomModel(omega_31=2e14, omega_32=1e14, weights_31=(math.nan, 0.0, 1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        (f, v) for f in ("omega_31", "omega_32", "d31_mag", "d32_mag")
+        for v in (math.nan, math.inf, -math.inf)])
+    def test_non_finite_field_named(self, field, value):
+        args = dict(omega_31=2e14, omega_32=1e14)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            AtomModel(**args)
+
+    # omega^3 |d|^2 overflows to inf, or a power of it out of float range
+    @pytest.mark.parametrize("d_mag", [1e150, 1e160])
+    def test_overflowing_vacuum_rate_rejected(self, d_mag):
+        atom = AtomModel(omega_31=2e14, omega_32=1e14, d31_mag=d_mag)
+        with pytest.raises(ValueError, match="vacuum rate of transition 31 overflows"):
+            transition_rates(atom, "31", AlphaPair(0.5, 0.5), 300.0, 300.0)
+
     def test_populations_validated(self):
         with pytest.raises(ValueError):
             Populations(0.5, 0.6, -0.1)

@@ -1,10 +1,11 @@
 """Heights integrated together on shared nodes agree with one height at a time.
 
-``response_vectors_many`` integrates heights within a decade of each
-other in one adaptive pass. Each column keeps its own tolerance but the panels are
-split in another order, so a height's B, C and D may move within the
-quadrature tolerance, never beyond it; a height that fails keeps its
-failure to itself.
+``response_vectors_many`` integrates C for the heights within a decade of
+each other, and D for those within its ladder's reach, in passes of
+several heights, each bounded by nodes x columns. Each column keeps its
+own tolerance but the panels are split in another order, so a height's
+B, C and D may move within the quadrature tolerance, never beyond it; a
+height that fails keeps its failure to itself.
 """
 
 import numpy as np
@@ -13,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from neqatom import response
 from neqatom.optics import DielectricModel, load_material
-from neqatom.quadrature import DEFAULT_SPEC, QuadratureResult, QuadratureToleranceError
+from neqatom.quadrature import (
+    _EVANESCENT_REACH,
+    DEFAULT_SPEC,
+    QuadratureResult,
+    QuadratureToleranceError,
+)
 from neqatom.response import (
     GeometryPoint,
     ResponseVectors,
@@ -50,8 +56,6 @@ def test_many_heights_match_single_heights(case, delta, lo, span, n, seed):
     model, omega = case
     t = np.random.default_rng(seed).random(n)
     z = np.unique(10.0 ** (lo + span * t))
-    for g in response._height_groups(z):
-        assert g.stop - g.start <= 16 and z[g.stop - 1] <= 10.0 * (1.0 + 1e-8) * z[g.start]
     many = response_vectors_many(omega, z, delta, model)
     assert len(many) == len(z)
     tol = 10.0 * DEFAULT_SPEC.rel_tol
@@ -79,24 +83,47 @@ class TestFailureIsolation:
         for h, got in zip(zs[:2], many[:2]):
             assert _equal(got, response_vectors(5e14, GeometryPoint(z=h, delta=5e-3), LOSSLESS))
 
-    def test_one_failing_height_keeps_its_error(self, monkeypatch):
-        bad = 3e-7
-        integrate = response.integrate_oscillatory
+    @staticmethod
+    def _failing_at(monkeypatch, engine, bad, text):
+        integrate = getattr(response, engine)
 
         def failing_at_bad(integrand, omega, z, *args, **kwargs):
             if bad in np.atleast_1d(z):
                 best = QuadratureResult(np.zeros(3), np.ones(3), 15)
-                raise QuadratureToleranceError("forced failure", best=best)
+                raise QuadratureToleranceError(text, best=best)
             return integrate(integrand, omega, z, *args, **kwargs)
 
+        monkeypatch.setattr(response, engine, failing_at_bad)
+
+    # the failing integral is integrated again height by height, so its
+    # values at the neighbours are their one-height values; the other one
+    # keeps the passes of the grid without the failure
+    def _check_isolation(self, monkeypatch, engine, alone, shared):
+        bad = 3e-7
         zs = [1.5e-7, 2e-7, bad, 5e-7]
-        monkeypatch.setattr(response, "integrate_oscillatory", failing_at_bad)
+        clean = response_vectors_many(OMEGA_R, zs, 110e-9, SIC)
+        self._failing_at(monkeypatch, engine, bad, "forced failure")
         isolated = response_vectors_many(OMEGA_R, zs, 110e-9, SIC)
         assert str(isolated[2]) == "forced failure"
-        singles = [response_vectors(OMEGA_R, GeometryPoint(z=h, delta=110e-9), SIC)
-                   for h in (zs[0], zs[1], zs[3])]
-        for got, want in zip((isolated[0], isolated[1], isolated[3]), singles):
-            assert _equal(got, want)
+        for i in (0, 1, 3):
+            single = response_vectors(OMEGA_R, GeometryPoint(z=zs[i], delta=110e-9), SIC)
+            assert np.array_equal(isolated[i].B, clean[i].B)
+            assert np.array_equal(getattr(isolated[i], alone), getattr(single, alone))
+            assert np.array_equal(getattr(isolated[i], shared), getattr(clean[i], shared))
+
+    def test_one_failing_height_keeps_its_error(self, monkeypatch):
+        self._check_isolation(monkeypatch, "integrate_oscillatory", "C", "D")
+
+    def test_one_failing_d_height_keeps_its_error(self, monkeypatch):
+        self._check_isolation(monkeypatch, "integrate_evanescent", "D", "C")
+
+    def test_height_failing_both_reports_c(self, monkeypatch):
+        bad = 3e-7
+        self._failing_at(monkeypatch, "integrate_oscillatory", bad, "C failure")
+        self._failing_at(monkeypatch, "integrate_evanescent", bad, "D failure")
+        many = response_vectors_many(OMEGA_R, [2e-7, bad, 5e-7], 110e-9, SIC)
+        assert str(many[1]) == "C failure"
+        assert isinstance(many[0], ResponseVectors) and isinstance(many[2], ResponseVectors)
 
     def test_failing_b_lands_on_every_height(self, monkeypatch):
         def failing_b(*args, **kwargs):
@@ -112,28 +139,76 @@ class TestFailureIsolation:
         assert [str(e) for e in many] == ["forced B failure"] * 3
 
 
+def _heights_per_pass(n_panels, spec=DEFAULT_SPEC):
+    """Heights one pass holds at most under the cell cap, from its initial panels."""
+    nodes = max(15 * n_panels, 30 * spec.max_subdivisions)
+    return max(1, 2**21 // (2 * nodes))
+
+
 class TestGrouping:
+    RESONANT_GRID = np.geomspace(1e-8, 1e-4, 50)
+
     @pytest.mark.parametrize("z,sizes", [
         ([1e-8, 4e-8, 2e-7, 1e-6], [2, 2]),          # ends on a power of ten
-        (np.geomspace(1e-8, 1e-4, 50), [13, 12, 12, 13]),
-        (np.geomspace(1e-9, 1e-8, 20), [10, 10]),    # one decade, 16 at most
+        (RESONANT_GRID, [13, 12, 12, 13]),
+        (np.geomspace(1e-9, 1e-8, 20), [17, 3]),     # one decade, capped
         ([5e-7], [1]),
     ], ids=["power-of-ten-end", "resonant-grid", "capped", "one"])
     def test_groups(self, z, sizes):
-        groups = response._height_groups(np.asarray(z))
-        assert [g.stop - g.start for g in groups] == sizes
+        # C passes keep to a decade, and the cell cap splits a full one
+        z = np.asarray(z)
+        slab = response._b_vector(OMEGA_R, 110e-9, SIC, DEFAULT_SPEC)
+        passes = response._c_passes(OMEGA_R, z, slab, DEFAULT_SPEC)
+        assert [p.stop - p.start for p in passes] == sizes
 
-    def test_one_engine_call_per_decade(self, monkeypatch):
-        seen = []
-        integrate = response.integrate_evanescent
+    @pytest.mark.parametrize("z,sizes", [
+        ([1e-8, 4e-8, 2e-7, 1e-6], [4]),
+        (RESONANT_GRID, [17, 17, 16]),
+        ([1e-9, 0.99 * _EVANESCENT_REACH * 1e-9, 1.01 * _EVANESCENT_REACH * 1e-9], [2, 1]),
+        ([5e-7], [1]),
+    ], ids=["two-decades", "resonant-grid", "reach", "one"])
+    def test_d_passes_keep_to_the_ladder_reach(self, z, sizes):
+        slab = response._b_vector(OMEGA_R, 110e-9, SIC, DEFAULT_SPEC)
+        passes = response._d_passes(np.asarray(z), slab, DEFAULT_SPEC)
+        assert [p.stop - p.start for p in passes] == sizes
 
-        def recording(integrand, omega, z, *args, **kwargs):
-            seen.append(np.size(z))
-            return integrate(integrand, omega, z, *args, **kwargs)
+    # the low-loss 1 cm slab starts C and D from about 9k and 11k panels;
+    # SiC at its resonance from a few dozen, so the subdivision budget
+    # bounds the nodes of a call
+    @pytest.mark.parametrize("model,omega,delta,z", [
+        (LOW_LOSS, 3e14, 1e-2, np.geomspace(1e-7, 1e-6, 16)),
+        (SIC, OMEGA_R, 110e-9, RESONANT_GRID),
+    ], ids=["low-loss-16", "resonant-50"])
+    def test_calls_capped_and_d_passes_fewest(self, monkeypatch, model, omega, delta, z):
+        cells = {"integrate_oscillatory": [], "integrate_evanescent": []}
+        d_panels = []
+        for name, seen in cells.items():
+            engine = getattr(response, name)
 
-        monkeypatch.setattr(response, "integrate_evanescent", recording)
-        response_vectors_many(OMEGA_R, np.geomspace(1.1e-8, 9e-6, 40), 110e-9, SIC)
-        assert sum(seen) == 40 and len(seen) == 3
+            def wrapped(integrand, *args, _engine=engine, _seen=seen, _name=name, **kwargs):
+                def counting(k, aux):
+                    y = integrand(k, aux)
+                    _seen.append(y.size)
+                    return y
+
+                res = _engine(counting, *args, **kwargs)
+                if _name == "integrate_evanescent":
+                    d_panels.append((np.size(args[1]), res.initial_panels))
+                return res
+
+            monkeypatch.setattr(response, name, wrapped)
+        many = response_vectors_many(omega, z, delta, model)
+        assert all(isinstance(rv, ResponseVectors) for rv in many)
+        assert max(cells["integrate_oscillatory"]) <= 2**21
+        assert max(cells["integrate_evanescent"]) <= 2**21
+        # a D pass starts from at most the kappa seeds and the 23 rungs of
+        # its two ladders; every height lies within the smallest one's
+        # reach, so only the cap splits D, and each pass but the last is full
+        n_panels = len(response._b_vector(omega, delta, model, DEFAULT_SPEC).kappa_seeds) + 24
+        assert max(panels for _, panels in d_panels) <= n_panels
+        assert z[-1] <= _EVANESCENT_REACH * z[0]
+        assert sum(n for n, _ in d_panels) == len(z)
+        assert len(d_panels) == -(-len(z) // _heights_per_pass(n_panels))
 
     @pytest.mark.parametrize("z", [[], [1e-7, 1e-7], [2e-7, 1e-7], [0.0, 1e-7], [np.nan],
                                    [1e-7, np.inf]])
