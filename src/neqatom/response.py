@@ -313,8 +313,9 @@ def _passes(n, fits):
     """Consecutive slices covering ``range(n)``, greedy from the start.
 
     A pass takes the next height while ``fits(start, stop)`` still holds
-    for it; one height is always a pass. Both rules below only get harder
-    to meet as a pass grows, so this makes the fewest passes.
+    for it; one height is always a pass. Under both rules below every
+    run of heights inside a pass that fits also fits, so this makes the
+    fewest passes.
     """
     passes, start = [], 0
     for stop in range(2, n + 1):
@@ -382,8 +383,9 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     pass of several heights exceeds _MAX_CELLS nodes x columns. A pass
     that fails is integrated again one height at a time, for that
     integral only, so a failure lands on the height that causes it; a
-    height whose C fails reports C's error, otherwise D's. A failing slab
-    pass lands on every height.
+    height whose C fails reports C's error, otherwise D's, and D is not
+    integrated where no height's C converged. A failing slab pass lands on
+    every height.
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -413,19 +415,27 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
         n = len(heights)
         return list(zip(res.value.reshape(n, 2), res.error_estimate.reshape(n, 2)))
 
-    def run(integrate, passes):
-        out = []
+    def run(integrate, passes, wanted):
+        # rows of the heights ``wanted`` in a pass, None for the others
+        out = [None] * len(z)
         for p in passes:
+            if not wanted[p].any():
+                continue
             got = attempt(integrate, z[p])
             if len(got) > 1 and isinstance(got[0], Exception):
-                got = [row for i in range(p.start, p.stop) for row in attempt(integrate, z[i:i + 1])]
-            out.extend(got)
+                got = [row for i in range(p.start, p.stop)
+                       for row in (attempt(integrate, z[i:i + 1]) if wanted[i] else [None])]
+            out[p] = got
         return out
 
+    c_rows = run(_c_pass, _c_passes(omega, z, slab, spec), np.ones(len(z), dtype=bool))
+    # a height whose C failed reports C's error: D skips a pass (or, on a
+    # retry, a height) that no converged C would report
+    c_ok = np.array([not isinstance(row, Exception) for row in c_rows])
+    d_rows = run(_d_pass, _d_passes(z, slab, spec), c_ok)
     B = _with_yy(slab.B.value)
     out = []
-    for c_row, d_row in zip(run(_c_pass, _c_passes(omega, z, slab, spec)),
-                            run(_d_pass, _d_passes(z, slab, spec))):
+    for c_row, d_row in zip(c_rows, d_rows):
         if isinstance(c_row, Exception) or isinstance(d_row, Exception):
             out.append(c_row if isinstance(c_row, Exception) else d_row)
             continue

@@ -125,6 +125,22 @@ class TestFailureIsolation:
         assert str(many[1]) == "C failure"
         assert isinstance(many[0], ResponseVectors) and isinstance(many[2], ResponseVectors)
 
+    def test_d_skipped_where_no_c_converged(self, monkeypatch):
+        bad = 3e-7
+        seen = []
+        integrate = response.integrate_evanescent
+
+        def recording(integrand, omega, z, *args, **kwargs):
+            seen.append(np.size(z))
+            return integrate(integrand, omega, z, *args, **kwargs)
+
+        monkeypatch.setattr(response, "integrate_evanescent", recording)
+        self._failing_at(monkeypatch, "integrate_oscillatory", bad, "C failure")
+        (alone,) = response_vectors_many(OMEGA_R, [bad], 110e-9, SIC)
+        assert str(alone) == "C failure" and seen == []
+        response_vectors_many(OMEGA_R, [2e-7, bad, 5e-7], 110e-9, SIC)
+        assert seen == [3]
+
     def test_failing_b_lands_on_every_height(self, monkeypatch):
         def failing_b(*args, **kwargs):
             raise QuadratureToleranceError("forced B failure",
