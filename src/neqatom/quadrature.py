@@ -371,11 +371,13 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     shared nodes, the integrand returning every height's columns side by
     side. The smallest height sets the cut, the tail bound and the
     initial ladder of every column, which is conservative for the larger
-    ones: the cut ladder reaches nine decades below the cut, past every
-    larger height's scale 1/(2z), and adaptivity refines where a column
-    needs it. ``breakpoints`` are optional
-    interior k values used as initial panel boundaries, ``_seeds`` more of
-    them given in kappa.
+    ones as long as they lie within the ladder's reach: its lowest rung,
+    nine decades below the cut, lies at or below the scale 1/(2z) of every
+    height z <= _EVANESCENT_REACH * z_min (about 3.3e7 z_min), and
+    adaptivity refines where a column needs it. A pass of D in
+    ``response`` relies on that reach: it holds no height beyond it.
+    ``breakpoints`` are optional interior k values used as initial panel
+    boundaries, ``_seeds`` more of them given in kappa.
     """
     heights = _heights(z)
     if not heights[0] > 0.0:
