@@ -57,10 +57,16 @@ class AtomModel:
             raise ValueError("need omega_31 > omega_32 > 0")
         object.__setattr__(self, "weights_31", check_weights(self.weights_31))
         object.__setattr__(self, "weights_32", check_weights(self.weights_32))
-        if self.d31_mag is None:
-            object.__setattr__(self, "d31_mag", unit_rate_dipole(self.omega_31))
-        if self.d32_mag is None:
-            object.__setattr__(self, "d32_mag", unit_rate_dipole(self.omega_32))
+        for which in ("31", "32"):
+            if getattr(self, f"d{which}_mag") is None:
+                omega = getattr(self, f"omega_{which}")
+                try:  # omega**3 out of float range raises, or d underflows to 0
+                    d_mag = unit_rate_dipole(omega)
+                except (OverflowError, ZeroDivisionError):
+                    d_mag = 0.0
+                if not d_mag > 0.0:
+                    raise ValueError(f"omega_{which} = {omega!r} has no default d{which}_mag")
+                object.__setattr__(self, f"d{which}_mag", d_mag)
         if not (self.d31_mag > 0.0 and self.d32_mag > 0.0):
             raise ValueError("dipole magnitudes must be > 0")
 

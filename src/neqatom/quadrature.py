@@ -25,12 +25,16 @@ half and appends the right half, so ``initial + max_subdivisions`` rows
 always suffice. A heap holds one entry per panel, keyed on its largest
 error component. Each round pops the worst panels until the error left
 in the others would meet the tolerance in every column, or until the
-subdivision budget is spent, and bisects them all in one integrand call
-(the multi-region rule of S. G. Johnson's ``hcubature``), so an integral
+subdivision budget is spent, and bisects them all at once (the
+multi-region rule of S. G. Johnson's ``hcubature``), so an integral
 that needs many splits makes few calls. Left halves keep their rows and
-right halves are appended in pop order. Every call after the initial
-pass holds whole splits of 30 nodes; a failing integral spends the whole
-budget unless every panel reaches floating-point width first.
+right halves are appended in pop order. A failing integral spends the
+whole budget unless every panel reaches floating-point width first.
+
+No integrand call holds more than ``_MAX_CELLS`` nodes x columns: the
+initial panels and a round's halves go to the integrand in as many calls
+as that takes, written straight into the panel rows, so the working set
+is bounded whatever the number of panels or heights.
 
 The oscillatory and evanescent engines also take an ascending array of
 heights, integrated together on shared nodes: the integrand returns the
@@ -38,7 +42,9 @@ columns of every height side by side, ``(N, m * n_z)``, and each column
 keeps its own tolerance. The largest height sets the height-phase edges;
 the smallest sets the evanescent cut, the tail bound and the initial
 ladder of every column. With one height both engines reproduce the
-single-height edges and arithmetic bit for bit.
+single-height edges and arithmetic bit for bit. The initial pass is
+sized for at most three columns per height, one per dipole orientation;
+later calls for the integrand's actual width.
 
 A result carries its final panel edges, sorted, in the engine's own
 variable, also on failure (``QuadratureToleranceError.best``). The
@@ -50,8 +56,9 @@ together.
 Everything is deterministic: fixed node sets and a fixed choice of splits.
 The returned value and error are sequential sums over the panel rows in
 ascending panel order (the error seeded with the constant error floor),
-so they are reproducible bit for bit and do not depend on the order in
-which panels were split.
+carried across row blocks of at most ``_MAX_CELLS`` cells, so they are
+reproducible bit for bit and do not depend on the order in which panels
+were split.
 """
 
 from __future__ import annotations
@@ -86,6 +93,10 @@ _G7_W = np.zeros(15)
 _G7_W[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))       # Gauss points interleaved
 
 _MAX_INITIAL_PANELS = 1 << 17
+
+# nodes x columns of one integrand call at most: it bounds the working set
+# of an integrand, whatever the number of panels or heights
+_MAX_CELLS = 1 << 20
 
 # Evanescent upper cut: damping factor below 1e-14 of its peak.
 _EVANESCENT_CUT = 0.5 * math.log(1e14)
@@ -183,47 +194,62 @@ def _eval_panels(F, a, b):
     return k15, err
 
 
-def _adaptive(F, edges, spec, extra_error=None):
+def _adaptive(F, edges, spec, extra_error=None, _heights=1):
     """Adaptive panel integration of F over [edges[0], edges[-1]].
 
     ``edges`` supplies the initial panel boundaries (>= 2, ascending).
     ``extra_error`` is a constant error floor (e.g. a truncation tail)
     that subdivision cannot reduce but that counts towards the tolerance.
+    ``_heights`` is the number of heights whose columns F returns side by
+    side; it sizes the calls of the initial pass.
     """
     edges = np.asarray(edges, dtype=float)
     n = len(edges) - 1
     if n > _MAX_INITIAL_PANELS:
         raise ValueError("initial panel budget exceeded")
-    vals0, errs0 = _eval_panels(F, edges[:-1], edges[1:])
-    evaluations = 15 * n
-    m = vals0.shape[1]
-    if extra_error is None:
-        extra_error = np.zeros(m)
-
     rows = n + spec.max_subdivisions      # a split adds exactly one row
     a = np.empty(rows)
     b = np.empty(rows)
-    vals = np.empty((rows, m))
-    errs = np.empty((rows, m))
     a[:n] = edges[:-1]
     b[:n] = edges[1:]
-    vals[:n] = vals0
-    errs[:n] = errs0
+    vals = errs = None
+
+    def evaluate(lo, hi, dest):
+        # panels (lo, hi) into rows ``dest``, in calls of at most _MAX_CELLS
+        # node-columns: three columns per height until F's width is known
+        nonlocal vals, errs
+        step = max(1, _MAX_CELLS // (15 * (3 * _heights if vals is None else vals.shape[1])))
+        for s in range(0, len(lo), step):
+            v, e = _eval_panels(F, lo[s:s + step], hi[s:s + step])
+            if vals is None:
+                vals, errs = np.empty((rows, v.shape[1])), np.empty((rows, v.shape[1]))
+            vals[dest[s:s + step]], errs[dest[s:s + step]] = v, e
+
+    evaluate(edges[:-1], edges[1:], np.arange(n))
+    evaluations = 15 * n
+    m = vals.shape[1]
+    if extra_error is None:
+        extra_error = np.zeros(m)
     # one entry per panel, keyed on its largest error component: a panel's
     # row changes only after its entry is popped, so no entry goes stale
-    heap = list(zip((-errs0.max(axis=1)).tolist(), range(n)))
+    heap = list(zip((-errs[:n].max(axis=1)).tolist(), range(n)))
     heapq.heapify(heap)
     count = n
 
-    total_val = vals0.sum(axis=0)
-    total_err = errs0.sum(axis=0) + extra_error
+    total_val = vals[:n].sum(axis=0)
+    total_err = errs[:n].sum(axis=0) + extra_error
     splits = rounds = 0
 
     def _final(ok):
-        # one sequential accumulation each, in ascending panel order
+        # one sequential accumulation each, in ascending panel order, carried
+        # across row blocks of at most _MAX_CELLS cells
         order = np.argsort(a[:count], kind="stable")
-        value = np.cumsum(np.vstack((np.zeros(m), vals[order])), axis=0)[-1]
-        error = np.cumsum(np.vstack((extra_error, errs[order])), axis=0)[-1]
+        value, error = np.zeros(m), extra_error
+        step = max(1, _MAX_CELLS // m)
+        for start in range(0, count, step):
+            block = order[start:start + step]
+            value = np.cumsum(np.vstack((value, vals[block])), axis=0)[-1].copy()
+            error = np.cumsum(np.vstack((error, errs[block])), axis=0)[-1].copy()
         result = QuadratureResult(value=value, error_estimate=error, evaluations=evaluations,
                                   splits=splits, rounds=rounds, initial_panels=n,
                                   converged=ok, edges=np.append(a[order], b[order[-1]]))
@@ -239,7 +265,7 @@ def _adaptive(F, edges, spec, extra_error=None):
         if splits >= spec.max_subdivisions:
             return _final(ok=False)
         # pop the worst panels until the error left outside them meets the
-        # tolerance, within the budget, and bisect them all in one call
+        # tolerance, within the budget, and bisect them all in one round
         left_err = total_err
         picked = []
         while heap and len(picked) < spec.max_subdivisions - splits:
@@ -258,16 +284,19 @@ def _adaptive(F, edges, spec, extra_error=None):
         k = len(picked)
         lo, hi = a[rows_in], b[rows_in]
         mid = 0.5 * (lo + hi)
-        pv, pe = _eval_panels(F, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        # left halves keep their rows, right halves are appended
+        dest = np.concatenate((rows_in, np.arange(count, count + k)))
+        old_val, old_err = vals[rows_in].sum(axis=0), errs[rows_in].sum(axis=0)
+        evaluate(np.concatenate((lo, mid)), np.concatenate((mid, hi)), dest)
         evaluations += 30 * k
         splits += k
         rounds += 1
-        total_val = total_val - vals[rows_in].sum(axis=0) + pv.sum(axis=0)
-        total_err = total_err - errs[rows_in].sum(axis=0) + pe.sum(axis=0)
-        rows_out = slice(count, count + k)
-        b[rows_in], vals[rows_in], errs[rows_in] = mid, pv[:k], pe[:k]
-        a[rows_out], b[rows_out], vals[rows_out], errs[rows_out] = mid, hi, pv[k:], pe[k:]
-        for row, e in zip([*picked, *range(count, count + k)], pe.max(axis=1).tolist()):
+        new_err = errs[dest]
+        total_val = total_val - old_val + vals[dest].sum(axis=0)
+        total_err = total_err - old_err + new_err.sum(axis=0)
+        b[rows_in] = mid
+        a[count:count + k], b[count:count + k] = mid, hi
+        for row, e in zip(dest.tolist(), new_err.max(axis=1).tolist()):
             heapq.heappush(heap, (-e, row))
         count += k
 
@@ -292,11 +321,6 @@ def _heights(z):
     if z.ndim != 1 or z.size == 0 or np.any(np.diff(z) < 0.0):
         raise ValueError("heights must be a scalar or a nonempty ascending array")
     return z
-
-
-def _phase_edge_count(omega, z):
-    """Height-phase edges the oscillatory engine places for the largest height z."""
-    return int(math.floor(8.0 * z * (omega / c) / math.pi))
 
 
 def integrate_propagative(integrand, omega, spec=DEFAULT_SPEC, *, breakpoints=()):
@@ -341,7 +365,7 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     U = omega / c
     interior = list(np.asarray(breakpoints, dtype=float))
     if z_max > 0.0:
-        m_max = _phase_edge_count(omega, z_max)
+        m_max = int(math.floor(8.0 * z_max * (omega / c) / math.pi))
         if m_max > _MAX_INITIAL_PANELS:
             raise ValueError("oscillatory panel budget exceeded: z too large")
         kz_pts = np.arange(1, m_max + 1) * (math.pi / (8.0 * z_max))
@@ -356,7 +380,7 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
         return y * (U * np.cos(theta))[:, None]
 
     theta = np.concatenate((_theta_from_k(interior, omega), np.asarray(_seeds, dtype=float)))
-    return _adaptive(F, _merge_edges(0.0, 0.5 * math.pi, theta), spec)
+    return _adaptive(F, _merge_edges(0.0, 0.5 * math.pi, theta), spec, _heights=len(heights))
 
 
 def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=(), _seeds=()):
@@ -410,6 +434,6 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     if not np.isfinite(tail).all():
         raise NonFiniteIntegrandError(kappa_max)
     edges = _merge_edges(0.0, kappa_max, interior)
-    result = _adaptive(F, edges, spec, extra_error=np.abs(tail))
+    result = _adaptive(F, edges, spec, extra_error=np.abs(tail), _heights=len(heights))
     result.evaluations += 1
     return result

@@ -32,9 +32,9 @@ them all. The two integrals group the ascending heights differently. C
 keeps a pass within one decade, because its height-phase edges grow with
 the largest height. D's initial edges are the smallest height's ladders
 and the height-free seeds, so a pass holds every height within that
-ladder's reach (about 3.3e7 times the smallest). Either way a pass of
-several heights keeps nodes x columns of every integrand call within
-_MAX_CELLS. A pass that fails is integrated again height by height, for
+ladder's reach (about 3.3e7 times the smallest). The engine bounds
+nodes x columns of every integrand call, so a pass may hold any number
+of heights. A pass that fails is integrated again height by height, for
 that integral only, so each failure stays with its own height.
 ``response_vectors`` and ``alpha_pair`` are its one-height case.
 """
@@ -64,7 +64,6 @@ from .quadrature import (
     _EVANESCENT_REACH,
     _MAX_INITIAL_PANELS,
     _adaptive,
-    _phase_edge_count,
     integrate_evanescent,
     integrate_oscillatory,
     integrate_propagative,
@@ -290,23 +289,8 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     return _SlabPass(B=b_res, kappa_seeds=kappa)
 
 
-# nodes x columns of one integrand call at most, in a pass of several
-# heights: it bounds the working set of the integrands
-_MAX_CELLS = 1 << 21
-
 # failures recorded against the height (or scan point) they belong to
 _POINT_ERRORS = (ArithmeticError, RuntimeError, ValueError)
-
-
-def _fit(n_panels, n_heights, spec):
-    """Whether ``n_heights`` fit one pass that starts from ``n_panels`` panels.
-
-    A call evaluates 15 nodes per initial panel, or 30 per split of a
-    round, of which a round makes at most max_subdivisions; every height
-    adds two columns (xx, zz). One height always fits.
-    """
-    nodes = max(15 * n_panels, 30 * spec.max_subdivisions)
-    return n_heights == 1 or nodes * 2 * n_heights <= _MAX_CELLS
 
 
 def _passes(n, fits):
@@ -326,7 +310,7 @@ def _passes(n, fits):
     return passes
 
 
-def _c_passes(omega, z, slab, spec):
+def _c_passes(z):
     """Slices of the ascending heights ``z`` that share a C pass.
 
     C keeps its heights within a decade: its height-phase edges grow with
@@ -334,8 +318,7 @@ def _c_passes(omega, z, slab, spec):
     The log-span of ``z`` is cut into the fewest equal parts of at most one
     decade each (a grid from 1e-8 to 1e-6 makes two: decades counted from
     floor(log10 z) would give its end point a part of its own), and a pass
-    stays in one part. It starts from B's final edges plus the phase edges
-    of its largest height, which bounds its panels.
+    is one part.
     """
     span = math.log10(z[-1] / z[0])
     # a span a rounding error above a whole number of decades is that number
@@ -343,30 +326,16 @@ def _c_passes(omega, z, slab, spec):
     part = np.zeros(len(z), dtype=int)
     if parts > 1:
         part = np.minimum((np.log10(z / z[0]) * (parts / span)).astype(int), parts - 1)
-    n_edges = len(slab.B.edges)
-
-    def fits(start, stop):
-        n_panels = n_edges + _phase_edge_count(omega, z[stop - 1])
-        return part[start] == part[stop - 1] and _fit(n_panels, stop - start, spec)
-
-    return _passes(len(z), fits)
+    return _passes(len(z), lambda start, stop: part[start] == part[stop - 1])
 
 
-def _d_passes(z, slab, spec):
+def _d_passes(z):
     """Slices of the ascending heights ``z`` that share a D pass.
 
     The smallest height of a pass sets its ladder, so a pass holds every
-    height within that ladder's reach (_EVANESCENT_REACH), as many as the
-    cell cap allows. It starts from at most n_seeds + 24 panels: the
-    kappa seeds and the 23 rungs of the two ladders are its interior edges.
+    height within that ladder's reach (_EVANESCENT_REACH).
     """
-    n_seeds = 0 if slab.kappa_seeds is None else len(slab.kappa_seeds)
-
-    def fits(start, stop):
-        return (z[stop - 1] <= _EVANESCENT_REACH * z[start]
-                and _fit(n_seeds + 24, stop - start, spec))
-
-    return _passes(len(z), fits)
+    return _passes(len(z), lambda start, stop: z[stop - 1] <= _EVANESCENT_REACH * z[start])
 
 
 def response_vectors_many(omega: float, z_values, delta: float, model: DielectricModel,
@@ -379,13 +348,12 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     B and the seed edges of C and D are computed once. C and D each
     integrate their heights in passes of several heights (see _c_passes
     and _d_passes): one integrand call serves the C (or D) columns of all
-    of a pass's heights, each held to its own tolerance, and no call of a
-    pass of several heights exceeds _MAX_CELLS nodes x columns. A pass
-    that fails is integrated again one height at a time, for that
-    integral only, so a failure lands on the height that causes it; a
-    height whose C fails reports C's error, otherwise D's, and D is not
-    integrated where no height's C converged. A failing slab pass lands on
-    every height.
+    of a pass's heights, each held to its own tolerance, and the engine
+    keeps every call within its cap on nodes x columns. A pass that fails
+    is integrated again one height at a time, for that integral only, so
+    a failure lands on the height that causes it; a height whose C fails
+    reports C's error, otherwise D's, and D is not integrated where no
+    height's C converged. A failing slab pass lands on every height.
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -428,11 +396,11 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
             out[p] = got
         return out
 
-    c_rows = run(_c_pass, _c_passes(omega, z, slab, spec), np.ones(len(z), dtype=bool))
+    c_rows = run(_c_pass, _c_passes(z), np.ones(len(z), dtype=bool))
     # a height whose C failed reports C's error: D skips a pass (or, on a
     # retry, a height) that no converged C would report
     c_ok = np.array([not isinstance(row, Exception) for row in c_rows])
-    d_rows = run(_d_pass, _d_passes(z, slab, spec), c_ok)
+    d_rows = run(_d_pass, _d_passes(z), c_ok)
     B = _with_yy(slab.B.value)
     out = []
     for c_row, d_row in zip(c_rows, d_rows):

@@ -265,6 +265,14 @@ class TestAtomModel:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             AtomModel(**args)
 
+    # omega^3 overflows, underflows to 0, or leaves d = sqrt(.../omega^3) at 0
+    @pytest.mark.parametrize("omega_31, omega_32, field", [
+        (1e200, 1e14, "omega_31"), (1e102, 1e14, "omega_31"),
+        (2e-110, 1e-110, "omega_31"), (2e14, 1e-110, "omega_32")])
+    def test_default_dipole_out_of_range_names_the_field(self, omega_31, omega_32, field):
+        with pytest.raises(ValueError, match=f"^{field} = .* has no default d{field[-2:]}_mag"):
+            AtomModel(omega_31=omega_31, omega_32=omega_32)
+
     # omega^3 |d|^2 overflows to inf, or a power of it out of float range
     @pytest.mark.parametrize("d_mag", [1e150, 1e160])
     def test_overflowing_vacuum_rate_rejected(self, d_mag):

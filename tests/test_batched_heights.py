@@ -2,7 +2,7 @@
 
 ``response_vectors_many`` integrates C for the heights within a decade of
 each other, and D for those within its ladder's reach, in passes of
-several heights, each bounded by nodes x columns. Each column keeps its
+several heights. Each column keeps its
 own tolerance but the panels are split in another order, so a height's
 B, C and D may move within the quadrature tolerance, never beyond it; a
 height that fails keeps its failure to itself.
@@ -155,76 +155,29 @@ class TestFailureIsolation:
         assert [str(e) for e in many] == ["forced B failure"] * 3
 
 
-def _heights_per_pass(n_panels, spec=DEFAULT_SPEC):
-    """Heights one pass holds at most under the cell cap, from its initial panels."""
-    nodes = max(15 * n_panels, 30 * spec.max_subdivisions)
-    return max(1, 2**21 // (2 * nodes))
-
-
 class TestGrouping:
     RESONANT_GRID = np.geomspace(1e-8, 1e-4, 50)
 
     @pytest.mark.parametrize("z,sizes", [
         ([1e-8, 4e-8, 2e-7, 1e-6], [2, 2]),          # ends on a power of ten
         (RESONANT_GRID, [13, 12, 12, 13]),
-        (np.geomspace(1e-9, 1e-8, 20), [17, 3]),     # one decade, capped
+        (np.geomspace(1e-9, 1e-8, 20), [20]),        # one decade, one pass
         ([5e-7], [1]),
-    ], ids=["power-of-ten-end", "resonant-grid", "capped", "one"])
+    ], ids=["power-of-ten-end", "resonant-grid", "one-decade", "one"])
     def test_groups(self, z, sizes):
-        # C passes keep to a decade, and the cell cap splits a full one
-        z = np.asarray(z)
-        slab = response._b_vector(OMEGA_R, 110e-9, SIC, DEFAULT_SPEC)
-        passes = response._c_passes(OMEGA_R, z, slab, DEFAULT_SPEC)
+        # a C pass is one part of at most a decade, whatever its size
+        passes = response._c_passes(np.asarray(z))
         assert [p.stop - p.start for p in passes] == sizes
 
     @pytest.mark.parametrize("z,sizes", [
         ([1e-8, 4e-8, 2e-7, 1e-6], [4]),
-        (RESONANT_GRID, [17, 17, 16]),
+        (RESONANT_GRID, [50]),
         ([1e-9, 0.99 * _EVANESCENT_REACH * 1e-9, 1.01 * _EVANESCENT_REACH * 1e-9], [2, 1]),
         ([5e-7], [1]),
     ], ids=["two-decades", "resonant-grid", "reach", "one"])
     def test_d_passes_keep_to_the_ladder_reach(self, z, sizes):
-        slab = response._b_vector(OMEGA_R, 110e-9, SIC, DEFAULT_SPEC)
-        passes = response._d_passes(np.asarray(z), slab, DEFAULT_SPEC)
+        passes = response._d_passes(np.asarray(z))
         assert [p.stop - p.start for p in passes] == sizes
-
-    # the low-loss 1 cm slab starts C and D from about 9k and 11k panels;
-    # SiC at its resonance from a few dozen, so the subdivision budget
-    # bounds the nodes of a call
-    @pytest.mark.parametrize("model,omega,delta,z", [
-        (LOW_LOSS, 3e14, 1e-2, np.geomspace(1e-7, 1e-6, 16)),
-        (SIC, OMEGA_R, 110e-9, RESONANT_GRID),
-    ], ids=["low-loss-16", "resonant-50"])
-    def test_calls_capped_and_d_passes_fewest(self, monkeypatch, model, omega, delta, z):
-        cells = {"integrate_oscillatory": [], "integrate_evanescent": []}
-        d_panels = []
-        for name, seen in cells.items():
-            engine = getattr(response, name)
-
-            def wrapped(integrand, *args, _engine=engine, _seen=seen, _name=name, **kwargs):
-                def counting(k, aux):
-                    y = integrand(k, aux)
-                    _seen.append(y.size)
-                    return y
-
-                res = _engine(counting, *args, **kwargs)
-                if _name == "integrate_evanescent":
-                    d_panels.append((np.size(args[1]), res.initial_panels))
-                return res
-
-            monkeypatch.setattr(response, name, wrapped)
-        many = response_vectors_many(omega, z, delta, model)
-        assert all(isinstance(rv, ResponseVectors) for rv in many)
-        assert max(cells["integrate_oscillatory"]) <= 2**21
-        assert max(cells["integrate_evanescent"]) <= 2**21
-        # a D pass starts from at most the kappa seeds and the 23 rungs of
-        # its two ladders; every height lies within the smallest one's
-        # reach, so only the cap splits D, and each pass but the last is full
-        n_panels = len(response._b_vector(omega, delta, model, DEFAULT_SPEC).kappa_seeds) + 24
-        assert max(panels for _, panels in d_panels) <= n_panels
-        assert z[-1] <= _EVANESCENT_REACH * z[0]
-        assert sum(n for n, _ in d_panels) == len(z)
-        assert len(d_panels) == -(-len(z) // _heights_per_pass(n_panels))
 
     @pytest.mark.parametrize("z", [[], [1e-7, 1e-7], [2e-7, 1e-7], [0.0, 1e-7], [np.nan],
                                    [1e-7, np.inf]])

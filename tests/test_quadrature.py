@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
-from neqatom import quadrature
+from neqatom import quadrature, response
+from neqatom.optics import DielectricModel, load_material
 from neqatom.quadrature import (
     NonFiniteIntegrandError,
     QuadratureResult,
@@ -434,12 +435,13 @@ class TestOrderedSum:
         assert np.array_equal(best.edges, _final_edges(panels))
 
 
-def _one_panel_per_call(F, edges, spec, extra_error=None):
+def _one_panel_per_call(F, edges, spec, extra_error=None, _heights=1):
     """The adaptive loop that batched rounds replaced, kept as an oracle.
 
     Each integrand call after the initial pass bisects the one panel with
     the largest error component; the result sums the panels in ascending
-    order and counts every call after the initial pass as a round.
+    order and counts every call after the initial pass as a round. The
+    initial pass is one call: ``_heights`` sizes no call here.
     """
     edges = np.asarray(edges, dtype=float)
     vals0, errs0 = quadrature._eval_panels(F, edges[:-1], edges[1:])
@@ -613,3 +615,92 @@ class TestBatchedRounds:
         integrate_evanescent(lambda k, kappa: vec(np.exp(-2e-7 * kappa)), OMEGA, 1e-7,
                              _seeds=kappa)
         assert set(kappa) <= set(calls[n][0])
+
+
+
+def _response_case(model, omega, delta, z):
+    """A z-scan of the slab response as rows of B, C and D, slab pass afresh."""
+
+    def run(spec):
+        response._b_vector.cache_clear()
+        try:
+            many = response.response_vectors_many(omega, z, delta, model, spec)
+        finally:
+            response._b_vector.cache_clear()
+        assert all(isinstance(rv, response.ResponseVectors) for rv in many)
+        return np.array([np.concatenate((rv.B, rv.C, rv.D)) for rv in many])
+
+    return run
+
+
+# (run, _MAX_CELLS) of each case: the low-loss 1 cm slab starts C and D
+# from about 9k and 11k panels, SiC at its resonance from a few dozen
+CAPPED_CASES = {
+    **{case: (run, 150) for case, run in BATCHED_CASES.items()},
+    "low-loss-16": (_response_case(DielectricModel(2.0, 2e14, 1e14, gamma_damp=1e10), 3e14,
+                                   1e-2, np.geomspace(1e-7, 1e-6, 16)), 1 << 16),
+    "resonant-50": (_response_case(load_material("sic"), 1.495e14, 110e-9,
+                                   np.geomspace(1e-8, 1e-4, 50)), 1 << 13),
+}
+
+
+class TestCallCap:
+    """Every integrand call holds at most _MAX_CELLS node-columns."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """Node-columns of every integrand call, and the counts of every integral."""
+        seen = {"cells": [], "counts": []}
+        evaluate, adaptive = quadrature._eval_panels, quadrature._adaptive
+
+        def recording_eval(F, a, b):
+            def counted(x):
+                y = F(x)
+                seen["cells"].append(np.size(y))
+                return y
+
+            return evaluate(counted, a, b)
+
+        def note(res):
+            seen["counts"].append((res.evaluations, res.splits, res.rounds))
+
+        def recording_adaptive(*args, **kwargs):
+            try:
+                res = adaptive(*args, **kwargs)
+            except QuadratureToleranceError as err:
+                note(err.best)
+                raise
+            note(res)
+            return res
+
+        monkeypatch.setattr(quadrature, "_eval_panels", recording_eval)
+        monkeypatch.setattr(quadrature, "_adaptive", recording_adaptive)
+        monkeypatch.setattr(response, "_adaptive", recording_adaptive)
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(CAPPED_CASES))
+    def test_calls_within_max_cells(self, monkeypatch, record, case):
+        run, cells = CAPPED_CASES[case]
+        spec = QuadratureSpec(rel_tol=1e-10) if case in BATCHED_CASES else QuadratureSpec()
+
+        def outcome():
+            record["cells"].clear()
+            record["counts"].clear()
+            try:
+                value = run(spec)
+            except QuadratureToleranceError as err:
+                value = err.best.value
+            value = value if isinstance(value, np.ndarray) else value.value
+            return value, list(record["cells"]), list(record["counts"])
+
+        whole_value, whole_cells, whole_counts = outcome()
+        monkeypatch.setattr(quadrature, "_MAX_CELLS", cells)
+        value, cells_seen, counts = outcome()
+        assert max(whole_cells) > cells          # the cap binds
+        assert max(cells_seen) <= cells and len(cells_seen) > len(whole_cells)
+        # chunks change no evaluation, split or round. An integrand may move
+        # a node's last bit with the length of its call (numpy elides large
+        # temporaries in place, which swaps the operands of a complex
+        # product), so the values agree to rounding, not bit for bit
+        assert counts == whole_counts
+        assert np.allclose(value, whole_value, rtol=1e-13, atol=0.0)
