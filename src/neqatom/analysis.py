@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,6 +126,14 @@ def _check_bracket(T_search):
     return T_lo, T_hi
 
 
+@lru_cache(maxsize=16)
+def _prescan_grid(T_lo: float, T_hi: float) -> np.ndarray:
+    """The 64-point log-spaced pre-scan grid of a bracket, built once, read-only."""
+    grid = np.geomspace(T_lo, T_hi, 64)
+    grid.flags.writeable = False
+    return grid
+
+
 def closest_thermal(p: Populations, atom: AtomModel,
                     T_search=DEFAULT_T_SEARCH) -> ThermalComparison:
     """Temperature minimizing the thermal distance over a bracket.
@@ -136,7 +145,7 @@ def closest_thermal(p: Populations, atom: AtomModel,
     :func:`distance_to_thermal` at the closest temperature.
     """
     T_lo, T_hi = _check_bracket(T_search)
-    grid = np.geomspace(T_lo, T_hi, 64)
+    grid = _prescan_grid(float(T_lo), float(T_hi))
     j = int(np.argmin(_grid_distances(p, atom, grid)))
     lo = float(grid[max(j - 1, 0)])
     hi = float(grid[min(j + 1, len(grid) - 1)])

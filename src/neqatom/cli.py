@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -335,7 +335,9 @@ def _run_rates(cfg, command):
                                            cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec):
         rec = {"delta": d, "z": z, "error": err}
         if env is not None:
-            rec.update(asdict(env), gamma_down_over_gamma0=env.gamma_down / env.gamma0,
+            # the record dataclasses are flat and have no slots: vars() holds
+            # exactly their fields, without asdict's deep copy
+            rec.update(vars(env), gamma_down_over_gamma0=env.gamma_down / env.gamma0,
                        gamma_up_over_gamma0=env.gamma_up / env.gamma0)
         records.append(rec)
     return records
@@ -350,10 +352,10 @@ def _run_steady(cfg, command):
         rec = {"delta": pt.delta, "z": pt.z, "error": pt.error}
         if pt.error is None:
             p = pt.populations
-            rec.update(asdict(p), inverted=p.p2 > p.p1,
+            rec.update(vars(p), inverted=p.p2 > p.p1,
                        T_eff_31=pt.env31.T_eff, T_eff_32=pt.env32.T_eff)
             if pt.thermal is not None:
-                rec.update(asdict(pt.thermal))
+                rec.update(vars(pt.thermal))
         records.append(rec)
     return records
 
@@ -364,7 +366,7 @@ def _run_evolve(cfg, command):
     atom = cfg.atom()
     geom = GeometryPoint(z=float(cfg.z_values[0]), delta=float(cfg.delta_values[0]))
     env31, env32 = transition_environments(atom, cfg.model, geom, cfg.T_W, cfg.T_M, cfg.spec)
-    return [{"t": float(t), **asdict(evolve_populations(cfg.initial, env31, env32, float(t)))}
+    return [{"t": float(t), **vars(evolve_populations(cfg.initial, env31, env32, float(t)))}
             for t in cfg.t_values]
 
 

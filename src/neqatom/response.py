@@ -140,11 +140,12 @@ def _tm_weights(omega, k, kz_sq, phi):
     return w
 
 _TE_WEIGHTS = np.array([1.0, 0.0])
+_XX_YY_ZZ = np.array([0, 0, 1])
 
 
 def _with_yy(v):
-    """(..., 2) (xx, zz) columns as (..., 3) (xx, yy, zz), yy a copy of xx."""
-    return v[..., [0, 0, 1]]
+    """(xx, zz) values as (xx, yy, zz), yy a copy of xx."""
+    return v[_XX_YY_ZZ]
 
 
 # Airy loop gain above which a fringe, and its two neighbours, keeps its
@@ -421,15 +422,22 @@ def _c_pass(omega, eps, z, delta, slab, spec):
     """
     pref = 0.75 * c / omega
     n = len(z)
+    two_z = 2.0 * z
 
     # the integrands run once per split round, so they keep to few numpy
-    # calls; y is (node, height, orientation)
+    # calls. The height-free density g = pref (k/kz)(rho_TE w_TE + rho_TM
+    # w_TM), complex (node, orientation), is formed once per node. kz is
+    # real on the propagative sector, so the kernel Re(g e^{2i kz z}) is
+    # g_r cos - g_i sin: one cos and one sin per (node, height), shared
+    # by both orientations. y is (node, height, orientation)
     def integrand(k, kz):
         (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
-        phase = np.exp(np.multiply.outer(2j * kz, z))
-        y = (rho_te[:, None] * phase).real[:, :, None] * _TE_WEIGHTS
-        y += (rho_tm[:, None] * phase).real[:, :, None] * _tm_weights(omega, k, kz**2, -1.0)[:, None]
-        y *= (pref * (k / kz))[:, None, None]
+        g = rho_tm[:, None] * _tm_weights(omega, k, kz**2, -1.0)
+        g[:, 0] += rho_te
+        g *= (pref * (k / kz))[:, None]
+        phase = np.multiply.outer(kz, two_z)[:, :, None]
+        y = g.real[:, None, :] * np.cos(phase)
+        y -= g.imag[:, None, :] * np.sin(phase)
         return y.reshape(len(k), 2 * n)
 
     return integrate_oscillatory(integrand, omega, z, spec, _seeds=slab.B.edges)
@@ -447,11 +455,13 @@ def _d_pass(omega, eps, z, delta, slab, spec):
         zero = np.zeros(2 * n)
         return QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
     pref = 0.75 * c / omega
+    minus_two_z = -2.0 * z
 
+    # the height-free density pref (k/kappa) w once per node, times one
+    # e^{-2 kappa z} per (node, height)
     def integrand(k, kappa):
-        w = _d_weights(omega, eps, delta, k, kappa)
-        damp = np.exp(np.multiply.outer(-2.0 * kappa, z))
-        y = (pref * ((k / kappa)[:, None] * damp))[:, :, None] * w[:, None, :]
+        g = (pref * (k / kappa))[:, None] * _d_weights(omega, eps, delta, k, kappa)
+        y = np.exp(np.multiply.outer(kappa, minus_two_z))[:, :, None] * g[:, None, :]
         return y.reshape(len(k), 2 * n)
 
     return integrate_evanescent(integrand, omega, z, spec, _seeds=slab.kappa_seeds)

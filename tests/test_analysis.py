@@ -112,6 +112,23 @@ class TestClosestThermal:
         res = closest_thermal(Populations(1.0, 0.0, 0.0), COOLING_ATOM, (UNDERFLOW_T, 10.0))
         assert res.at_boundary and res.is_thermal
 
+    def test_prescan_grid_cached_per_bracket(self):
+        # interleaved brackets reuse their own grid and repeat their first answers
+        analysis._prescan_grid.cache_clear()
+        states = (thermal_populations(FIG5_ATOM, 300.0), Populations(0.05, 0.9, 0.05))
+        brackets = ((1.0, 5000.0), (10.0, 800.0))
+        first = {(i, b): closest_thermal(p, FIG5_ATOM, b)
+                 for b in brackets for i, p in enumerate(states)}
+        for _ in range(2):
+            for b in brackets:
+                for i, p in enumerate(states):
+                    assert closest_thermal(p, FIG5_ATOM, b) == first[i, b]
+        assert analysis._prescan_grid.cache_info().misses == 2
+        grid = analysis._prescan_grid(10.0, 800.0)
+        assert np.array_equal(grid, np.geomspace(10.0, 800.0, 64))
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
     def test_bracket_validation(self):
         p = thermal_populations(FIG5_ATOM, 300.0)
         with pytest.raises(ValueError):

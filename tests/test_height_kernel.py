@@ -1,0 +1,103 @@
+"""The C and D integrands against their defining per-height expressions.
+
+``_c_pass`` and ``_d_pass`` form a height-free density once per node and
+apply the height kernel in real arithmetic. Here each integrand is
+captured from the engine call and evaluated at random nodes, then
+compared with the definitions written with complex exponentials:
+
+    C: pref (k/k_z) Re[(rho_TE w_TE + rho_TM w_TM) e^{2i k_z z}],  phi = -1
+    D: pref (k/kappa) (Im rho_TE w_TE + Im rho_TM w_TM) e^{-2 kappa z}, phi = +1
+
+with w_TE = (1, 0), w_TM = (c/omega)^2 (phi |k_z|^2, 2 k^2) and
+pref = 3c/(4 omega). Batched-against-single tests share the kernel on
+both sides, so they cannot see an error in it.
+"""
+
+import numpy as np
+import pytest
+
+from neqatom import response
+from neqatom.constants import c
+from neqatom.optics import DielectricModel, load_material, permittivity, slab_amplitudes
+from neqatom.quadrature import DEFAULT_SPEC, QuadratureResult
+
+SIC = load_material("sic")
+OMEGA_R = 1.495e14
+LOW_LOSS = DielectricModel(2.0, 2e14, 1e14, gamma_damp=1e10)
+
+# (model, omega, delta): SiC at and off resonance, the low-loss thick slab
+CASES = [(SIC, OMEGA_R, 110e-9), (SIC, 2.0 * OMEGA_R, 1e-2), (LOW_LOSS, 3e14, 1e-2)]
+HEIGHTS = {1: [3e-7], 3: [1e-8, 2e-7, 5e-6], 12: np.geomspace(1e-8, 1e-4, 12).tolist()}
+RTOL = 1e-13
+
+# a slab pass is only read for its seeds, which the captured engine ignores
+_SLAB = response._SlabPass(B=QuadratureResult(np.zeros(2), np.zeros(2), 0, edges=np.zeros(0)),
+                           kappa_seeds=np.zeros(0))
+
+
+def _captured(monkeypatch, engine, run, z):
+    """The integrand that ``run`` hands to ``response.<engine>``."""
+    seen = []
+
+    def capture(integrand, omega, heights, *args, **kwargs):
+        seen.append(integrand)
+        zero = np.zeros(2 * len(heights))
+        return QuadratureResult(zero, zero, 0)
+
+    monkeypatch.setattr(response, engine, capture)
+    run()
+    (integrand,) = seen
+    return integrand
+
+
+def _check(got, want):
+    # (node, height, orientation); each (height, orientation) column to
+    # rtol of its own scale over the nodes
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= RTOL * scale)
+
+
+@pytest.mark.parametrize("n", sorted(HEIGHTS))
+@pytest.mark.parametrize("model,omega,delta", CASES, ids=["sic-res", "sic-off", "low-loss"])
+def test_c_integrand_matches_definition(monkeypatch, model, omega, delta, n):
+    z = np.asarray(HEIGHTS[n])
+    eps = permittivity(model, omega)
+    integrand = _captured(monkeypatch, "integrate_oscillatory",
+                          lambda: response._c_pass(omega, eps, z, delta, _SLAB, DEFAULT_SPEC), z)
+    U = omega / c
+    theta = np.random.default_rng(n).uniform(0.0, 0.5 * np.pi, 300)
+    k, kz = U * np.sin(theta), U * np.cos(theta)
+    got = integrand(k, kz).reshape(len(k), n, 2)
+
+    (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
+    s = (c / omega) ** 2
+    pref = 0.75 * c / omega
+    want = np.empty_like(got)
+    for j, h in enumerate(z):
+        phase = np.exp(2j * kz * h)
+        want[:, j, 0] = pref * (k / kz) * ((rho_te - s * kz**2 * rho_tm) * phase).real
+        want[:, j, 1] = pref * (k / kz) * (2.0 * s * k**2 * rho_tm * phase).real
+    _check(got, want)
+
+
+@pytest.mark.parametrize("n", sorted(HEIGHTS))
+@pytest.mark.parametrize("model,omega,delta", CASES, ids=["sic-res", "sic-off", "low-loss"])
+def test_d_integrand_matches_definition(monkeypatch, model, omega, delta, n):
+    z = np.asarray(HEIGHTS[n])
+    eps = permittivity(model, omega)
+    integrand = _captured(monkeypatch, "integrate_evanescent",
+                          lambda: response._d_pass(omega, eps, z, delta, _SLAB, DEFAULT_SPEC), z)
+    U = omega / c
+    kappa = U * 10.0 ** np.random.default_rng(n).uniform(-3.0, 3.0, 300)
+    k = np.hypot(kappa, U)
+    got = integrand(k, kappa).reshape(len(k), n, 2)
+
+    (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
+    s = (c / omega) ** 2
+    pref = 0.75 * c / omega
+    want = np.empty_like(got)
+    for j, h in enumerate(z):
+        damp = np.exp(-2.0 * kappa * h)
+        want[:, j, 0] = pref * (k / kappa) * (rho_te.imag + s * kappa**2 * rho_tm.imag) * damp
+        want[:, j, 1] = pref * (k / kappa) * (2.0 * s * k**2 * rho_tm.imag) * damp
+    _check(got, want)
