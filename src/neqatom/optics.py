@@ -196,17 +196,20 @@ def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
     kzm = _slab_kzm(omega, eps, kz)
     e2 = np.exp(2j * kzm * delta)
     phase = np.exp(1j * (kzm - kz) * delta) if want_tau else None
+    one_minus_e2 = 1.0 - e2
     rho, tau = [], []
     for r in _interface_r(eps, kz, kzm):
         r2 = r * r
         den = 1.0 - r2 * e2
         if (np.abs(den) < 1e-13).any():
             raise SlabResonanceError("slab resonance")
-        # (1.0 - e2) stays an unnamed temporary: numpy reuses the temporary
-        # of a large array in place, which swaps the operands of this
-        # complex product and can move its last bit, so a shared array
-        # would shift rho by an ulp against the recorded reference output
-        rho.append(r * (1.0 - e2) / den)
+        # rho in r's own buffer, operands in a fixed order: numpy elides an
+        # unnamed temporary in place only in large arrays, which would swap
+        # the operands of the complex product and move its last bit with
+        # the length of kz
+        r *= one_minus_e2
+        r /= den
+        rho.append(r)
         if want_tau:
             tau.append((1.0 - r2) * phase / den)
     return tuple(rho), (tuple(tau) if want_tau else None)

@@ -39,12 +39,13 @@ is bounded whatever the number of panels or heights.
 The oscillatory and evanescent engines also take an ascending array of
 heights, integrated together on shared nodes: the integrand returns the
 columns of every height side by side, ``(N, m * n_z)``, and each column
-keeps its own tolerance. The largest height sets the height-phase edges;
-the smallest sets the evanescent cut, the tail bound and the initial
-ladder of every column. With one height both engines reproduce the
-single-height edges and arithmetic bit for bit. The initial pass is
-sized for at most three columns per height, one per dipole orientation;
-later calls for the integrand's actual width.
+keeps its own tolerance. The largest height sets the height-phase edges
+and how far down the evanescent cut ladder reaches; the smallest sets
+the evanescent cut, the tail bound and the scale ladder of every column.
+With one height both engines reproduce the single-height edges and
+arithmetic bit for bit. The initial pass is sized for at most three
+columns per height, one per dipole orientation; later calls for the
+integrand's actual width.
 
 A result carries its final panel edges, sorted, in the engine's own
 variable, also on failure (``QuadratureToleranceError.best``). The
@@ -101,11 +102,9 @@ _MAX_CELLS = 1 << 20
 # Evanescent upper cut: damping factor below 1e-14 of its peak.
 _EVANESCENT_CUT = 0.5 * math.log(1e14)
 
-# Rungs of the evanescent cut ladder kappa_max / 4**j, and the reach of
-# the smallest height's ladder: its lowest rung lies at or below the scale
-# 1/(2 z) of every height z <= _EVANESCENT_REACH * z_min.
+# Fewest rungs of the evanescent cut ladder kappa_max / 4**j; a wider
+# grid of heights adds rungs down to its largest height's scale 1/(2 z)
 _CUT_RUNGS = 16
-_EVANESCENT_REACH = 4.0 ** (_CUT_RUNGS - 1) / (2.0 * _EVANESCENT_CUT)
 
 
 @dataclass(frozen=True)
@@ -393,13 +392,14 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
 
     ``z`` is one height or an ascending array of heights integrated on
     shared nodes, the integrand returning every height's columns side by
-    side. The smallest height sets the cut, the tail bound and the
-    initial ladder of every column, which is conservative for the larger
-    ones as long as they lie within the ladder's reach: its lowest rung,
-    nine decades below the cut, lies at or below the scale 1/(2z) of every
-    height z <= _EVANESCENT_REACH * z_min (about 3.3e7 z_min), and
-    adaptivity refines where a column needs it. A pass of D in
-    ``response`` relies on that reach: it holds no height beyond it.
+    side. The smallest height sets the cut, the tail bound and the scale
+    ladder of every column. The cut ladder runs down from the cut in
+    steps of 4 until its lowest rung lies at or below the largest height's
+    scale 1/(2 z_max), with at least _CUT_RUNGS rungs (nine decades): a
+    grid within about 3.3e7 z_min gets exactly those, a wider one more.
+    Rungs closer together than 1e-14 of the cut merge (_merge_edges), so
+    the initial edges bracket the scale of every height up to about
+    2e12 z_min, and adaptivity refines where a column needs it.
     ``breakpoints`` are optional interior k values used as initial panel
     boundaries, ``_seeds`` more of them given in kappa.
     """
@@ -420,9 +420,14 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
             y = y[:, None]
         return y * (kappa / k)[:, None]
 
-    # geometric ladders of the smallest height resolve the scale gap
-    # between omega/c, 1/(2 z_min) and the cut before adaptivity takes over
-    interior = [kappa_max / 4.0**j for j in range(_CUT_RUNGS)]
+    # geometric ladders resolve the scale gap between omega/c, the heights'
+    # scales 1/(2 z) and the cut before adaptivity takes over. The rung
+    # count comes from the log-span of the heights, as their ratio can
+    # overflow; a rung below the smallest float is 0, and is clipped
+    span = math.log(heights[-1]) - math.log(z_min)
+    rungs = max(_CUT_RUNGS,
+                math.ceil((math.log(2.0 * _EVANESCENT_CUT) + span) / math.log(4.0)) + 1)
+    interior = [kappa_max * 0.25**j for j in range(rungs)]
     scale = min(U, 0.5 / z_min)
     interior.extend(scale * 2.0**j for j in range(-3, 4))
     pts = np.asarray(breakpoints, dtype=float)

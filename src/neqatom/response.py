@@ -22,20 +22,19 @@ evanescent slab-phase breakpoints when the slab has any; otherwise from
 the final edges (in kappa) of one adaptive pass over the D density
 without its height factor, which resolves the guided-mode poles near the
 light line. C adds the phase edges of the largest height of a pass and
-D the ladder of the smallest, so the seeds move where panels start, not
+D the ladders of its heights, so the seeds move where panels start, not
 what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
-it takes the slab pass, then integrates C and D each in passes of
-several heights, so that one slab-amplitude evaluation per node serves
-them all. The two integrals group the ascending heights differently. C
-keeps a pass within one decade, because its height-phase edges grow with
-the largest height. D's initial edges are the smallest height's ladders
-and the height-free seeds, so a pass holds every height within that
-ladder's reach (about 3.3e7 times the smallest). The engine bounds
-nodes x columns of every integrand call, so a pass may hold any number
-of heights. A pass that fails is integrated again height by height, for
-that integral only, so each failure stays with its own height.
+it takes the slab pass, then integrates C and D in passes of several
+heights, so that one slab-amplitude evaluation per node serves them all.
+C keeps a pass within one decade, because its height-phase edges grow
+with the largest height. D integrates every height in one pass: its cut
+ladder reaches from the smallest height's cut down to the largest
+height's scale. The engine bounds nodes x columns of every integrand
+call, so a pass may hold any number of heights. A pass that fails is
+integrated again height by height, for that integral only, so each
+failure stays with its own height.
 ``response_vectors`` and ``alpha_pair`` are its one-height case.
 """
 
@@ -61,7 +60,6 @@ from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
     QuadratureToleranceError,
-    _EVANESCENT_REACH,
     _MAX_INITIAL_PANELS,
     _adaptive,
     integrate_evanescent,
@@ -294,23 +292,6 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
 _POINT_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _passes(n, fits):
-    """Consecutive slices covering ``range(n)``, greedy from the start.
-
-    A pass takes the next height while ``fits(start, stop)`` still holds
-    for it; one height is always a pass. Under both rules below every
-    run of heights inside a pass that fits also fits, so this makes the
-    fewest passes.
-    """
-    passes, start = [], 0
-    for stop in range(2, n + 1):
-        if not fits(start, stop):
-            passes.append(slice(start, stop - 1))
-            start = stop - 1
-    passes.append(slice(start, n))
-    return passes
-
-
 def _c_passes(z):
     """Slices of the ascending heights ``z`` that share a C pass.
 
@@ -324,19 +305,11 @@ def _c_passes(z):
     span = math.log10(z[-1] / z[0])
     # a span a rounding error above a whole number of decades is that number
     parts = max(1, math.ceil(span - 1e-9))
-    part = np.zeros(len(z), dtype=int)
-    if parts > 1:
-        part = np.minimum((np.log10(z / z[0]) * (parts / span)).astype(int), parts - 1)
-    return _passes(len(z), lambda start, stop: part[start] == part[stop - 1])
-
-
-def _d_passes(z):
-    """Slices of the ascending heights ``z`` that share a D pass.
-
-    The smallest height of a pass sets its ladder, so a pass holds every
-    height within that ladder's reach (_EVANESCENT_REACH).
-    """
-    return _passes(len(z), lambda start, stop: z[stop - 1] <= _EVANESCENT_REACH * z[start])
+    if parts == 1:
+        return [slice(0, len(z))]
+    part = np.minimum((np.log10(z / z[0]) * (parts / span)).astype(int), parts - 1)
+    bounds = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(z)]
+    return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def response_vectors_many(omega: float, z_values, delta: float, model: DielectricModel,
@@ -346,9 +319,9 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     ``z_values`` are heights > 0 in strictly increasing order. Returns one
     entry per height: its :class:`ResponseVectors`, or the exception (an
     ArithmeticError, RuntimeError or ValueError) its integration raised.
-    B and the seed edges of C and D are computed once. C and D each
-    integrate their heights in passes of several heights (see _c_passes
-    and _d_passes): one integrand call serves the C (or D) columns of all
+    B and the seed edges of C and D are computed once. C integrates its
+    heights in passes of at most a decade (see _c_passes), D all of them
+    in one pass: one integrand call serves the C (or D) columns of all
     of a pass's heights, each held to its own tolerance, and the engine
     keeps every call within its cap on nodes x columns. A pass that fails
     is integrated again one height at a time, for that integral only, so
@@ -401,7 +374,7 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     # a height whose C failed reports C's error: D skips a pass (or, on a
     # retry, a height) that no converged C would report
     c_ok = np.array([not isinstance(row, Exception) for row in c_rows])
-    d_rows = run(_d_pass, _d_passes(z), c_ok)
+    d_rows = run(_d_pass, [slice(0, len(z))], c_ok)
     B = _with_yy(slab.B.value)
     out = []
     for c_row, d_row in zip(c_rows, d_rows):

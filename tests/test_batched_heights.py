@@ -1,11 +1,11 @@
 """Heights integrated together on shared nodes agree with one height at a time.
 
 ``response_vectors_many`` integrates C for the heights within a decade of
-each other, and D for those within its ladder's reach, in passes of
-several heights. Each column keeps its
-own tolerance but the panels are split in another order, so a height's
-B, C and D may move within the quadrature tolerance, never beyond it; a
-height that fails keeps its failure to itself.
+each other in passes of several heights, and D for all heights in one
+pass. Each column keeps its own tolerance but the panels are split in
+another order, so a height's B, C and D may move within the quadrature
+tolerance, never beyond it; a height that fails keeps its failure to
+itself.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from neqatom import response
 from neqatom.optics import DielectricModel, load_material
 from neqatom.quadrature import (
-    _EVANESCENT_REACH,
     DEFAULT_SPEC,
     QuadratureResult,
     QuadratureToleranceError,
@@ -169,15 +168,27 @@ class TestGrouping:
         passes = response._c_passes(np.asarray(z))
         assert [p.stop - p.start for p in passes] == sizes
 
-    @pytest.mark.parametrize("z,sizes", [
-        ([1e-8, 4e-8, 2e-7, 1e-6], [4]),
-        (RESONANT_GRID, [50]),
-        ([1e-9, 0.99 * _EVANESCENT_REACH * 1e-9, 1.01 * _EVANESCENT_REACH * 1e-9], [2, 1]),
-        ([5e-7], [1]),
-    ], ids=["two-decades", "resonant-grid", "reach", "one"])
-    def test_d_passes_keep_to_the_ladder_reach(self, z, sizes):
-        passes = response._d_passes(np.asarray(z))
-        assert [p.stop - p.start for p in passes] == sizes
+    def test_one_d_pass_for_any_span(self, monkeypatch):
+        # 4e7 times the smallest height: a 16-rung cut ladder from 1e-10
+        # stops short of the scale 1/(2z) of 4 mm, so the ladder grows
+        # instead of the pass splitting. Each height converges alone
+        z = np.array([1e-10, 1e-8, 1e-6, 1e-4, 4e-3])
+        omega, delta = 2.0 * OMEGA_R, 1e-2
+        seen = []
+        integrate = response.integrate_evanescent
+
+        def recording(integrand, omega, z, *args, **kwargs):
+            seen.append(np.size(z))
+            return integrate(integrand, omega, z, *args, **kwargs)
+
+        monkeypatch.setattr(response, "integrate_evanescent", recording)
+        many = response_vectors_many(omega, z, delta, SIC)
+        assert seen == [len(z)]
+        tol = 10.0 * DEFAULT_SPEC.rel_tol
+        for h, got in zip(z.tolist(), many):
+            want = response_vectors(omega, GeometryPoint(z=h, delta=delta), SIC)
+            bound = tol * (1.0 + np.abs(want.C) + np.abs(want.D))
+            assert np.all(np.abs(got.D - want.D) <= bound), h
 
     @pytest.mark.parametrize("z", [[], [1e-7, 1e-7], [2e-7, 1e-7], [0.0, 1e-7], [np.nan],
                                    [1e-7, np.inf]])

@@ -390,6 +390,27 @@ class TestSlabAmplitudes:
         for full, only in zip(rho, rho_only):
             assert full.tobytes() == only.tobytes()
 
+    @pytest.mark.parametrize("sector", ["propagative", "evanescent"])
+    def test_values_do_not_depend_on_the_array_length(self, sector):
+        # numpy elides temporaries in place only above 16,384 elements:
+        # slices on both sides of that size give the values of the whole
+        omega, delta = 3e14, 1e-2
+        eps = permittivity(DielectricModel(2.0, 2e14, 1e14, gamma_damp=1e10), omega)
+        U = omega / 2.99792458e8
+        t = np.linspace(0.001, 0.999, 40_000)
+        propagative = sector == "propagative"
+        kz = U * np.cos(0.5 * math.pi * t) + 0j if propagative else 1j * U * 40.0 * t
+
+        def amplitudes(kz):
+            # tau grows without bound on the evanescent sector
+            rho, tau = slab_amplitudes(omega, eps, kz, delta, want_tau=propagative)
+            return rho + (tau or ())
+
+        whole = amplitudes(kz)
+        for part in (slice(0, 1_000), slice(1_000, 18_000), slice(18_000, 40_000)):
+            for got, want in zip(amplitudes(kz[part]), whole, strict=True):
+                assert np.array_equal(got, want[part])
+
     def test_lossless_guided_mode_raises(self):
         # below omega_T the lossless medium has eps = 10: an evanescent node
         # kz = i kappa sees k_zm = q real and r_TE = -exp(-2i atan(kappa/q)),

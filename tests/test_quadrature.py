@@ -210,6 +210,42 @@ class TestManyHeights:
         integrate_evanescent(kernel, OMEGA, z[0])
         assert many == sizes[1]
 
+    @staticmethod
+    def _decaying(z):
+        # e^{-2 kappa z} per height; kappa z may overflow to an exact 0
+        def kernel(k, kappa):
+            with np.errstate(over="ignore"):
+                return np.exp(-2.0 * np.multiply.outer(kappa, z))
+        return kernel
+
+    def test_sixteen_rungs_within_their_reach(self):
+        # the lowest of 16 rungs lies at or below 1/(2z) of every height up
+        # to 4^15 / (2 cut) times the smallest: those grids add no rung
+        reach = 4.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
+        z = np.array([1e-9, 1e-6, 0.99 * reach * 1e-9])
+        spec = QuadratureSpec(rel_tol=1.0)
+        many = integrate_evanescent(self._decaying(z), OMEGA, z, spec)
+        alone = integrate_evanescent(self._decaying(z[:1]), OMEGA, z[0], spec)
+        assert many.initial_panels == alone.initial_panels
+        assert np.array_equal(many.edges, alone.edges)
+
+    def test_cut_ladder_reaches_the_largest_height(self):
+        # beyond 16 rungs the ladder goes on down to 1/(2 z_max), far below
+        # the lowest edge of the smallest height's ladders
+        z = np.array([1e-10, 1e-2])
+        res = integrate_evanescent(self._decaying(z), OMEGA, z, QuadratureSpec(rel_tol=1.0))
+        assert res.edges[1] <= 0.5 / z[-1] < min(U, 0.5 / z[0]) / 8.0
+
+    def test_heights_hundreds_of_decades_apart(self):
+        # their ratio overflows a float, and 4**j does for the lowest of
+        # the ~670 rungs: neither may raise
+        z = np.array([1e-200, 1e200])
+        try:
+            res = integrate_evanescent(self._decaying(z), OMEGA, z)
+        except QuadratureToleranceError as exc:
+            res = exc.best
+        assert np.isfinite(res.value).all() and np.isfinite(res.error_estimate).all()
+
     def test_one_height_edges_are_its_ladders(self):
         # the cut ladder and the scale ladder, unrefined at rel_tol 1
         z = 1e-7
@@ -698,9 +734,6 @@ class TestCallCap:
         value, cells_seen, counts = outcome()
         assert max(whole_cells) > cells          # the cap binds
         assert max(cells_seen) <= cells and len(cells_seen) > len(whole_cells)
-        # chunks change no evaluation, split or round. An integrand may move
-        # a node's last bit with the length of its call (numpy elides large
-        # temporaries in place, which swaps the operands of a complex
-        # product), so the values agree to rounding, not bit for bit
+        # chunks change no evaluation, split, round or value
         assert counts == whole_counts
-        assert np.allclose(value, whole_value, rtol=1e-13, atol=0.0)
+        assert np.array_equal(value, whole_value)
