@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neqatom import response
+from neqatom import quadrature, response
 from neqatom.optics import DielectricModel, load_material
 from neqatom.quadrature import (
     DEFAULT_SPEC,
@@ -167,6 +167,34 @@ class TestGrouping:
         # a C pass is one part of at most a decade, whatever its size
         passes = response._c_passes(np.asarray(z))
         assert [p.stop - p.start for p in passes] == sizes
+
+    # the grids that once split D where 16 cut rungs stopped short of
+    # 1/(2 z_max): the ladder now grows to reach it, so each is one pass
+    _REACH = 4.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
+
+    @pytest.mark.parametrize("z", [
+        [1e-8, 4e-8, 2e-7, 1e-6],
+        RESONANT_GRID,
+        [1e-9, 0.99 * _REACH * 1e-9, 1.01 * _REACH * 1e-9],
+        [5e-7],
+    ], ids=["two-decades", "resonant-grid", "reach", "one"])
+    def test_d_passes_keep_to_the_ladder_reach(self, z, monkeypatch):
+        z = np.asarray(z)
+        seen = []
+        integrate = response.integrate_evanescent
+
+        def recording(integrand, omega, z, *args, **kwargs):
+            res = integrate(integrand, omega, z, *args, **kwargs)
+            seen.append((np.size(z), res.edges[1]))
+            return res
+
+        monkeypatch.setattr(response, "integrate_evanescent", recording)
+        many = response_vectors_many(OMEGA_R, z, 110e-9, SIC)
+        assert [n for n, _ in seen] == [len(z)]
+        assert seen[0][1] <= 0.5 / z[-1]
+        # the heights 3 cm up fail alone too: the pass changes no outcome
+        for h, got in zip(z.tolist(), many):
+            assert type(got) is type(_single(OMEGA_R, h, 110e-9, SIC)), h
 
     def test_one_d_pass_for_any_span(self, monkeypatch):
         # 4e7 times the smallest height: a 16-rung cut ladder from 1e-10
