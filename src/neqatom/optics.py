@@ -185,14 +185,18 @@ def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
     rho = r (1 - e) / (1 - r^2 e), tau = t tbar e^{i(k_zm - k_z) delta} / (1 - r^2 e)
     with t tbar = 1 - r^2. Returns ``((rho_TE, rho_TM), (tau_TE, tau_TM))``.
     For evanescent incidence tau grows like exp((kappa - Im k_zm) delta) and
-    is skipped with want_tau=False, which returns None in its place. Raises
-    ValueError unless delta is finite and >= 0, DegenerateModeError (see
-    _interface_r), and SlabResonanceError on a guided-mode pole of a
-    lossless slab.
+    is skipped with want_tau=False, which returns None in its place. A
+    zero thickness is vacuum: rho = 0 and tau = 1 exactly, also near the
+    light line, where 1 - r^2 vanishes. Raises ValueError unless delta is
+    finite and >= 0, DegenerateModeError (see _interface_r), and
+    SlabResonanceError on a guided-mode pole of a lossless slab.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     kz = np.asarray(kz)
+    if delta == 0.0:
+        rho = tuple(np.zeros((2, *kz.shape), dtype=complex))
+        return rho, (tuple(np.ones((2, *kz.shape), dtype=complex)) if want_tau else None)
     kzm = _slab_kzm(omega, eps, kz)
     e2 = np.exp(2j * kzm * delta)
     phase = np.exp(1j * (kzm - kz) * delta) if want_tau else None

@@ -29,12 +29,13 @@ A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, then integrates C and D in passes of several
 heights, so that one slab-amplitude evaluation per node serves them all.
 C keeps a pass within one decade, because its height-phase edges grow
-with the largest height. D integrates every height in one pass: its cut
-ladder reaches from the smallest height's cut down to the largest
-height's scale. The engine bounds nodes x columns of every integrand
-call, so a pass may hold any number of heights. A pass that fails is
-integrated again height by height, for that integral only, so each
-failure stays with its own height.
+with the largest height. D integrates the heights whose C converged in
+one pass: its cut ladder reaches from the smallest one's cut down to the
+largest one's scale, and a height whose C fails takes no part in it. The
+engine bounds nodes x columns of every integrand call, so a pass may
+hold any number of heights. A pass that fails is integrated again
+height by height, for that integral only, so each failure stays with
+its own height.
 ``response_vectors`` and ``alpha_pair`` are its one-height case.
 """
 
@@ -302,12 +303,14 @@ def _c_passes(z):
     floor(log10 z) would give its end point a part of its own), and a pass
     is one part.
     """
-    span = math.log10(z[-1] / z[0])
+    # decades as a difference of logs: the ratio of the heights can overflow
+    decades = np.log10(z) - math.log10(z[0])
+    span = decades[-1]
     # a span a rounding error above a whole number of decades is that number
     parts = max(1, math.ceil(span - 1e-9))
     if parts == 1:
         return [slice(0, len(z))]
-    part = np.minimum((np.log10(z / z[0]) * (parts / span)).astype(int), parts - 1)
+    part = np.minimum((decades * (parts / span)).astype(int), parts - 1)
     bounds = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(z)]
     return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
@@ -320,14 +323,15 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     entry per height: its :class:`ResponseVectors`, or the exception (an
     ArithmeticError, RuntimeError or ValueError) its integration raised.
     B and the seed edges of C and D are computed once. C integrates its
-    heights in passes of at most a decade (see _c_passes), D all of them
-    in one pass: one integrand call serves the C (or D) columns of all
-    of a pass's heights, each held to its own tolerance, and the engine
-    keeps every call within its cap on nodes x columns. A pass that fails
-    is integrated again one height at a time, for that integral only, so
-    a failure lands on the height that causes it; a height whose C fails
-    reports C's error, otherwise D's, and D is not integrated where no
-    height's C converged. A failing slab pass lands on every height.
+    heights in passes of at most a decade (see _c_passes), D the heights
+    whose C converged in one pass: one integrand call serves the C (or D)
+    columns of all of a pass's heights, each held to its own tolerance,
+    and the engine keeps every call within its cap on nodes x columns. A
+    pass that fails is integrated again one height at a time, for that
+    integral only, so a failure lands on the height that causes it. A
+    height whose C fails reports C's error and takes no part in D, so it
+    sets no D edge of its neighbours; a height whose D fails reports D's.
+    A failing slab pass lands on every height.
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -348,38 +352,28 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     except _POINT_ERRORS as exc:
         return [exc] * len(z)
 
-    def attempt(integrate, heights):
-        # (value, error) rows of each height, or the pass's failure on each
+    def rows(integrate, heights):
+        # (value, error) row of each height in one pass; a failing pass of
+        # several heights is integrated again one height at a time
         try:
             res = integrate(omega, eps, heights, delta, slab, spec)
         except _POINT_ERRORS as exc:
-            return [exc] * len(heights)
+            if len(heights) == 1:
+                return [exc]
+            return [row for i in range(len(heights)) for row in rows(integrate, heights[i:i + 1])]
         n = len(heights)
         return list(zip(res.value.reshape(n, 2), res.error_estimate.reshape(n, 2)))
 
-    def run(integrate, passes, wanted):
-        # rows of the heights ``wanted`` in a pass, None for the others
-        out = [None] * len(z)
-        for p in passes:
-            if not wanted[p].any():
-                continue
-            got = attempt(integrate, z[p])
-            if len(got) > 1 and isinstance(got[0], Exception):
-                got = [row for i in range(p.start, p.stop)
-                       for row in (attempt(integrate, z[i:i + 1]) if wanted[i] else [None])]
-            out[p] = got
-        return out
-
-    c_rows = run(_c_pass, _c_passes(z), np.ones(len(z), dtype=bool))
-    # a height whose C failed reports C's error: D skips a pass (or, on a
-    # retry, a height) that no converged C would report
+    c_rows = [row for p in _c_passes(z) for row in rows(_c_pass, z[p])]
+    # a height whose C failed reports C's error and takes no part in D
     c_ok = np.array([not isinstance(row, Exception) for row in c_rows])
-    d_rows = run(_d_pass, [slice(0, len(z))], c_ok)
+    d_rows = iter(rows(_d_pass, z[c_ok]) if c_ok.any() else [])
     B = _with_yy(slab.B.value)
     out = []
-    for c_row, d_row in zip(c_rows, d_rows):
-        if isinstance(c_row, Exception) or isinstance(d_row, Exception):
-            out.append(c_row if isinstance(c_row, Exception) else d_row)
+    for c_row in c_rows:
+        d_row = c_row if isinstance(c_row, Exception) else next(d_rows)
+        if isinstance(d_row, Exception):
+            out.append(d_row)
             continue
         (C, c_err), (D, d_err) = c_row, d_row
         out.append(ResponseVectors(B=B, C=_with_yy(C), D=_with_yy(D),

@@ -1,12 +1,14 @@
 """Heights integrated together on shared nodes agree with one height at a time.
 
 ``response_vectors_many`` integrates C for the heights within a decade of
-each other in passes of several heights, and D for all heights in one
-pass. Each column keeps its own tolerance but the panels are split in
-another order, so a height's B, C and D may move within the quadrature
-tolerance, never beyond it; a height that fails keeps its failure to
-itself.
+each other in passes of several heights, and D in one pass for the
+heights whose C converged. Each column keeps its own tolerance but the
+panels are split in another order, so a height's B, C and D may move
+within the quadrature tolerance, never beyond it; a height that fails
+keeps its failure to itself.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -95,26 +97,35 @@ class TestFailureIsolation:
         monkeypatch.setattr(response, engine, failing_at_bad)
 
     # the failing integral is integrated again height by height, so its
-    # values at the neighbours are their one-height values; the other one
-    # keeps the passes of the grid without the failure
-    def _check_isolation(self, monkeypatch, engine, alone, shared):
-        bad = 3e-7
-        zs = [1.5e-7, 2e-7, bad, 5e-7]
-        clean = response_vectors_many(OMEGA_R, zs, 110e-9, SIC)
+    # values at the neighbours are their one-height values. The other one
+    # keeps the passes of ``grid``: a failing D leaves C the whole grid, a
+    # height whose C fails takes no part in D
+    def _check_isolation(self, monkeypatch, engine, alone, shared, bad, grid):
+        zs = [1.5e-7, 2e-7, 3e-7, 5e-7]
+        clean = dict(zip(grid, response_vectors_many(OMEGA_R, grid, 110e-9, SIC)))
         self._failing_at(monkeypatch, engine, bad, "forced failure")
         isolated = response_vectors_many(OMEGA_R, zs, 110e-9, SIC)
-        assert str(isolated[2]) == "forced failure"
-        for i in (0, 1, 3):
-            single = response_vectors(OMEGA_R, GeometryPoint(z=zs[i], delta=110e-9), SIC)
-            assert np.array_equal(isolated[i].B, clean[i].B)
-            assert np.array_equal(getattr(isolated[i], alone), getattr(single, alone))
-            assert np.array_equal(getattr(isolated[i], shared), getattr(clean[i], shared))
+        assert str(isolated[zs.index(bad)]) == "forced failure"
+        for h, got in zip(zs, isolated):
+            if h == bad:
+                continue
+            single = response_vectors(OMEGA_R, GeometryPoint(z=h, delta=110e-9), SIC)
+            assert np.array_equal(got.B, clean[h].B)
+            assert np.array_equal(getattr(got, alone), getattr(single, alone))
+            assert np.array_equal(getattr(got, shared), getattr(clean[h], shared))
 
     def test_one_failing_height_keeps_its_error(self, monkeypatch):
-        self._check_isolation(monkeypatch, "integrate_oscillatory", "C", "D")
+        self._check_isolation(monkeypatch, "integrate_oscillatory", "C", "D",
+                              3e-7, [1.5e-7, 2e-7, 5e-7])
+
+    def test_failing_smallest_height_leaves_d_its_neighbours(self, monkeypatch):
+        # the smallest height would set D's cut and its neighbours' ladders
+        self._check_isolation(monkeypatch, "integrate_oscillatory", "C", "D",
+                              1.5e-7, [2e-7, 3e-7, 5e-7])
 
     def test_one_failing_d_height_keeps_its_error(self, monkeypatch):
-        self._check_isolation(monkeypatch, "integrate_evanescent", "D", "C")
+        self._check_isolation(monkeypatch, "integrate_evanescent", "D", "C",
+                              3e-7, [1.5e-7, 2e-7, 3e-7, 5e-7])
 
     def test_height_failing_both_reports_c(self, monkeypatch):
         bad = 3e-7
@@ -130,7 +141,7 @@ class TestFailureIsolation:
         integrate = response.integrate_evanescent
 
         def recording(integrand, omega, z, *args, **kwargs):
-            seen.append(np.size(z))
+            seen.append(np.atleast_1d(z).tolist())
             return integrate(integrand, omega, z, *args, **kwargs)
 
         monkeypatch.setattr(response, "integrate_evanescent", recording)
@@ -138,7 +149,7 @@ class TestFailureIsolation:
         (alone,) = response_vectors_many(OMEGA_R, [bad], 110e-9, SIC)
         assert str(alone) == "C failure" and seen == []
         response_vectors_many(OMEGA_R, [2e-7, bad, 5e-7], 110e-9, SIC)
-        assert seen == [3]
+        assert seen == [[2e-7, 5e-7]]
 
     def test_failing_b_lands_on_every_height(self, monkeypatch):
         def failing_b(*args, **kwargs):
@@ -162,10 +173,13 @@ class TestGrouping:
         (RESONANT_GRID, [13, 12, 12, 13]),
         (np.geomspace(1e-9, 1e-8, 20), [20]),        # one decade, one pass
         ([5e-7], [1]),
-    ], ids=["power-of-ten-end", "resonant-grid", "one-decade", "one"])
+        ([1e-200, 1e200], [1, 1]),                   # their ratio overflows
+    ], ids=["power-of-ten-end", "resonant-grid", "one-decade", "one", "overflowing-ratio"])
     def test_groups(self, z, sizes):
         # a C pass is one part of at most a decade, whatever its size
-        passes = response._c_passes(np.asarray(z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passes = response._c_passes(np.asarray(z))
         assert [p.stop - p.start for p in passes] == sizes
 
     # the grids that once split D where 16 cut rungs stopped short of
@@ -180,18 +194,24 @@ class TestGrouping:
     ], ids=["two-decades", "resonant-grid", "reach", "one"])
     def test_d_passes_keep_to_the_ladder_reach(self, z, monkeypatch):
         z = np.asarray(z)
-        seen = []
-        integrate = response.integrate_evanescent
+        seen, c_converged = [], []
+        integrate_c, integrate_d = response.integrate_oscillatory, response.integrate_evanescent
 
-        def recording(integrand, omega, z, *args, **kwargs):
-            res = integrate(integrand, omega, z, *args, **kwargs)
-            seen.append((np.size(z), res.edges[1]))
+        def recording_c(integrand, omega, z, *args, **kwargs):
+            res = integrate_c(integrand, omega, z, *args, **kwargs)
+            c_converged.extend(np.atleast_1d(z).tolist())
             return res
 
-        monkeypatch.setattr(response, "integrate_evanescent", recording)
+        def recording_d(integrand, omega, z, *args, **kwargs):
+            seen.append(np.atleast_1d(z).tolist())
+            return integrate_d(integrand, omega, z, *args, **kwargs)
+
+        monkeypatch.setattr(response, "integrate_oscillatory", recording_c)
+        monkeypatch.setattr(response, "integrate_evanescent", recording_d)
         many = response_vectors_many(OMEGA_R, z, 110e-9, SIC)
-        assert [n for n, _ in seen] == [len(z)]
-        assert seen[0][1] <= 0.5 / z[-1]
+        # one D pass of the heights whose C converged ("reach": C fails at
+        # the two heights 3 cm up, so D holds one height)
+        assert seen == [sorted(c_converged)]
         # the heights 3 cm up fail alone too: the pass changes no outcome
         for h, got in zip(z.tolist(), many):
             assert type(got) is type(_single(OMEGA_R, h, 110e-9, SIC)), h
@@ -206,12 +226,15 @@ class TestGrouping:
         integrate = response.integrate_evanescent
 
         def recording(integrand, omega, z, *args, **kwargs):
-            seen.append(np.size(z))
-            return integrate(integrand, omega, z, *args, **kwargs)
+            res = integrate(integrand, omega, z, *args, **kwargs)
+            seen.append((np.size(z), res.edges[1]))
+            return res
 
         monkeypatch.setattr(response, "integrate_evanescent", recording)
         many = response_vectors_many(omega, z, delta, SIC)
-        assert seen == [len(z)]
+        assert [n for n, _ in seen] == [len(z)]
+        # the cut ladder reaches the scale of the largest height
+        assert seen[0][1] <= 0.5 / z[-1]
         tol = 10.0 * DEFAULT_SPEC.rel_tol
         for h, got in zip(z.tolist(), many):
             want = response_vectors(omega, GeometryPoint(z=h, delta=delta), SIC)

@@ -411,6 +411,24 @@ class TestSlabAmplitudes:
             for got, want in zip(amplitudes(kz[part]), whole, strict=True):
                 assert np.array_equal(got, want[part])
 
+    def test_zero_thickness_is_vacuum(self):
+        # r_TE -> -1 toward the light line, so 1 - r^2 e vanishes on the
+        # evanescent nodes nearest kappa = 0; no slab reflects nothing
+        omega = 1.495e14
+        U = omega / 2.99792458e8
+        eps = permittivity(SIC, omega)
+        kz = np.concatenate([U * np.linspace(0.0, 1.0, 50) + 0j,
+                             1j * U * np.geomspace(1e-14, 40.0, 50)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, 0.0)
+            rho_only, no_tau = slab_amplitudes(omega, eps, kz, 0.0, want_tau=False)
+        assert no_tau is None
+        for rho in (rho_te, rho_tm, *rho_only):
+            assert rho.shape == kz.shape and np.all(rho == 0.0)
+        for tau in (tau_te, tau_tm):
+            assert tau.shape == kz.shape and np.all(tau == 1.0)
+
     def test_lossless_guided_mode_raises(self):
         # below omega_T the lossless medium has eps = 10: an evanescent node
         # kz = i kappa sees k_zm = q real and r_TE = -exp(-2i atan(kappa/q)),

@@ -126,6 +126,14 @@ class TestVacuumOracle:
         assert pair.alpha_W == pytest.approx(1.0, abs=1e-8)
         assert pair.alpha_M == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("z", [1e-3, 1e-2, 1e-1])
+    def test_zero_thickness_is_vacuum(self, z):
+        # a lossy material of zero thickness: the cut ladders of these
+        # heights put D nodes near kappa = 0, where 1 - r^2 vanishes
+        rv = response_vectors(OMEGA_R, GeometryPoint(z=z, delta=0.0), SIC)
+        assert np.all(rv.C == 0.0) and np.all(rv.D == 0.0)
+        assert np.abs(rv.B - 1.0).max() < 1e-8
+
 
 class TestResponseProperties:
     def test_b_independent_of_height(self):
