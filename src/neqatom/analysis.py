@@ -138,11 +138,11 @@ def closest_thermal(p: Populations, atom: AtomModel,
                     T_search=DEFAULT_T_SEARCH) -> ThermalComparison:
     """Temperature minimizing the thermal distance over a bracket.
 
-    A 64-point log-spaced pre-scan locates the global basin, golden
-    section refines it to better than 0.01 K. The state counts as thermal
-    below DEFAULT_THERMAL_THRESHOLD. A minimum sitting on the search
-    boundary is flagged, not raised. The reported distance is
-    :func:`distance_to_thermal` at the closest temperature.
+    A 64-point log-spaced pre-scan finds the global basin; golden section
+    refines it to 0.01 K, or to 4 float spacings of T where that is
+    coarser. The state counts as thermal below DEFAULT_THERMAL_THRESHOLD.
+    A minimum on the search boundary is flagged, not raised. The reported
+    distance is :func:`distance_to_thermal` at the closest temperature.
     """
     T_lo, T_hi = _check_bracket(T_search)
     grid = _prescan_grid(float(T_lo), float(T_hi))
@@ -155,7 +155,8 @@ def closest_thermal(p: Populations, atom: AtomModel,
     x2 = a + _GOLDEN * (b - a)
     f1 = _distance(p, atom, x1)
     f2 = _distance(p, atom, x2)
-    while (b - a) > 0.005:
+    tol = max(0.005, 4.0 * math.ulp(hi))  # 4 ulp(T) > 0.005 K from 2^43 K on
+    while (b - a) > tol:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DEFAULT_T_SEARCH,
+    _describe,
     environment_scan,
     scan,
     transition_environments,
@@ -36,6 +37,7 @@ from .optics import (
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .response import (
+    _POINT_ERRORS,
     ISOTROPIC_WEIGHTS,
     GeometryPoint,
     alpha_pair,
@@ -438,8 +440,8 @@ def run_command(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except _POINT_ERRORS as exc:
+        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     rows, failures = _rows(records, _COLUMNS[args.command])

@@ -435,7 +435,9 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     interior.extend(np.sqrt(pts**2 - U**2))
     interior.extend(np.asarray(_seeds, dtype=float))
 
-    tail = np.atleast_2d(F(np.array([kappa_max])))[0] / (2.0 * z_min)
+    f_max = np.atleast_2d(F(np.array([kappa_max])))[0]
+    with np.errstate(over="ignore"):  # a tiny z_min overflows it: raised below
+        tail = f_max / (2.0 * z_min)
     if not np.isfinite(tail).all():
         raise NonFiniteIntegrandError(kappa_max)
     edges = _merge_edges(0.0, kappa_max, interior)

@@ -4,8 +4,8 @@
 interference term Re(rho e^{2i k_z z}) and ``D`` the evanescent term
 Im(rho) e^{-2 Im(k_z) z}. Each is a 3-vector over dipole orientations
 (xx, yy, zz), combining TE with weight (1, 1, 0) and TM with weight
-(c^2/omega^2) (phi |k_z|^2, phi |k_z|^2, 2 k^2); B and D take phi = +1,
-C takes phi = -1. The xx and yy weights are equal, so only the (xx, zz)
+(c^2/omega^2) (a, a, 2 k^2), a = |k_z|^2 for B and -k_z^2 for C and D
+(``_density``). The xx and yy weights are equal, so only the (xx, zz)
 columns are integrated and yy is a copy of xx. The wall/body weights are
 then
 
@@ -130,15 +130,15 @@ def check_weights(w) -> tuple:
     return w
 
 
-def _tm_weights(omega, k, kz_sq, phi):
-    """TM (xx, zz) orientation weights (c^2/omega^2)(phi |kz|^2, 2 k^2)."""
+def _density(omega, k, a, te, tm, jac):
+    """(3c/4 omega) jac (te w_TE + tm w_TM), w_TE = (1, 0), w_TM = (c/omega)^2 (a, 2 k^2)."""
     s = (c / omega) ** 2
-    w = np.empty((len(k), 2))
-    w[:, 0] = phi * s * kz_sq
-    w[:, 1] = 2.0 * s * k**2
-    return w
+    g = np.empty((len(k), 2), dtype=tm.dtype)
+    g[:, 0] = te + tm * (s * a)
+    g[:, 1] = tm * (2.0 * s * k**2)
+    g *= (0.75 * c / omega * jac)[:, None]
+    return g
 
-_TE_WEIGHTS = np.array([1.0, 0.0])
 _XX_YY_ZZ = np.array([0, 0, 1])
 
 
@@ -231,12 +231,10 @@ class _SlabPass:
     kappa_seeds: np.ndarray | None
 
 
-def _d_weights(omega, eps, delta, k, kappa):
-    """Im rho_TE w_TE + Im rho_TM w_TM at k = sqrt(kappa^2 + omega^2/c^2), (xx, zz)."""
+def _d_density(omega, eps, delta, k, kappa, jac):
+    """``_density`` of Im rho, a = kappa^2, at k = sqrt(kappa^2 + omega^2/c^2)."""
     (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
-    w = rho_te.imag[:, None] * _TE_WEIGHTS
-    w += rho_tm.imag[:, None] * _tm_weights(omega, k, kappa**2, +1.0)
-    return w
+    return _density(omega, k, kappa**2, rho_te.imag, rho_tm.imag, jac)
 
 
 def _kappa_seeds(omega, eps, delta, spec):
@@ -255,10 +253,9 @@ def _kappa_seeds(omega, eps, delta, spec):
     bk = np.asarray(_slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol))
     if len(bk):
         return np.sqrt(bk**2 - U**2)
-    pref = 0.75 * c / omega
 
     def density(kappa):
-        return pref * _d_weights(omega, eps, delta, np.hypot(kappa, U), kappa)
+        return _d_density(omega, eps, delta, np.hypot(kappa, U), kappa, np.ones_like(kappa))
 
     try:
         res = _adaptive(density, np.array([0.0, math.sqrt(k_osc**2 - U**2)]), spec)
@@ -272,13 +269,11 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
               spec: QuadratureSpec) -> _SlabPass:
     """B and the C and D seed edges of one (omega, delta), shared by every height."""
     eps = permittivity(model, omega)
-    pref = 0.75 * c / omega
 
     def integrand(k, kz):
         (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, delta)
-        te = (np.abs(rho_te) ** 2 + np.abs(tau_te) ** 2)[:, None] * _TE_WEIGHTS
-        tm = (np.abs(rho_tm) ** 2 + np.abs(tau_tm) ** 2)[:, None] * _tm_weights(omega, k, kz**2, +1.0)
-        return pref * (k / kz)[:, None] * (te + tm)
+        return _density(omega, k, kz**2, np.abs(rho_te) ** 2 + np.abs(tau_te) ** 2,
+                        np.abs(rho_tm) ** 2 + np.abs(tau_tm) ** 2, k / kz)
 
     # B takes every breakpoint as an initial edge; D's seeds are clipped
     # at each height's cut, so only B's count is bounded up front
@@ -387,21 +382,19 @@ def _c_pass(omega, eps, z, delta, slab, spec):
     It starts from B's final edges in ``slab``, the :class:`_SlabPass` of
     (omega, delta).
     """
-    pref = 0.75 * c / omega
     n = len(z)
     two_z = 2.0 * z
 
     # the integrands run once per split round, so they keep to few numpy
-    # calls. The height-free density g = pref (k/kz)(rho_TE w_TE + rho_TM
-    # w_TM), complex (node, orientation), is formed once per node. kz is
-    # real on the propagative sector, so the kernel Re(g e^{2i kz z}) is
-    # g_r cos - g_i sin: one cos and one sin per (node, height), shared
-    # by both orientations. y is (node, height, orientation)
+    # calls. The height-free density g = (3c/4 omega)(k/kz)(rho_TE w_TE +
+    # rho_TM w_TM), w_TM = (c/omega)^2 (-kz^2, 2 k^2), complex (node,
+    # orientation), is formed once per node. kz is real on the propagative
+    # sector, so the kernel Re(g e^{2i kz z}) is g_r cos - g_i sin: one cos
+    # and one sin per (node, height), shared by both orientations. y is
+    # (node, height, orientation)
     def integrand(k, kz):
         (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
-        g = rho_tm[:, None] * _tm_weights(omega, k, kz**2, -1.0)
-        g[:, 0] += rho_te
-        g *= (pref * (k / kz))[:, None]
+        g = _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)
         phase = np.multiply.outer(kz, two_z)[:, :, None]
         y = g.real[:, None, :] * np.cos(phase)
         y -= g.imag[:, None, :] * np.sin(phase)
@@ -421,13 +414,12 @@ def _d_pass(omega, eps, z, delta, slab, spec):
     if slab.kappa_seeds is None:
         zero = np.zeros(2 * n)
         return QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
-    pref = 0.75 * c / omega
     minus_two_z = -2.0 * z
 
-    # the height-free density pref (k/kappa) w once per node, times one
-    # e^{-2 kappa z} per (node, height)
+    # the height-free density (3c/4 omega)(k/kappa) Im(rho) . w, w_TM =
+    # (c/omega)^2 (kappa^2, 2 k^2), once per node, times e^{-2 kappa z}
     def integrand(k, kappa):
-        g = (pref * (k / kappa))[:, None] * _d_weights(omega, eps, delta, k, kappa)
+        g = _d_density(omega, eps, delta, k, kappa, k / kappa)
         y = np.exp(np.multiply.outer(kappa, minus_two_z))[:, :, None] * g[:, None, :]
         return y.reshape(len(k), 2 * n)
 

@@ -1,7 +1,11 @@
 """Thermal-state comparison and scan plumbing."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,29 @@ class TestClosestThermal:
     def test_bracket_down_to_underflowing_temperature(self):
         res = closest_thermal(Populations(1.0, 0.0, 0.0), COOLING_ATOM, (UNDERFLOW_T, 10.0))
         assert res.at_boundary and res.is_thermal
+
+    def test_hot_bracket_ends(self):
+        # near 1e14 K the float spacing of T exceeds 0.005 K, so a search
+        # held to 0.005 K never ends: it runs in a subprocess with a timeout
+        code = (
+            "from neqatom.analysis import closest_thermal\n"
+            "from neqatom.atom import AtomModel, Populations\n"
+            "from neqatom.optics import load_material, surface_mode_frequency\n"
+            "sic = load_material('sic')\n"
+            "atom = AtomModel(omega_31=surface_mode_frequency(sic), omega_32=sic.omega_T)\n"
+            "res = closest_thermal(Populations(1 / 3, 1 / 3, 1 / 3), atom, (1.0, 1e14))\n"
+            "print(repr(res.closest_T), res.at_boundary)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        T, at_boundary = proc.stdout.split()
+        grid = np.geomspace(1.0, 1e14, 64)
+        assert at_boundary == "True"
+        assert grid[-2] <= float(T) <= grid[-1]
 
     def test_prescan_grid_cached_per_bracket(self):
         # interleaved brackets reuse their own grid and repeat their first answers

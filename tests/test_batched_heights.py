@@ -18,6 +18,7 @@ from neqatom import quadrature, response
 from neqatom.optics import DielectricModel, load_material
 from neqatom.quadrature import (
     DEFAULT_SPEC,
+    NonFiniteIntegrandError,
     QuadratureResult,
     QuadratureToleranceError,
 )
@@ -75,6 +76,14 @@ def _equal(a: ResponseVectors, b: ResponseVectors) -> bool:
 
 
 class TestFailureIsolation:
+    def test_tiny_and_huge_heights_fail_alone_without_a_warning(self):
+        # the evanescent tail bound of 1e-150 m overflows, the oscillatory
+        # panels of 1e170 m exceed their budget: typed errors, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = response_vectors_many(OMEGA_R, [1e-150, 1e-8, 1e170], 1e-7, SIC)
+        assert [type(r) for r in many] == [NonFiniteIntegrandError, ResponseVectors, ValueError]
+
     def test_lossless_far_height_fails_alone(self):
         # C_zz of the lossless 5 mm slab cancels below the K15-G7 floor at
         # 80 um (as at 160 um); 20 and 40 um converge on their own
