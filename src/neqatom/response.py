@@ -15,15 +15,15 @@ with d the dipole orientation weights.
 
 What does not depend on the atom height is computed once per (frequency,
 thickness, material, tolerances), in one cached slab pass (``_b_vector``):
-B itself, and the panel edges every height's C and D start from. C starts
-from B's final edges (in theta), which hold the slab-phase breakpoints
-and B's refinement toward grazing incidence. D starts from the
-evanescent slab-phase breakpoints when the slab has any; otherwise from
-the final edges (in kappa) of one adaptive pass over the D density
-without its height factor, which resolves the guided-mode poles near the
-light line. C adds the phase edges of the largest height of a pass and
-D the ladders of its heights, so the seeds move where panels start, not
-what each integral must meet.
+B itself, and the panel edges every height's C and D start from. B starts
+from the slab-phase breakpoints and a geometric ladder toward grazing
+incidence (``_GRAZING_LADDER``), and C from B's final edges (in theta),
+which hold both. D starts from the evanescent slab-phase breakpoints
+when the slab has any; otherwise from the final edges (in kappa) of one
+adaptive pass over the D density without its height factor, which
+resolves the guided-mode poles near the light line. C adds the phase
+edges of the largest height of a pass and D the ladders of its heights,
+so the seeds move where panels start, not what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, then integrates C and D in passes of several
@@ -58,9 +58,11 @@ from .optics import (
 )
 from .quadrature import (
     DEFAULT_SPEC,
+    NonFiniteIntegrandError,
     QuadratureResult,
     QuadratureSpec,
     QuadratureToleranceError,
+    _EVANESCENT_CUT,
     _MAX_INITIAL_PANELS,
     _adaptive,
     integrate_evanescent,
@@ -215,16 +217,23 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=N
     return k_pts[full | hot[m // 8 - j0]]
 
 
+# B's initial edges toward grazing incidence, theta_j = (pi/2)(1 - 2^-j) for
+# j = 1 .. 8. From one panel B bisects toward grazing, one split per round
+# (1-8 rounds on the resonant slabs of a thermal track); the rungs put
+# those edges in up front, and C inherits them through B's final edges
+_GRAZING_RUNGS = 8
+_GRAZING_LADDER = 0.5 * math.pi * (1.0 - 0.5 ** np.arange(1, _GRAZING_RUNGS + 1))
+
+
 @dataclass(frozen=True)
 class _SlabPass:
     """The height-free integrals of one (frequency, thickness, material, spec).
 
     ``B`` is the B result (columns xx, zz). Every height's C starts from
     its final edges ``B.edges``, in theta: they hold the slab-phase
-    breakpoints of the propagative sector and B's refinement, toward
-    grazing incidence among others. ``kappa_seeds`` are the initial edges
-    every pass of D adds to its ladder, in kappa, or None for a real
-    permittivity (D = 0).
+    breakpoints of the propagative sector, the grazing ladder and B's
+    refinement. ``kappa_seeds`` are the initial edges every pass of D adds
+    to its ladder, in kappa, or None for a real permittivity (D = 0).
     """
 
     B: QuadratureResult
@@ -279,7 +288,7 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     # at each height's cut, so only B's count is bounded up front
     bk = _slab_phase_breakpoints(omega, delta, eps, 0.0, omega / c, spec.rel_tol,
                                  max_points=_MAX_INITIAL_PANELS)
-    b_res = integrate_propagative(integrand, omega, spec, breakpoints=bk)
+    b_res = integrate_propagative(integrand, omega, spec, breakpoints=bk, _seeds=_GRAZING_LADDER)
     kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
     return _SlabPass(B=b_res, kappa_seeds=kappa)
 
@@ -414,6 +423,12 @@ def _d_pass(omega, eps, z, delta, slab, spec):
     if slab.kappa_seeds is None:
         zero = np.zeros(2 * n)
         return QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
+    # the density squares kappa (k_zm^2 and the kappa^2 weight): a cut
+    # that squares past the float range raises before any node
+    kappa_max = _EVANESCENT_CUT / z[0]
+    with np.errstate(over="ignore"):
+        if not np.isfinite(kappa_max * kappa_max):
+            raise NonFiniteIntegrandError(kappa_max)
     minus_two_z = -2.0 * z
 
     # the height-free density (3c/4 omega)(k/kappa) Im(rho) . w, w_TM =

@@ -84,6 +84,16 @@ class TestFailureIsolation:
             many = response_vectors_many(OMEGA_R, [1e-150, 1e-8, 1e170], 1e-7, SIC)
         assert [type(r) for r in many] == [NonFiniteIntegrandError, ResponseVectors, ValueError]
 
+    def test_tiny_heights_give_vectors_or_a_typed_error_without_a_warning(self):
+        # below about 1.2e-153 m the evanescent cut squares past the float
+        # range; from 3e-114 to 3e-110 m the samples are finite but the
+        # panel sums overflow. Both raise NonFiniteIntegrandError silently
+        for e in np.arange(-160.0, -99.75, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (got,) = response_vectors_many(OMEGA_R, [10.0**e], 1e-7, SIC)
+            assert isinstance(got, (ResponseVectors, NonFiniteIntegrandError)), (e, got)
+
     def test_lossless_far_height_fails_alone(self):
         # C_zz of the lossless 5 mm slab cancels below the K15-G7 floor at
         # 80 um (as at 160 um); 20 and 40 um converge on their own

@@ -164,6 +164,37 @@ def test_seeds_spare_the_rounds(monkeypatch):
     assert results["integrate_evanescent"].rounds <= 3
 
 
+# the (omega, delta) pairs of a thermal track of the cooling scenario
+TRACK = [(omega, delta) for omega in (surface_mode_frequency(SIC), OMEGA_R)
+         for delta in (1e-8, 110e-9, 1e-2)]
+TRACK_IDS = [f"{w}-{d}" for w in ("wp", "wr") for d in ("10nm", "110nm", "1cm")]
+
+
+@pytest.mark.parametrize("omega,delta", TRACK, ids=TRACK_IDS)
+def test_grazing_ladder_spares_b_its_splits(omega, delta):
+    # from one panel B bisected toward grazing incidence, one split per
+    # round: 1-8 splits here at the default spec. The ladder's rungs are
+    # B's initial edges and stay among its final ones, for C to inherit
+    _b_vector.cache_clear()
+    b = _b_vector(omega, delta, SIC, DEFAULT_SPEC).B
+    assert b.splits == 0
+    assert np.isin(response._GRAZING_LADDER, b.edges).all()
+    assert _b_vector(omega, delta, SIC, _ROOT_SPEC).B.splits <= 1
+
+
+@pytest.mark.parametrize("omega,delta", TRACK, ids=TRACK_IDS)
+def test_far_decade_c_pass_starts_from_quarter_period_edges(omega, delta):
+    # the last decade of a thermal track, 10-100 um: eighth-period edges
+    # of the height phase started this C pass from 132-159 panels
+    z = np.geomspace(1e-8, 1e-4, 50)
+    far = z[response._c_passes(z)[-1]]
+    assert len(far) == 13 and far[0] > 1e-5
+    slab = _b_vector(omega, delta, SIC, DEFAULT_SPEC)
+    eps = permittivity(SIC, omega)
+    res = response._c_pass(omega, eps, far, delta, slab, DEFAULT_SPEC)
+    assert res.initial_panels <= 90
+
+
 def _capped_adaptive(F, edges, spec, extra_error=None):
     # the seed pass at a one-split budget: it misses the tolerance
     return quadrature._adaptive(
