@@ -187,8 +187,7 @@ def _eval_panels(F, a, b):
     if y.ndim == 1:
         y = y[:, None]
     y = y.reshape(len(a), 15, -1)
-    # finite samples can overflow a panel sum (and inf - inf is NaN): the
-    # check below raises the typed error instead of a RuntimeWarning
+    # a sum that overflows (inf - inf is NaN) is raised below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         k15 = np.einsum("k,nkm->nm", _K15_W, y) * half[:, None]
         g7 = np.einsum("k,nkm->nm", _G7_W, y) * half[:, None]

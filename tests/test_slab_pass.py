@@ -172,9 +172,9 @@ TRACK_IDS = [f"{w}-{d}" for w in ("wp", "wr") for d in ("10nm", "110nm", "1cm")]
 
 @pytest.mark.parametrize("omega,delta", TRACK, ids=TRACK_IDS)
 def test_grazing_ladder_spares_b_its_splits(omega, delta):
-    # from one panel B bisected toward grazing incidence, one split per
-    # round: 1-8 splits here at the default spec. The ladder's rungs are
-    # B's initial edges and stay among its final ones, for C to inherit
+    # without the ladder B bisects toward grazing incidence, one split per
+    # round: 1-8 splits here at the default spec. The rungs are B's
+    # initial edges and stay among its final ones, for C to inherit
     _b_vector.cache_clear()
     b = _b_vector(omega, delta, SIC, DEFAULT_SPEC).B
     assert b.splits == 0
@@ -184,8 +184,9 @@ def test_grazing_ladder_spares_b_its_splits(omega, delta):
 
 @pytest.mark.parametrize("omega,delta", TRACK, ids=TRACK_IDS)
 def test_far_decade_c_pass_starts_from_quarter_period_edges(omega, delta):
-    # the last decade of a thermal track, 10-100 um: eighth-period edges
-    # of the height phase started this C pass from 132-159 panels
+    # the last decade of a thermal track, 10-100 um: quarter-period edges
+    # of the height phase start this C pass from 72-84 panels, eighth
+    # periods from 132-159
     z = np.geomspace(1e-8, 1e-4, 50)
     far = z[response._c_passes(z)[-1]]
     assert len(far) == 13 and far[0] > 1e-5
