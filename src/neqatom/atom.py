@@ -220,11 +220,21 @@ def rate_generator(env31: TransitionEnvironment, env32: TransitionEnvironment) -
 
 def evolve_populations(initial: Populations, env31: TransitionEnvironment,
                        env32: TransitionEnvironment, t: float) -> Populations:
-    """Propagate the populations for a time t >= 0 via the matrix exponential."""
+    """Propagate the populations for a time t >= 0 via the matrix exponential.
+
+    A t past 50 slowest relaxation times (rates: roots of x^2 - T x + D, T = -tr G,
+    D the sum of G's principal 2x2 minors) is taken as 50, where p is steady to
+    e^-50: a larger t only overflows expm.
+    """
     from scipy.linalg import expm  # imported here, so that only `evolve` loads scipy
 
     _check_nonnegative("t", t)
     G = rate_generator(env31, env32)
+    u31, d31, u32, d32 = env31.gamma_up, env31.gamma_down, env32.gamma_up, env32.gamma_down
+    T, D = u31 + d31 + u32 + d32, u31 * u32 + u31 * d32 + u32 * d31
+    slowest = D / (0.5 * T + math.sqrt(max(0.25 * T * T - D, 0.0))) if D > 0.0 else T
+    if slowest > 0.0:
+        t = min(t, 50.0 / slowest)
     p = expm(G * t) @ initial.as_array()
     p = np.clip(p, 0.0, None)
     p /= p.sum()

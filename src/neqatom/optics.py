@@ -7,7 +7,7 @@ decay away from the interface that binds them.
 The slab is vacuum / medium / vacuum with thickness ``delta``. One
 vectorized path, :func:`slab_amplitudes`, gives its (rho, tau) for both
 polarizations from the interface reflection amplitude r alone, through the
-exact identity t*tbar = 1 - r**2.
+exact identity t*tbar = 1 - r**2. ``_slab_kzm`` is the one k_zm formula.
 """
 
 from __future__ import annotations
@@ -136,11 +136,6 @@ def sqrt_im_nonneg(w):
 def vacuum_kz(omega, k):
     """z-wavevector in vacuum: sqrt(omega^2/c^2 - k^2), Im >= 0 branch."""
     return sqrt_im_nonneg((omega / c) ** 2 - np.asarray(k, dtype=float) ** 2)
-
-
-def medium_kz(omega, k, eps):
-    """z-wavevector inside the medium: sqrt(eps*omega^2/c^2 - k^2), Im >= 0."""
-    return sqrt_im_nonneg(eps * (omega / c) ** 2 - np.asarray(k, dtype=float) ** 2)
 
 
 def _slab_kzm(omega, eps, kz):

@@ -49,9 +49,9 @@ integrand's actual width.
 
 A result carries its final panel edges, sorted, in the engine's own
 variable, also on failure (``QuadratureToleranceError.best``). Every
-engine takes such edges as initial edges (``_seeds``) without converting
-them through k: near grazing incidence and near the light line that
-conversion rounds neighbouring edges together.
+engine takes initial edges in that variable too, through ``_seeds``, its
+one edge input: near grazing incidence and near the light line a round
+trip through k rounds neighbouring edges together.
 
 Everything is deterministic: fixed node sets and a fixed choice of splits.
 The returned value and error are sequential sums over the panel rows in
@@ -308,11 +308,11 @@ def _adaptive(F, edges, spec, extra_error=None, _heights=1):
 
 
 def _merge_edges(lo, hi, interior):
-    """Sorted panel edges from interior breakpoints clipped to (lo, hi)."""
+    """Sorted panel edges from interior edges clipped to (lo, hi)."""
     pts = np.asarray(interior, dtype=float)
     pts = pts[(pts > lo) & (pts < hi)]
     edges = np.unique(np.concatenate(([lo], pts, [hi])))
-    # drop zero-width panels from near-duplicate breakpoints
+    # drop zero-width panels from near-duplicate edges
     keep = np.concatenate(([True], np.diff(edges) > 1e-14 * (hi - lo)))
     return edges[keep]
 
@@ -329,26 +329,23 @@ def _heights(z):
     return z
 
 
-def integrate_propagative(integrand, omega, spec=DEFAULT_SPEC, *, breakpoints=(), _seeds=()):
+def integrate_propagative(integrand, omega, spec=DEFAULT_SPEC, *, _seeds=()):
     """Integrate f(k, k_z) dk over the propagative sector [0, omega/c].
 
-    Same as :func:`integrate_oscillatory` at z = 0: ``breakpoints`` are
-    initial edges in k, ``_seeds`` more of them in theta, such as a ladder
-    toward grazing incidence, where a k edge would round onto omega/c.
+    Same as :func:`integrate_oscillatory` at z = 0: ``_seeds`` are initial
+    edges in theta, such as a ladder toward grazing incidence.
     """
-    return integrate_oscillatory(integrand, omega, 0.0, spec, breakpoints=breakpoints,
-                                 _seeds=_seeds)
+    return integrate_oscillatory(integrand, omega, 0.0, spec, _seeds=_seeds)
 
 
-def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=(), _seeds=()):
+def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     """Integrate f(k, k_z) dk over [0, omega/c], f carrying exp(2i k_z z).
 
     The substitution k = (omega/c) sin(theta) removes the 1/k_z endpoint
     singularity; both k and the real k_z = (omega/c) cos(theta) are handed
-    to the integrand in exact trigonometric form. ``breakpoints`` are
-    optional interior k values used as initial panel boundaries;
-    ``_seeds`` are more of them given in theta, such as the final edges of
-    an earlier integral over the sector.
+    to the integrand in exact trigonometric form. ``_seeds`` are initial
+    panel edges in theta, such as the final edges of an earlier integral
+    over the sector.
 
     ``z`` is one height or an ascending array of heights integrated on
     shared nodes; the integrand then returns the columns of every height
@@ -360,10 +357,10 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     consuming the subdivision budget. With several heights the largest
     one sets these edges: its grid resolves every smaller height. A
     second phase in the integrand is the caller's to resolve through
-    ``breakpoints`` or ``_seeds``: the slab response passes the slab
-    phase Re(k_zm) delta at every period, and at eighth periods only in
-    the fringes whose Airy loop gain makes them sharp, so the height-phase
-    edges stay fine where the two phases beat.
+    ``_seeds``: the slab response passes the slab phase Re(k_zm) delta
+    at every period, and at eighth periods only in the fringes whose
+    Airy loop gain makes them sharp, so the height-phase edges stay fine
+    where the two phases beat.
     """
     heights = _heights(z)
     if heights[0] < 0.0:
@@ -372,14 +369,15 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     U = omega / c
-    interior = list(np.asarray(breakpoints, dtype=float))
+    interior = np.asarray(_seeds, dtype=float)
     if z_max > 0.0:
         n = _PHASE_EDGES_PER_PERIOD
         m_max = int(math.floor(n * z_max * (omega / c) / math.pi))
         if m_max > _MAX_INITIAL_PANELS:
             raise ValueError("oscillatory panel budget exceeded: z too large")
         kz_pts = np.arange(1, m_max + 1) * (math.pi / (n * z_max))
-        interior.extend(np.sqrt(np.maximum(U**2 - kz_pts**2, 0.0)))
+        k_pts = np.sqrt(np.maximum(U**2 - kz_pts**2, 0.0))
+        interior = np.concatenate((_theta_from_k(k_pts, omega), interior))
 
     def F(theta):
         k = U * np.sin(theta)
@@ -387,13 +385,12 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints
         y = np.asarray(integrand(k, kz), dtype=float)
         if y.ndim == 1:
             y = y[:, None]
-        return y * (U * np.cos(theta))[:, None]
+        return y * kz[:, None]
 
-    theta = np.concatenate((_theta_from_k(interior, omega), np.asarray(_seeds, dtype=float)))
-    return _adaptive(F, _merge_edges(0.0, 0.5 * math.pi, theta), spec, _heights=len(heights))
+    return _adaptive(F, _merge_edges(0.0, 0.5 * math.pi, interior), spec, _heights=len(heights))
 
 
-def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=(), _seeds=()):
+def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     """Integrate f(k, kappa) dk over the evanescent sector k > omega/c.
 
     kappa = Im k_z is the integration variable; the domain is truncated
@@ -411,8 +408,7 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     Rungs closer together than 1e-14 of the cut merge (_merge_edges), so
     the initial edges bracket the scale of every height up to about
     2e12 z_min, and adaptivity refines where a column needs it.
-    ``breakpoints`` are optional interior k values used as initial panel
-    boundaries, ``_seeds`` more of them given in kappa.
+    ``_seeds`` are more initial panel edges, in kappa.
     """
     heights = _heights(z)
     if not heights[0] > 0.0:
@@ -424,7 +420,6 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     kappa_max = _EVANESCENT_CUT / z_min
 
     def F(kappa):
-        kappa = np.asarray(kappa, dtype=float)
         k = np.hypot(kappa, U)
         y = np.asarray(integrand(k, kappa), dtype=float)
         if y.ndim == 1:
@@ -441,9 +436,6 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, breakpoints=
     interior = [kappa_max * 0.25**j for j in range(rungs)]
     scale = min(U, 0.5 / z_min)
     interior.extend(scale * 2.0**j for j in range(-3, 4))
-    pts = np.asarray(breakpoints, dtype=float)
-    pts = pts[pts > U]
-    interior.extend(np.sqrt(pts**2 - U**2))
     interior.extend(np.asarray(_seeds, dtype=float))
 
     f_max = np.atleast_2d(F(np.array([kappa_max])))[0]

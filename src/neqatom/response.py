@@ -50,8 +50,8 @@ import numpy as np
 from .constants import c
 from .optics import (
     DielectricModel,
+    _slab_kzm,
     loop_gain,
-    medium_kz,
     permittivity,
     slab_amplitudes,
     vacuum_kz,
@@ -65,6 +65,7 @@ from .quadrature import (
     _EVANESCENT_CUT,
     _MAX_INITIAL_PANELS,
     _adaptive,
+    _theta_from_k,
     integrate_evanescent,
     integrate_oscillatory,
     integrate_propagative,
@@ -155,7 +156,7 @@ _FRINGE_GAIN = 0.01
 
 
 def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=None):
-    """Initial panel boundaries tracking the slab phase Re(k_zm) delta.
+    """Initial panel edges in k, an array, tracking the slab phase Re(k_zm) delta.
 
     Interfering reflections inside the slab make every coefficient
     oscillate in k with period pi in that phase: each is an Airy series
@@ -172,13 +173,13 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=N
     ValueError of that budget is raised before any array is built.
     """
     if delta <= 0.0:
-        return ()
-    kzm_lo = complex(medium_kz(omega, k_lo, eps))
+        return np.zeros(0)
+    kzm_lo = complex(_slab_kzm(omega, eps, vacuum_kz(omega, k_lo)))
     amplitude = math.exp(-2.0 * min(kzm_lo.imag * delta, 700.0))
     if amplitude < max(1e-18, 0.01 * rel_tol):
-        return ()
+        return np.zeros(0)
     phase_lo = kzm_lo.real * delta
-    phase_hi = complex(medium_kz(omega, k_hi, eps)).real * delta
+    phase_hi = complex(_slab_kzm(omega, eps, vacuum_kz(omega, k_hi))).real * delta
     q = 0.125 * math.pi
     # invert Re(k_zm) ~ sqrt(Re(eps) omega^2/c^2 - k^2); exactness is not
     # required, the points only seed panel boundaries. Indices whose k
@@ -190,7 +191,7 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=N
     m_hi = min(int(math.floor(max(phase_lo, phase_hi) / q)),
                int(math.ceil(math.sqrt(max(k_top_sq - k_lo**2, 0.0)) * delta / q)) + 1)
     if m_hi < m_lo:
-        return ()
+        return np.zeros(0)
     # all but a few of the full periods counted here are points: the
     # widening, and points that round onto k_lo or k_hi, lose the rest
     if max_points is not None and (m_hi - m_lo) // 8 > max_points + 8:
@@ -259,7 +260,7 @@ def _kappa_seeds(omega, eps, delta, spec):
     """
     U = omega / c
     k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
-    bk = np.asarray(_slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol))
+    bk = _slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol)
     if len(bk):
         return np.sqrt(bk**2 - U**2)
 
@@ -288,7 +289,8 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     # at each height's cut, so only B's count is bounded up front
     bk = _slab_phase_breakpoints(omega, delta, eps, 0.0, omega / c, spec.rel_tol,
                                  max_points=_MAX_INITIAL_PANELS)
-    b_res = integrate_propagative(integrand, omega, spec, breakpoints=bk, _seeds=_GRAZING_LADDER)
+    seeds = np.concatenate((_theta_from_k(bk, omega), _GRAZING_LADDER))
+    b_res = integrate_propagative(integrand, omega, spec, _seeds=seeds)
     kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
     return _SlabPass(B=b_res, kappa_seeds=kappa)
 

@@ -187,6 +187,15 @@ class TestEvolution:
         pt = evolve_populations(p0, self.ENV31, self.ENV32, 500.0)
         assert np.abs(pt.as_array() - self.steady().as_array()).max() < 1e-9
 
+    @pytest.mark.parametrize("t", [1e20, 1e300])
+    def test_time_far_beyond_relaxation_gives_the_steady_state(self, t):
+        # expm(G t) overflows in its squarings at such t (a RuntimeWarning,
+        # then populations outside [0, 1]): t is capped at 50 of the
+        # slowest relaxation times
+        pt = evolve_populations(Populations(0.0, 0.0, 1.0), self.ENV31, self.ENV32, t)
+        assert abs(pt.p1 + pt.p2 + pt.p3 - 1.0) < 1e-12
+        assert np.abs(pt.as_array() - self.steady().as_array()).max() < 1e-12
+
     def test_trace_preserved_along_the_way(self):
         p0 = Populations(0.9, 0.05, 0.05)
         for t in (0.01, 0.1, 1.0, 10.0):

@@ -256,6 +256,25 @@ initial = 0,0,1
         _, rows = rows_of(out)
         assert [float(rows[0][k]) for k in ("t", "p1", "p2", "p3")] == [0.0, 0.0, 0.0, 1.0]
 
+    def test_evolve_far_beyond_relaxation_gives_the_steady_state(self, tmp_path):
+        # at t = 1e20 s and beyond expm(G t) overflows unless t is capped
+        # at 50 of the slowest relaxation times
+        scenario = ("omega_31 = omega_p\nomega_32 = omega_r\nT_W = 570\nT_M = 170\n"
+                    "z = 1e-7\ndelta = 110e-9\n")
+        steady_out, evolve_out = tmp_path / "steady.csv", tmp_path / "evolve.csv"
+        cfg = write(tmp_path, scenario, name="steady.cfg")
+        assert run_command(["steady", "--config", cfg, "--out", str(steady_out)]) == EXIT_OK
+        cfg = write(tmp_path, scenario + "t = 1e20,1e300\ninitial = 0,0,1\n", name="evolve.cfg")
+        assert run_command(["evolve", "--config", cfg, "--out", str(evolve_out)]) == EXIT_OK
+        keys = ("p1", "p2", "p3")
+        steady = np.array([float(rows_of(steady_out)[1][0][k]) for k in keys])
+        _, rows = rows_of(evolve_out)
+        assert [float(r["t"]) for r in rows] == [1e20, 1e300]
+        for row in rows:
+            p = np.array([float(row[k]) for k in keys])
+            assert abs(p.sum() - 1.0) < 1e-12
+            assert np.abs(p - steady).max() < 1e-12
+
     def test_crossover(self, tmp_path):
         cfg = write(tmp_path, """
 omega = 0.5*omega_r

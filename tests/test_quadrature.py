@@ -84,7 +84,9 @@ class TestPropagative:
         assert np.all(np.abs(combo.value - expected) <= tol + 2e-16 * np.abs(expected))
 
     def test_breakpoints_accepted(self):
-        res = integrate_propagative(kernel_one_over_kz, OMEGA, breakpoints=[0.3 * U, 0.7 * U])
+        # initial edges at k = 0.3 U and 0.7 U, given in theta
+        res = integrate_propagative(kernel_one_over_kz, OMEGA,
+                                    _seeds=np.arcsin([0.3, 0.7]))
         assert res.value == pytest.approx(U, rel=1e-12)
 
     def test_scalar_integrand_supported(self):

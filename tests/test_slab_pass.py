@@ -3,7 +3,8 @@
 ``_b_vector`` integrates B once per (omega, delta) and keeps its final
 panel edges (theta) and a set of evanescent edges (kappa) from which each
 height's C and D start. The oracle below is the construction without
-seeds: every integral starts from the slab-phase breakpoints in k alone.
+seeds: every integral starts from the slab-phase breakpoints alone,
+converted from k to the engine's theta or kappa.
 Seeds only move where panels start, so B, C and D may move within the
 quadrature tolerance, never beyond it.
 """
@@ -48,7 +49,7 @@ def _tm(omega, k, kz_sq, phi):
 
 def _unseeded(omega, z, delta, model, spec):
     """(B, C, D) as (xx, yy, zz) vectors, each integral started from the
-    slab-phase breakpoints in k alone; raises what an engine raises."""
+    slab-phase breakpoints alone; raises what an engine raises."""
     eps = permittivity(model, omega)
     U = omega / c
     pref = 0.75 * c / omega
@@ -72,13 +73,15 @@ def _unseeded(omega, z, delta, model, spec):
             r_te.imag[:, None] * _TE + r_tm.imag[:, None] * _tm(omega, k, kappa**2, 1.0))
 
     bk_prop = _slab_phase_breakpoints(omega, delta, eps, 0.0, U, spec.rel_tol)
-    B = integrate_propagative(b_density, omega, spec, breakpoints=bk_prop).value
-    C = integrate_oscillatory(c_density, omega, z, spec, breakpoints=bk_prop).value
+    theta = np.arcsin(np.clip(bk_prop * c / omega, 0.0, 1.0))
+    B = integrate_propagative(b_density, omega, spec, _seeds=theta).value
+    C = integrate_oscillatory(c_density, omega, z, spec, _seeds=theta).value
     D = np.zeros(2)
     if eps.imag != 0.0:
         k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
         bk_evan = _slab_phase_breakpoints(omega, delta, eps, U, k_osc, spec.rel_tol)
-        D = integrate_evanescent(d_density, omega, z, spec, breakpoints=bk_evan).value
+        kappa = np.sqrt(bk_evan[bk_evan > U] ** 2 - U**2)
+        D = integrate_evanescent(d_density, omega, z, spec, _seeds=kappa).value
     return tuple(v[[0, 0, 1]] for v in (B, C, D))
 
 
@@ -180,6 +183,24 @@ def test_grazing_ladder_spares_b_its_splits(omega, delta):
     assert b.splits == 0
     assert np.isin(response._GRAZING_LADDER, b.edges).all()
     assert _b_vector(omega, delta, SIC, _ROOT_SPEC).B.splits <= 1
+
+
+@pytest.mark.parametrize("model,omega", [(SIC, 2.0 * OMEGA_R), (LOW_LOSS, 3e14)],
+                         ids=["sic-2wr", "low-loss"])
+def test_slab_phase_edges_reach_b_and_d_in_their_own_variables(model, omega):
+    # the slab-phase breakpoints of a transparent 1 cm slab, in k, reach B
+    # as theta and D as kappa: each converted edge is among B's final
+    # edges or D's seeds, bit for bit
+    delta = 1e-2
+    eps = permittivity(model, omega)
+    U = omega / c
+    k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
+    prop = _slab_phase_breakpoints(omega, delta, eps, 0.0, U, DEFAULT_SPEC.rel_tol)
+    evan = _slab_phase_breakpoints(omega, delta, eps, U, k_osc, DEFAULT_SPEC.rel_tol)
+    assert len(prop) and len(evan)
+    slab = _b_vector(omega, delta, model, DEFAULT_SPEC)
+    assert np.isin(np.arcsin(prop * c / omega), slab.B.edges).all()
+    assert np.isin(np.sqrt(evan**2 - U**2), slab.kappa_seeds).all()
 
 
 @pytest.mark.parametrize("omega,delta", TRACK, ids=TRACK_IDS)
