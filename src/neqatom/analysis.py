@@ -35,7 +35,13 @@ from .atom import (
 from .constants import hbar, k_B
 from .optics import DielectricModel
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
-from .response import _POINT_ERRORS, GeometryPoint, alpha_pair, response_vectors_many
+from .response import (
+    _POINT_ERRORS,
+    GeometryPoint,
+    alpha_pair,
+    check_weights,
+    response_vectors_many,
+)
 
 _GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
 
@@ -294,8 +300,14 @@ def environment_scan(omega: float, weights, model: DielectricModel, z_values,
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     z_values, delta_values = _grid(z_values, delta_values)
-    probe = AtomModel(omega_31=2.0 * omega, omega_32=omega,
-                      weights_31=weights, weights_32=weights)
+    weights = check_weights(weights)
+    # only the probe's transition 32 is integrated, so omega is the one
+    # frequency that needs a default dipole magnitude (31 is given one)
+    try:
+        probe = AtomModel(omega_31=2.0 * omega, omega_32=omega, d31_mag=1.0,
+                          weights_31=weights, weights_32=weights)
+    except ValueError:
+        raise ValueError(f"omega = {omega!r} has no default dipole magnitude") from None
     records = []
     for delta in delta_values.tolist():
         for z, env in zip(z_values.tolist(), _environments(probe, "32", model, z_values,

@@ -17,7 +17,8 @@ give the per-panel error estimate; on failure the worst panels are bisected
 in rounds.
 Panels never evaluate interval endpoints, so 1/k_z densities are safe.
 An integrand that returns NaN or infinity raises NonFiniteIntegrandError
-naming the node; it never passes as converged.
+naming the node, and so do finite panels whose sum overflows; neither
+passes as converged.
 
 Panels live in preallocated arrays (edges, K15 values, error estimates)
 with one row per panel: a split overwrites the parent's row with its left
@@ -40,8 +41,9 @@ The oscillatory and evanescent engines also take an ascending array of
 heights, integrated together on shared nodes: the integrand returns the
 columns of every height side by side, ``(N, m * n_z)``, and each column
 keeps its own tolerance. The largest height sets the height-phase edges
-and how far down the evanescent cut ladder reaches; the smallest sets
-the evanescent cut, the tail bound and the scale ladder of every column.
+and how far down the evanescent cut ladder, in steps of 2, reaches; the
+smallest sets the evanescent cut, the tail bound and the scale ladder of
+every column.
 With one height both engines reproduce the single-height edges and
 arithmetic bit for bit. The initial pass is sized for at most three
 columns per height, one per dipole orientation; later calls for the
@@ -107,9 +109,9 @@ _PHASE_EDGES_PER_PERIOD = 4
 # Evanescent upper cut: damping factor below 1e-14 of its peak.
 _EVANESCENT_CUT = 0.5 * math.log(1e14)
 
-# Fewest rungs of the evanescent cut ladder kappa_max / 4**j; a wider
+# Fewest rungs of the evanescent cut ladder kappa_max / 2**j; a wider
 # grid of heights adds rungs down to its largest height's scale 1/(2 z)
-_CUT_RUNGS = 16
+_CUT_RUNGS = 32
 
 
 @dataclass(frozen=True)
@@ -242,8 +244,16 @@ def _adaptive(F, edges, spec, extra_error=None, _heights=1):
     heapq.heapify(heap)
     count = n
 
-    total_val = vals[:n].sum(axis=0)
-    total_err = errs[:n].sum(axis=0) + extra_error
+    # finite panels can still overflow their sum: raised, as in _eval_panels,
+    # at the midpoint of the largest panel. The error floor is not checked:
+    # a NaN floor never converges, and ends as QuadratureToleranceError
+    with np.errstate(over="ignore"):
+        total_val = vals[:n].sum(axis=0)
+        total_err = errs[:n].sum(axis=0)
+    if not (np.isfinite(total_val).all() and np.isfinite(total_err).all()):
+        j = int(np.maximum(np.abs(vals[:n]), errs[:n]).max(axis=1).argmax())
+        raise NonFiniteIntegrandError(float(0.5 * (a[j] + b[j])))
+    total_err = total_err + extra_error
     splits = rounds = 0
 
     def _final(ok):
@@ -402,12 +412,15 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     shared nodes, the integrand returning every height's columns side by
     side. The smallest height sets the cut, the tail bound and the scale
     ladder of every column. The cut ladder runs down from the cut in
-    steps of 4 until its lowest rung lies at or below the largest height's
+    steps of 2 until its lowest rung lies at or below the largest height's
     scale 1/(2 z_max), with at least _CUT_RUNGS rungs (nine decades): a
-    grid within about 3.3e7 z_min gets exactly those, a wider one more.
-    Rungs closer together than 1e-14 of the cut merge (_merge_edges), so
-    the initial edges bracket the scale of every height up to about
-    2e12 z_min, and adaptivity refines where a column needs it.
+    grid within about 6.7e7 z_min gets exactly those, a wider one more.
+    In steps of 4, the slab response's D at rel_tol 1e-10 split 2-3 of
+    the ladder's panels between about 1/z and 16/z in 2 rounds; in steps
+    of 2 it mostly starts converged. Rungs closer together than 1e-14 of
+    the cut merge (_merge_edges), so the initial edges bracket the scale
+    of every height up to about 2e12 z_min, and adaptivity refines where
+    a column needs it.
     ``_seeds`` are more initial panel edges, in kappa.
     """
     heights = _heights(z)
@@ -432,8 +445,8 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     # overflow; a rung below the smallest float is 0, and is clipped
     span = math.log(heights[-1]) - math.log(z_min)
     rungs = max(_CUT_RUNGS,
-                math.ceil((math.log(2.0 * _EVANESCENT_CUT) + span) / math.log(4.0)) + 1)
-    interior = [kappa_max * 0.25**j for j in range(rungs)]
+                math.ceil((math.log(2.0 * _EVANESCENT_CUT) + span) / math.log(2.0)) + 1)
+    interior = [kappa_max * 0.5**j for j in range(rungs)]
     scale = min(U, 0.5 / z_min)
     interior.extend(scale * 2.0**j for j in range(-3, 4))
     interior.extend(np.asarray(_seeds, dtype=float))

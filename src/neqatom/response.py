@@ -21,7 +21,9 @@ incidence (``_GRAZING_LADDER``), and C from B's final edges (in theta),
 which hold both. D starts from the evanescent slab-phase breakpoints
 when the slab has any; otherwise from the final edges (in kappa) of one
 adaptive pass over the D density without its height factor, which
-resolves the guided-mode poles near the light line. C adds the phase
+resolves the guided-mode poles near the light line. That pass starts
+from a geometric ladder toward the light line (``_LIGHT_LINE_LADDER``),
+whose rungs D inherits. C adds the phase
 edges of the largest height of a pass and D the ladders of its heights,
 so the seeds move where panels start, not what each integral must meet.
 
@@ -225,6 +227,14 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=N
 _GRAZING_RUNGS = 8
 _GRAZING_LADDER = 0.5 * math.pi * (1.0 - 0.5 ** np.arange(1, _GRAZING_RUNGS + 1))
 
+# The kappa-seed pass's initial edges toward the light line kappa = 0, as
+# fractions 2^-j of the top of its band for j = 1 .. 11. From one panel
+# the pass bisects toward the light line, one round a halving (up to 22
+# rounds on the benchmark's slabs); 11 is the fewest rungs past which
+# those rounds stop falling, and D inherits the rungs through the seeds
+_LIGHT_LINE_RUNGS = 11
+_LIGHT_LINE_LADDER = 0.5 ** np.arange(_LIGHT_LINE_RUNGS, 0, -1)
+
 
 @dataclass(frozen=True)
 class _SlabPass:
@@ -255,8 +265,11 @@ def _kappa_seeds(omega, eps, delta, spec):
     final edges of one adaptive pass over that band of the D density
     without its height factor e^{-2 kappa z}: it resolves the guided-mode
     poles near the light line once, where each height would refine them
-    again. A pass that misses the tolerance still seeds, from its best
-    panels.
+    again. The pass starts from the light-line ladder kappa_top 2^-j
+    (``_LIGHT_LINE_LADDER``), kappa_top the top of the band, so it does
+    not bisect its way down to kappa = 0 one round a halving, and every
+    rung is among the seeds. A pass that misses the tolerance still
+    seeds, from its best panels.
     """
     U = omega / c
     k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
@@ -267,8 +280,10 @@ def _kappa_seeds(omega, eps, delta, spec):
     def density(kappa):
         return _d_density(omega, eps, delta, np.hypot(kappa, U), kappa, np.ones_like(kappa))
 
+    kappa_top = math.sqrt(k_osc**2 - U**2)
+    edges = np.concatenate(([0.0], kappa_top * _LIGHT_LINE_LADDER, [kappa_top]))
     try:
-        res = _adaptive(density, np.array([0.0, math.sqrt(k_osc**2 - U**2)]), spec)
+        res = _adaptive(density, edges, spec)
     except QuadratureToleranceError as exc:
         res = exc.best
     return res.edges

@@ -201,9 +201,9 @@ class TestGrouping:
             passes = response._c_passes(np.asarray(z))
         assert [p.stop - p.start for p in passes] == sizes
 
-    # the grids that once split D where 16 cut rungs stopped short of
-    # 1/(2 z_max): the ladder now grows to reach it, so each is one pass
-    _REACH = 4.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
+    # the grids that once split D where the fewest cut rungs stopped short
+    # of 1/(2 z_max): the ladder now grows to reach it, so each is one pass
+    _REACH = 2.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
 
     @pytest.mark.parametrize("z", [
         [1e-8, 4e-8, 2e-7, 1e-6],
@@ -236,9 +236,9 @@ class TestGrouping:
             assert type(got) is type(_single(OMEGA_R, h, 110e-9, SIC)), h
 
     def test_one_d_pass_for_any_span(self, monkeypatch):
-        # 4e7 times the smallest height: a 16-rung cut ladder from 1e-10
-        # stops short of the scale 1/(2z) of 4 mm, so the ladder grows
-        # instead of the pass splitting. Each height converges alone
+        # 4e7 times the smallest height: the cut ladder from 1e-10 reaches
+        # the scale 1/(2z) of 4 mm (it grows where its 32 rungs stop short),
+        # so the pass does not split. Each height converges alone
         z = np.array([1e-10, 1e-8, 1e-6, 1e-4, 4e-3])
         omega, delta = 2.0 * OMEGA_R, 1e-2
         seen = []

@@ -422,6 +422,21 @@ bracket = 1e-8,2e-8
 """)
         assert run_command(["crossover", "--config", cfg]) == EXIT_NUMERICAL
 
+    def test_frequency_without_a_default_dipole_names_omega(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # unit_rate_dipole(5e102) underflows to 0; the rates probe atom's
+        # omega_31 = 2 omega is not a config key, so the error names omega,
+        # before any integral
+        def fail(*args, **kwargs):
+            raise AssertionError("response_vectors_many called")
+        monkeypatch.setattr("neqatom.analysis.response_vectors_many", fail)
+        cfg = write(tmp_path, "omega = 5e102\nT_W = 570\nT_M = 170\nz = 1e-7\n"
+                              "delta = 110e-9\n")
+        assert run_command(["rates", "--config", cfg]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "omega = 5e+102 has no default dipole magnitude" in err
+        assert "omega_31" not in err
+
 
 class TestOverrides:
     def test_rel_tol_flag_wins(self, tmp_path):

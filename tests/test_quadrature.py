@@ -220,10 +220,10 @@ class TestManyHeights:
                 return np.exp(-2.0 * np.multiply.outer(kappa, z))
         return kernel
 
-    def test_sixteen_rungs_within_their_reach(self):
-        # the lowest of 16 rungs lies at or below 1/(2z) of every height up
-        # to 4^15 / (2 cut) times the smallest: those grids add no rung
-        reach = 4.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
+    def test_fewest_rungs_within_their_reach(self):
+        # the lowest of 32 rungs lies at or below 1/(2z) of every height up
+        # to 2^31 / (2 cut) times the smallest: those grids add no rung
+        reach = 2.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
         z = np.array([1e-9, 1e-6, 0.99 * reach * 1e-9])
         spec = QuadratureSpec(rel_tol=1.0)
         many = integrate_evanescent(self._decaying(z), OMEGA, z, spec)
@@ -232,7 +232,7 @@ class TestManyHeights:
         assert np.array_equal(many.edges, alone.edges)
 
     def test_cut_ladder_reaches_the_largest_height(self):
-        # beyond 16 rungs the ladder goes on down to 1/(2 z_max), far below
+        # beyond 32 rungs the ladder goes on down to 1/(2 z_max), far below
         # the lowest edge of the smallest height's ladders
         z = np.array([1e-10, 1e-2])
         res = integrate_evanescent(self._decaying(z), OMEGA, z, QuadratureSpec(rel_tol=1.0))
@@ -252,7 +252,7 @@ class TestManyHeights:
         # the cut ladder and the scale ladder, unrefined at rel_tol 1
         z = 1e-7
         cut = quadrature._EVANESCENT_CUT / z
-        ladder = [cut / 4.0**j for j in range(16)]
+        ladder = [cut / 2.0**j for j in range(32)]
         ladder += [min(U, 0.5 / z) * 2.0**j for j in range(-3, 4)]
 
         def kernel(k, kappa):
@@ -392,6 +392,13 @@ class TestNonFinite:
             _adaptive(lambda x: np.ones_like(x), np.array([0.0, 1.0]), spec,
                       extra_error=np.array([np.nan]))
         assert err.value.best.evaluations == 15 + 30 * 3
+
+    def test_overflowing_panel_sum_raises_without_a_warning(self):
+        # each panel holds 6e307, finite; the four together overflow. The
+        # suite turns a RuntimeWarning into a failure
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            _adaptive(lambda x: np.full_like(x, 6e307), np.arange(5.0), QuadratureSpec())
+        assert err.value.node == 0.5
 
 
 def _record_panels(monkeypatch):

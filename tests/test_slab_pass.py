@@ -256,3 +256,61 @@ def test_resonant_thin_slab_converges_at_the_root_spec():
     rv = response_vectors(OMEGA_R, GeometryPoint(z=1e-6, delta=110e-9), SIC, _ROOT_SPEC)
     size = np.abs(rv.B) + np.abs(rv.C) + np.abs(rv.D)
     assert np.all(rv.error <= _ROOT_SPEC.rel_tol * size + 3.0 * _ROOT_SPEC.abs_tol)
+
+
+# the bench's (omega, delta) pairs whose evanescent band has no slab-phase
+# breakpoints: D is seeded by the height-free pass over [0, kappa_top]
+SEED_PASS = TRACK + [(0.5 * OMEGA_R, 110e-9), (2.0 * OMEGA_R, 110e-9)]
+SEED_PASS_IDS = TRACK_IDS + ["0.5wr-110nm", "2wr-110nm"]
+
+
+@pytest.mark.parametrize("omega,delta", SEED_PASS, ids=SEED_PASS_IDS)
+def test_light_line_ladder_spares_the_kappa_pass_its_rounds(omega, delta, monkeypatch):
+    # from one panel the pass bisects toward the light line kappa = 0, one
+    # round a halving: 7-21 rounds here at the default spec (0 at
+    # (omega_p, 1 cm)). From the ladder the rounds left, at most 12, refine
+    # the guided-mode poles near the light line. Every rung stays among
+    # the seeds, for D to start from
+    eps = permittivity(SIC, omega)
+    U = omega / c
+    k_osc = U * math.sqrt(max(eps.real, 1.0)) + U
+    assert not len(_slab_phase_breakpoints(omega, delta, eps, U, k_osc, DEFAULT_SPEC.rel_tol))
+    passes = []
+
+    def recording(*args, **kwargs):
+        passes.append(quadrature._adaptive(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(response, "_adaptive", recording)
+    _b_vector.cache_clear()
+    try:
+        seeds = _b_vector(omega, delta, SIC, DEFAULT_SPEC).kappa_seeds
+    finally:
+        _b_vector.cache_clear()
+    assert len(passes) == 1 and passes[0].rounds <= 12
+    rungs = math.sqrt(k_osc**2 - U**2) * response._LIGHT_LINE_LADDER
+    assert np.isin(rungs, seeds).all()
+
+
+# the converged heights of crossover-roots roots 0, 2 and 3
+@pytest.mark.parametrize("omega,delta,z,splits", [
+    (OMEGA_R, 1e-2, 5.5795e-7, 0),
+    (OMEGA_R, 110e-9, 5.6996e-7, 0),
+    (2.0 * OMEGA_R, 110e-9, 5.3729e-8, 1),
+], ids=["root0", "root2", "root3"])
+def test_root_spec_d_starts_without_a_split(omega, delta, z, splits, monkeypatch):
+    # with a cut ladder in steps of 4, D splits 2-3 panels in 2 rounds
+    # here. In steps of 2, with the light-line rungs among its seeds, it
+    # starts converged at roots 0 and 2; root 3 splits the top rung's panel
+    # [cut/2, cut] once, where e^{-2 kappa z} falls by e^16
+    results = []
+    integrate = response.integrate_evanescent
+
+    def recording(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(response, "integrate_evanescent", recording)
+    response_vectors(omega, GeometryPoint(z=z, delta=delta), SIC, _ROOT_SPEC)
+    (d,) = results
+    assert d.converged and d.splits <= splits and d.rounds <= splits
