@@ -289,6 +289,20 @@ def _steady(atom, z, delta, env31, env32, T_search, with_thermal) -> ScanPoint:
                      populations=pops, thermal=thermal)
 
 
+def probe_atom(omega: float, weights) -> AtomModel:
+    """The atom of :func:`environment_scan`: its transition 32 is ``omega``.
+
+    Only transition 32 is integrated, so omega is the one frequency that
+    needs a default dipole magnitude (31 is given one); a ValueError
+    naming omega says it has none.
+    """
+    try:
+        return AtomModel(omega_31=2.0 * omega, omega_32=omega, d31_mag=1.0,
+                         weights_31=weights, weights_32=weights)
+    except ValueError:
+        raise ValueError(f"omega = {omega!r} has no default dipole magnitude") from None
+
+
 def environment_scan(omega: float, weights, model: DielectricModel, z_values,
                      delta_values, T_W: float, T_M: float,
                      spec: QuadratureSpec = DEFAULT_SPEC):
@@ -300,14 +314,7 @@ def environment_scan(omega: float, weights, model: DielectricModel, z_values,
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     z_values, delta_values = _grid(z_values, delta_values)
-    weights = check_weights(weights)
-    # only the probe's transition 32 is integrated, so omega is the one
-    # frequency that needs a default dipole magnitude (31 is given one)
-    try:
-        probe = AtomModel(omega_31=2.0 * omega, omega_32=omega, d31_mag=1.0,
-                          weights_31=weights, weights_32=weights)
-    except ValueError:
-        raise ValueError(f"omega = {omega!r} has no default dipole magnitude") from None
+    probe = probe_atom(omega, check_weights(weights))
     records = []
     for delta in delta_values.tolist():
         for z, env in zip(z_values.tolist(), _environments(probe, "32", model, z_values,

@@ -24,6 +24,7 @@ from .analysis import (
     DEFAULT_T_SEARCH,
     _describe,
     environment_scan,
+    probe_atom,
     scan,
     transition_environments,
 )
@@ -332,6 +333,12 @@ def _rows(records, columns):
 
 
 def _run_rates(cfg, command):
+    # a frequency without a default dipole magnitude is the config's error,
+    # as in ScenarioConfig.atom(), not a numerical failure
+    try:
+        probe_atom(cfg.omega, cfg.weights)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     records = []
     for z, d, env, err in environment_scan(cfg.omega, cfg.weights, cfg.model, cfg.z_values,
                                            cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec):

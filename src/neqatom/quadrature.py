@@ -8,13 +8,22 @@ wavenumber k at fixed frequency:
 * the same sector with an oscillatory factor exp(2i k_z z),
 * exponentially damped semi-infinite over the evanescent sector k > omega/c.
 
-All engines integrate a k-space density ``f(k, aux) -> (N, m)`` where
-``aux`` is k_z (propagative, real) or kappa = Im k_z (evanescent). The
-endpoint singularity and the infinite domain are removed by substitution:
-k = (omega/c) sin(theta) on the propagative sector and kappa as the
-variable on the evanescent one. Nested Gauss-Kronrod (G7, K15) rule pairs
-give the per-panel error estimate; on failure the worst panels are bisected
-in rounds.
+All engines integrate a k-space density ``f(k, aux)`` where ``aux`` is
+k_z (propagative, real) or kappa = Im k_z (evanescent). The density is
+an array ``(N, m)`` (or ``(N,)``, one column), or a pair
+``(kernel, g)``: a height kernel ``(N, n_z)``, real or complex, and a
+height-free density ``(N, p)``, whose value is Re(kernel ⊗ g), ``(N,
+n_z * p)`` height-major. The engines apply their Jacobian to g, and
+contract a kernel of _BATCHED_HEIGHTS heights or more panel by panel
+against g with the Kronrod and Gauss weights folded in, so the product
+of the two is never formed; an array is the unit-kernel case of that
+contraction (``_panel_sums``).
+
+The endpoint singularity and the infinite domain are removed by
+substitution: k = (omega/c) sin(theta) on the propagative sector and
+kappa as the variable on the evanescent one. Nested Gauss-Kronrod (G7,
+K15) rule pairs give the per-panel error estimate; on failure the worst
+panels are bisected in rounds.
 Panels never evaluate interval endpoints, so 1/k_z densities are safe.
 An integrand that returns NaN or infinity raises NonFiniteIntegrandError
 naming the node, and so do finite panels whose sum overflows; neither
@@ -32,17 +41,18 @@ that needs many splits makes few calls. Left halves keep their rows and
 right halves are appended in pop order. A failing integral spends the
 whole budget unless every panel reaches floating-point width first.
 
-No integrand call holds more than ``_MAX_CELLS`` nodes x columns: the
-initial panels and a round's halves go to the integrand in as many calls
-as that takes, written straight into the panel rows, so the working set
-is bounded whatever the number of panels or heights.
+No integrand call holds more than ``_MAX_CELLS`` nodes x columns (a
+pair's columns counted as n_z * p): the initial panels and a round's
+halves go to the integrand in as many calls as that takes, written
+straight into the panel rows, so the working set is bounded whatever the
+number of panels or heights.
 
 The oscillatory and evanescent engines also take an ascending array of
 heights, integrated together on shared nodes: the integrand returns the
-columns of every height side by side, ``(N, m * n_z)``, and each column
-keeps its own tolerance. The largest height sets the height-phase edges
-and how far down the evanescent cut ladder, in steps of 2, reaches; the
-smallest sets the evanescent cut, the tail bound and the scale ladder of
+columns of every height side by side, ``(N, m * n_z)`` or a pair, and
+each column keeps its own tolerance. The largest height sets the
+height-phase edges and the floor of the evanescent ladder; the smallest
+sets the evanescent cut, where that ladder starts, and the tail bound of
 every column.
 With one height both engines reproduce the single-height edges and
 arithmetic bit for bit. The initial pass is sized for at most three
@@ -93,6 +103,7 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # 15 ascending
 _K15_W = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _G7_W = np.zeros(15)
 _G7_W[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))       # Gauss points interleaved
+_WEIGHTS = np.stack((_K15_W, _G7_W))                        # (2, 15)
 
 _MAX_INITIAL_PANELS = 1 << 17
 
@@ -106,12 +117,15 @@ _MAX_CELLS = 1 << 20
 # stays at roundoff with half the panels of an eighth
 _PHASE_EDGES_PER_PERIOD = 4
 
+# Kernel width (heights) from which a (kernel, g) pair is contracted panel
+# by panel rather than as its columns. Per call on 20-300 panels the
+# batched form wins from about 2-4 real heights and 4-6 complex ones, and
+# is 2-3x slower at one height (a root search), where the per-panel
+# matmul overhead outweighs forming 2 columns
+_BATCHED_HEIGHTS = 4
+
 # Evanescent upper cut: damping factor below 1e-14 of its peak.
 _EVANESCENT_CUT = 0.5 * math.log(1e14)
-
-# Fewest rungs of the evanescent cut ladder kappa_max / 2**j; a wider
-# grid of heights adds rungs down to its largest height's scale 1/(2 z)
-_CUT_RUNGS = 32
 
 
 @dataclass(frozen=True)
@@ -175,27 +189,71 @@ class QuadratureToleranceError(RuntimeError):
         self.best = best
 
 
+def _columns(y):
+    """An integrand's value as its (N, m) float columns.
+
+    A (kernel, g) pair gives Re(kernel ⊗ g), height-major: column
+    j * p + i is Re(kernel[:, j] g[:, i]). An array of one column may be 1-D.
+    """
+    if isinstance(y, tuple):
+        kernel, g = y
+        return (kernel[:, :, None] * g[:, None, :]).real.reshape(len(g), -1)
+    y = np.asarray(y, dtype=float)
+    return y[:, None] if y.ndim == 1 else y
+
+
+def _scaled(y, jac):
+    """An integrand's value times the Jacobian ``jac`` (N,): g of a pair, else every column."""
+    if isinstance(y, tuple):
+        kernel, g = y
+        return kernel, g * jac[:, None]
+    return _columns(y) * jac[:, None]
+
+
+def _panel_sums(y, n):
+    """Unscaled K15 and G7 sums, (n, m) each, of an integrand's value on n panels.
+
+    The one contraction of the engine. A pair whose kernel holds at least
+    _BATCHED_HEIGHTS heights is contracted panel by panel: the weights are
+    folded into g, and each panel's 15 x heights kernel meets its 15 x 2p
+    weighted g in one batched ``matmul``, so Re(kernel ⊗ g) is never
+    formed. A narrower pair, or an array (the unit kernel), is contracted
+    as its columns, against both weight rows at once.
+    """
+    if isinstance(y, tuple) and y[0].shape[1] >= _BATCHED_HEIGHTS:
+        kernel, g = y
+        h, p = kernel.shape[1], g.shape[1]
+        # (2, p, N), node axis last: per panel a (15, 2p) matrix
+        gw = g.T[None, :, :] * np.tile(_WEIGHTS, n)[:, None, :]
+        gw = gw.reshape(2 * p, n, 15).transpose(1, 2, 0)
+        s = np.matmul(kernel.reshape(n, 15, h).transpose(0, 2, 1), gw).real.reshape(n, h, 2, p)
+        return s[:, :, 0].reshape(n, h * p), s[:, :, 1].reshape(n, h * p)
+    s = np.matmul(_WEIGHTS, _columns(y).reshape(n, 15, -1))
+    return s[:, 0], s[:, 1]
+
+
 def _eval_panels(F, a, b):
     """K15 values and |K15 - G7| error estimates for a batch of panels.
 
     Raises NonFiniteIntegrandError if any panel value or error is not
-    finite, naming the first node where the integrand is not. A finite
-    |K15 - G7| implies finite K15 and G7, so one check covers both.
+    finite, naming the first node where the integrand (a kernel or g of
+    a pair) is not. A finite |K15 - G7| implies finite K15 and G7, so one
+    check covers both.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(F(x.reshape(-1)), dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    y = y.reshape(len(a), 15, -1)
+    y = F(x.reshape(-1))
+    if not isinstance(y, tuple):
+        y = _columns(y)
     # a sum that overflows (inf - inf is NaN) is raised below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        k15 = np.einsum("k,nkm->nm", _K15_W, y) * half[:, None]
-        g7 = np.einsum("k,nkm->nm", _G7_W, y) * half[:, None]
+        k15, g7 = (s * half[:, None] for s in _panel_sums(y, len(a)))
         err = np.abs(k15 - g7)
     if not np.isfinite(err).all():
-        bad = ~np.isfinite(y).all(axis=2)
+        parts = y if isinstance(y, tuple) else (y,)
+        bad = ~np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in parts])
+        bad = bad.reshape(len(a), 15)
         # finite samples can still overflow a panel sum: name its midpoint
         node = x[bad][0] if bad.any() else mid[~np.isfinite(err).all(axis=1)][0]
         raise NonFiniteIntegrandError(float(node))
@@ -392,10 +450,7 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     def F(theta):
         k = U * np.sin(theta)
         kz = U * np.cos(theta)
-        y = np.asarray(integrand(k, kz), dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        return y * kz[:, None]
+        return _scaled(integrand(k, kz), kz)
 
     return _adaptive(F, _merge_edges(0.0, 0.5 * math.pi, interior), spec, _heights=len(heights))
 
@@ -410,17 +465,14 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
 
     ``z`` is one height or an ascending array of heights integrated on
     shared nodes, the integrand returning every height's columns side by
-    side. The smallest height sets the cut, the tail bound and the scale
-    ladder of every column. The cut ladder runs down from the cut in
-    steps of 2 until its lowest rung lies at or below the largest height's
-    scale 1/(2 z_max), with at least _CUT_RUNGS rungs (nine decades): a
-    grid within about 6.7e7 z_min gets exactly those, a wider one more.
-    In steps of 4, the slab response's D at rel_tol 1e-10 split 2-3 of
-    the ladder's panels between about 1/z and 16/z in 2 rounds; in steps
-    of 2 it mostly starts converged. Rungs closer together than 1e-14 of
-    the cut merge (_merge_edges), so the initial edges bracket the scale
-    of every height up to about 2e12 z_min, and adaptivity refines where
-    a column needs it.
+    side. The smallest height sets the cut and the tail bound of every
+    column. The initial edges are one ladder, kappa_max 2^-j, from the cut
+    down to its first rung at or below the floor min(omega/c, 1/(2 z_max))/8,
+    so it brackets the scale 1/(2 z) of every height and omega/c. Below
+    the floor the slab response's seeds panel the light-line region (the
+    kappa-seed pass starts from kappa_top 2^-j down to kappa_top/2048),
+    and adaptivity refines where a column needs it. Rungs closer together
+    than 1e-14 of the cut merge (_merge_edges).
     ``_seeds`` are more initial panel edges, in kappa.
     """
     heights = _heights(z)
@@ -434,26 +486,21 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
 
     def F(kappa):
         k = np.hypot(kappa, U)
-        y = np.asarray(integrand(k, kappa), dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        return y * (kappa / k)[:, None]
+        return _scaled(integrand(k, kappa), kappa / k)
 
-    # geometric ladders resolve the scale gap between omega/c, the heights'
-    # scales 1/(2 z) and the cut before adaptivity takes over. The rung
-    # count comes from the log-span of the heights, as their ratio can
-    # overflow; a rung below the smallest float is 0, and is clipped
-    span = math.log(heights[-1]) - math.log(z_min)
-    rungs = max(_CUT_RUNGS,
-                math.ceil((math.log(2.0 * _EVANESCENT_CUT) + span) / math.log(2.0)) + 1)
+    # one geometric ladder resolves the scale gap between the cut and the
+    # floor, omega/c or every height's scale 1/(2 z) before adaptivity
+    # takes over. The rung count comes from logs, as the cut over the
+    # floor can overflow; a rung below the smallest float is 0, and is
+    # clipped
+    floor = min(U, 0.5 / heights[-1]) / 8.0
+    rungs = math.ceil(math.log2(_EVANESCENT_CUT) - math.log2(z_min) - math.log2(floor)) + 1
     interior = [kappa_max * 0.5**j for j in range(rungs)]
-    scale = min(U, 0.5 / z_min)
-    interior.extend(scale * 2.0**j for j in range(-3, 4))
     interior.extend(np.asarray(_seeds, dtype=float))
 
-    f_max = np.atleast_2d(F(np.array([kappa_max])))[0]
-    with np.errstate(over="ignore"):  # a tiny z_min overflows it: raised below
-        tail = f_max / (2.0 * z_min)
+    # a tiny z_min overflows the tail bound: raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = _columns(F(np.array([kappa_max])))[0] / (2.0 * z_min)
     if not np.isfinite(tail).all():
         raise NonFiniteIntegrandError(kappa_max)
     edges = _merge_edges(0.0, kappa_max, interior)

@@ -23,17 +23,20 @@ when the slab has any; otherwise from the final edges (in kappa) of one
 adaptive pass over the D density without its height factor, which
 resolves the guided-mode poles near the light line. That pass starts
 from a geometric ladder toward the light line (``_LIGHT_LINE_LADDER``),
-whose rungs D inherits. C adds the phase
-edges of the largest height of a pass and D the ladders of its heights,
-so the seeds move where panels start, not what each integral must meet.
+whose rungs D inherits below the floor of its own ladder. C adds the
+phase edges of the largest height of a pass and D the ladder of its
+heights, so the seeds move where panels start, not what each integral
+must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, then integrates C and D in passes of several
 heights, so that one slab-amplitude evaluation per node serves them all.
 C keeps a pass within one decade, because its height-phase edges grow
 with the largest height. D integrates the heights whose C converged in
-one pass: its cut ladder reaches from the smallest one's cut down to the
+one pass: its ladder reaches from the smallest one's cut down past the
 largest one's scale, and a height whose C fails takes no part in it. The
+C and D integrands return the height kernel and the height-free density
+apart, and the engine contracts them panel by panel. The
 engine bounds nodes x columns of every integrand call, so a pass may
 hold any number of heights. A pass that fails is integrated again
 height by height, for that integral only, so each failure stays with
@@ -406,25 +409,24 @@ def _c_pass(omega, eps, z, delta, slab, spec):
     """C of the heights ``z`` (array), columns (xx, zz) height by height.
 
     It starts from B's final edges in ``slab``, the :class:`_SlabPass` of
-    (omega, delta).
+    (omega, delta). The integrand returns a pair: the height kernel
+    e^{2i kz z}, complex (node, height), and the height-free density
+    g = (3c/4 omega)(k/kz)(rho_TE w_TE + rho_TM w_TM), w_TM =
+    (c/omega)^2 (-kz^2, 2 k^2), complex (node, orientation), formed once
+    per node. The engine contracts Re(kernel ⊗ g) panel by panel.
     """
-    n = len(z)
     two_z = 2.0 * z
 
     # the integrands run once per split round, so they keep to few numpy
-    # calls. The height-free density g = (3c/4 omega)(k/kz)(rho_TE w_TE +
-    # rho_TM w_TM), w_TM = (c/omega)^2 (-kz^2, 2 k^2), complex (node,
-    # orientation), is formed once per node. kz is real on the propagative
-    # sector, so the kernel Re(g e^{2i kz z}) is g_r cos - g_i sin: one cos
-    # and one sin per (node, height), shared by both orientations. y is
-    # (node, height, orientation)
+    # calls: kz is real on the propagative sector, so the kernel is one
+    # cos and one sin per (node, height)
     def integrand(k, kz):
         (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
-        g = _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)
-        phase = np.multiply.outer(kz, two_z)[:, :, None]
-        y = g.real[:, None, :] * np.cos(phase)
-        y -= g.imag[:, None, :] * np.sin(phase)
-        return y.reshape(len(k), 2 * n)
+        phase = np.multiply.outer(kz, two_z)
+        kernel = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=kernel.real)
+        np.sin(phase, out=kernel.imag)
+        return kernel, _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)
 
     return integrate_oscillatory(integrand, omega, z, spec, _seeds=slab.B.edges)
 
@@ -432,13 +434,16 @@ def _c_pass(omega, eps, z, delta, slab, spec):
 def _d_pass(omega, eps, z, delta, slab, spec):
     """D of the heights ``z`` (array), columns (xx, zz) height by height.
 
-    It starts from the kappa seeds of ``slab``. For a real permittivity
-    rho is real off the guided-mode poles, so Im rho = 0 and D is zero;
-    the poles' delta-function terms are left out.
+    It starts from the kappa seeds of ``slab``. The integrand returns a
+    pair: the height kernel e^{-2 kappa z} (node, height) and the
+    height-free density (3c/4 omega)(k/kappa) Im(rho) . w, w_TM =
+    (c/omega)^2 (kappa^2, 2 k^2) (node, orientation), formed once per
+    node. For a real permittivity rho is real off the guided-mode poles,
+    so Im rho = 0 and D is zero; the poles' delta-function terms are left
+    out.
     """
-    n = len(z)
     if slab.kappa_seeds is None:
-        zero = np.zeros(2 * n)
+        zero = np.zeros(2 * len(z))
         return QuadratureResult(value=zero, error_estimate=zero, evaluations=0)
     # the density squares kappa (k_zm^2 and the kappa^2 weight): a cut
     # that squares past the float range raises before any node
@@ -448,12 +453,9 @@ def _d_pass(omega, eps, z, delta, slab, spec):
             raise NonFiniteIntegrandError(kappa_max)
     minus_two_z = -2.0 * z
 
-    # the height-free density (3c/4 omega)(k/kappa) Im(rho) . w, w_TM =
-    # (c/omega)^2 (kappa^2, 2 k^2), once per node, times e^{-2 kappa z}
     def integrand(k, kappa):
-        g = _d_density(omega, eps, delta, k, kappa, k / kappa)
-        y = np.exp(np.multiply.outer(kappa, minus_two_z))[:, :, None] * g[:, None, :]
-        return y.reshape(len(k), 2 * n)
+        return (np.exp(np.multiply.outer(kappa, minus_two_z)),
+                _d_density(omega, eps, delta, k, kappa, k / kappa))
 
     return integrate_evanescent(integrand, omega, z, spec, _seeds=slab.kappa_seeds)
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neqatom import quadrature, response
+from neqatom.constants import c
 from neqatom.optics import DielectricModel, load_material
 from neqatom.quadrature import (
     DEFAULT_SPEC,
@@ -201,14 +202,17 @@ class TestGrouping:
             passes = response._c_passes(np.asarray(z))
         assert [p.stop - p.start for p in passes] == sizes
 
-    # the grids that once split D where the fewest cut rungs stopped short
-    # of 1/(2 z_max): the ladder now grows to reach it, so each is one pass
-    _REACH = 2.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
+    # the grids that once split D where its ladder stopped short of
+    # 1/(2 z_max): the ladder now reaches its floor min(omega/c,
+    # 1/(2 z_max))/8, so each is one pass. "reach" straddles the height
+    # 1/(2 omega/c) where the largest height starts to set the floor, and
+    # adds two heights 6.6 cm up, where C fails
+    _TURN = 0.5 * c / OMEGA_R
 
     @pytest.mark.parametrize("z", [
         [1e-8, 4e-8, 2e-7, 1e-6],
         RESONANT_GRID,
-        [1e-9, 0.99 * _REACH * 1e-9, 1.01 * _REACH * 1e-9],
+        [1e-9, 0.99 * _TURN, 1.01 * _TURN, 6.6e-2, 6.7e-2],
         [5e-7],
     ], ids=["two-decades", "resonant-grid", "reach", "one"])
     def test_d_passes_keep_to_the_ladder_reach(self, z, monkeypatch):
@@ -229,16 +233,16 @@ class TestGrouping:
         monkeypatch.setattr(response, "integrate_evanescent", recording_d)
         many = response_vectors_many(OMEGA_R, z, 110e-9, SIC)
         # one D pass of the heights whose C converged ("reach": C fails at
-        # the two heights 3 cm up, so D holds one height)
+        # the two heights 6.6 cm up, so D holds three heights)
         assert seen == [sorted(c_converged)]
-        # the heights 3 cm up fail alone too: the pass changes no outcome
+        # the heights 6.6 cm up fail alone too: the pass changes no outcome
         for h, got in zip(z.tolist(), many):
             assert type(got) is type(_single(OMEGA_R, h, 110e-9, SIC)), h
 
     def test_one_d_pass_for_any_span(self, monkeypatch):
         # 4e7 times the smallest height: the cut ladder from 1e-10 reaches
-        # the scale 1/(2z) of 4 mm (it grows where its 32 rungs stop short),
-        # so the pass does not split. Each height converges alone
+        # the scale 1/(2z) of 4 mm (its floor is an eighth of it), so the
+        # pass does not split. Each height converges alone
         z = np.array([1e-10, 1e-8, 1e-6, 1e-4, 4e-3])
         omega, delta = 2.0 * OMEGA_R, 1e-2
         seen = []

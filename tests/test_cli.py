@@ -426,15 +426,15 @@ bracket = 1e-8,2e-8
                                                             monkeypatch):
         # unit_rate_dipole(5e102) underflows to 0; the rates probe atom's
         # omega_31 = 2 omega is not a config key, so the error names omega,
-        # before any integral
+        # before any integral, and is a config error like thermal-track's
         def fail(*args, **kwargs):
             raise AssertionError("response_vectors_many called")
         monkeypatch.setattr("neqatom.analysis.response_vectors_many", fail)
         cfg = write(tmp_path, "omega = 5e102\nT_W = 570\nT_M = 170\nz = 1e-7\n"
                               "delta = 110e-9\n")
-        assert run_command(["rates", "--config", cfg]) == EXIT_NUMERICAL
+        assert run_command(["rates", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "omega = 5e+102 has no default dipole magnitude" in err
+        assert "config error: omega = 5e+102 has no default dipole magnitude" in err
         assert "omega_31" not in err
 
 

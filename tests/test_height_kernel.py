@@ -1,9 +1,11 @@
 """The B, C and D integrands and the kappa-seed density against their definitions.
 
-``_c_pass`` and ``_d_pass`` form a height-free density once per node and
-apply the height kernel in real arithmetic. Here each integrand is
-captured from the engine call and evaluated at random nodes, then
-compared with its definition, C's written with a complex exponential:
+``_c_pass`` and ``_d_pass`` hand the engine a pair: the height kernel
+(node, height) and a height-free density g (node, orientation), formed
+once per node, whose value is Re(kernel ⊗ g). Here each integrand is
+captured from the engine call and evaluated at random nodes; the value
+formed from its pair is compared with its definition, C's written with
+a complex exponential:
 
     B: pref (k/k_z) [(|rho_TE|^2 + |tau_TE|^2) w_TE + (|rho_TM|^2 + |tau_TM|^2) w_TM]
     C: pref (k/k_z) Re[(rho_TE w_TE + rho_TM w_TM) e^{2i k_z z}]
@@ -54,6 +56,13 @@ def _captured(monkeypatch, engine, run):
     return integrand
 
 
+def _value(pair, n):
+    """Re(kernel ⊗ g) of a captured pair, as (node, height, orientation)."""
+    kernel, g = pair
+    assert kernel.shape == (len(g), n) and g.shape == (len(g), 2)
+    return (kernel[:, :, None] * g[:, None, :]).real
+
+
 def _check(got, want):
     # (node, height, orientation); each (height, orientation) column to
     # rtol of its own scale over the nodes
@@ -71,7 +80,7 @@ def test_c_integrand_matches_definition(monkeypatch, model, omega, delta, n):
     U = omega / c
     theta = np.random.default_rng(n).uniform(0.0, 0.5 * np.pi, 300)
     k, kz = U * np.sin(theta), U * np.cos(theta)
-    got = integrand(k, kz).reshape(len(k), n, 2)
+    got = _value(integrand(k, kz), n)
 
     (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
     s = (c / omega) ** 2
@@ -94,7 +103,7 @@ def test_d_integrand_matches_definition(monkeypatch, model, omega, delta, n):
     U = omega / c
     kappa = U * 10.0 ** np.random.default_rng(n).uniform(-3.0, 3.0, 300)
     k = np.hypot(kappa, U)
-    got = integrand(k, kappa).reshape(len(k), n, 2)
+    got = _value(integrand(k, kappa), n)
 
     (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, 1j * kappa, delta, want_tau=False)
     s = (c / omega) ** 2

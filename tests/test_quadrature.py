@@ -221,10 +221,9 @@ class TestManyHeights:
         return kernel
 
     def test_fewest_rungs_within_their_reach(self):
-        # the lowest of 32 rungs lies at or below 1/(2z) of every height up
-        # to 2^31 / (2 cut) times the smallest: those grids add no rung
-        reach = 2.0 ** (quadrature._CUT_RUNGS - 1) / (2.0 * quadrature._EVANESCENT_CUT)
-        z = np.array([1e-9, 1e-6, 0.99 * reach * 1e-9])
+        # below 1/(2 omega/c) every height's ladder floor is (omega/c)/8:
+        # a grid within it adds no rung to its smallest height's ladder
+        z = np.array([1e-9, 1e-8, 0.99 * 0.5 / U])
         spec = QuadratureSpec(rel_tol=1.0)
         many = integrate_evanescent(self._decaying(z), OMEGA, z, spec)
         alone = integrate_evanescent(self._decaying(z[:1]), OMEGA, z[0], spec)
@@ -232,15 +231,15 @@ class TestManyHeights:
         assert np.array_equal(many.edges, alone.edges)
 
     def test_cut_ladder_reaches_the_largest_height(self):
-        # beyond 32 rungs the ladder goes on down to 1/(2 z_max), far below
-        # the lowest edge of the smallest height's ladders
+        # the ladder goes on down to 1/(2 z_max), far below the floor of
+        # the smallest height's ladder
         z = np.array([1e-10, 1e-2])
         res = integrate_evanescent(self._decaying(z), OMEGA, z, QuadratureSpec(rel_tol=1.0))
         assert res.edges[1] <= 0.5 / z[-1] < min(U, 0.5 / z[0]) / 8.0
 
     def test_heights_hundreds_of_decades_apart(self):
-        # their ratio overflows a float, and 4**j does for the lowest of
-        # the ~670 rungs: neither may raise
+        # their ratio overflows a float, and 0.5**j underflows for the
+        # lowest of the ~1340 rungs: neither may raise
         z = np.array([1e-200, 1e200])
         try:
             res = integrate_evanescent(self._decaying(z), OMEGA, z)
@@ -249,11 +248,12 @@ class TestManyHeights:
         assert np.isfinite(res.value).all() and np.isfinite(res.error_estimate).all()
 
     def test_one_height_edges_are_its_ladders(self):
-        # the cut ladder and the scale ladder, unrefined at rel_tol 1
+        # the ladder from the cut down to its first rung at or below the
+        # floor min(omega/c, 1/(2z))/8, unrefined at rel_tol 1
         z = 1e-7
-        cut = quadrature._EVANESCENT_CUT / z
-        ladder = [cut / 2.0**j for j in range(32)]
-        ladder += [min(U, 0.5 / z) * 2.0**j for j in range(-3, 4)]
+        ladder = [quadrature._EVANESCENT_CUT / z]
+        while ladder[-1] > min(U, 0.5 / z) / 8.0:
+            ladder.append(ladder[-1] / 2.0)
 
         def kernel(k, kappa):
             return vec(k * kappa * np.exp(-2.0 * kappa * z))
@@ -399,6 +399,71 @@ class TestNonFinite:
         with pytest.raises(NonFiniteIntegrandError) as err:
             _adaptive(lambda x: np.full_like(x, 6e307), np.arange(5.0), QuadratureSpec())
         assert err.value.node == 0.5
+
+
+def _pair_integrand(engine, kind, n):
+    """A (kernel, g) integrand of n heights and its dense columns Re(kernel ⊗ g).
+
+    The kernel is e^{2i aux z} on the propagative sector, e^{(-2 + i) aux z}
+    on the evanescent one (complex), or e^{-2 aux z} (real); g is complex
+    for a complex kernel. Returns (z, pair, dense).
+    """
+    if engine is integrate_oscillatory:
+        z, phase = np.geomspace(0.1, 5.0, n) / U, (2j if kind == "complex" else -2.0)
+    else:
+        z, phase = np.geomspace(1e-8, 1e-6, n), (-2.0 + 1j if kind == "complex" else -2.0)
+
+    def pair(k, aux):
+        kernel = np.exp(phase * np.multiply.outer(aux, z))
+        g = np.stack((k / U + 0.5, 1.0 / (1e-3 + (k / U - 0.9) ** 2)), axis=1)
+        if kind == "complex":
+            g = g * (1.0 - 0.4j)
+        return kernel, g * (k / U)[:, None]
+
+    def dense(k, aux):
+        kernel, g = pair(k, aux)
+        return (kernel[:, :, None] * g[:, None, :]).real.reshape(len(k), -1)
+
+    return z, pair, dense
+
+
+class TestKernelPairs:
+    """A (kernel, g) pair integrates as its dense columns Re(kernel ⊗ g)."""
+
+    @pytest.mark.parametrize("n", [1, 13])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("engine", [integrate_oscillatory, integrate_evanescent],
+                             ids=["osc", "evan"])
+    def test_pair_matches_dense_columns(self, engine, kind, n):
+        z, pair, dense = _pair_integrand(engine, kind, n)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
+        got, want = engine(pair, OMEGA, z, spec), engine(dense, OMEGA, z, spec)
+        assert want.splits > 0
+        assert (got.splits, got.rounds, got.evaluations) == (want.splits, want.rounds,
+                                                             want.evaluations)
+        assert np.array_equal(got.edges, want.edges)
+        assert np.allclose(got.value, want.value, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["kernel", "g"])
+    @pytest.mark.parametrize("n", [1, 13])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_nan_in_a_pair_names_its_node(self, kind, n, part):
+        # NaN in the last column of the kernel or of g at every node past
+        # 0.7 omega/c: the first of them is named, without a RuntimeWarning
+        # (the suite makes one an error)
+        z, pair, _ = _pair_integrand(integrate_oscillatory, kind, n)
+        first = []
+
+        def poisoned(k, kz):
+            y = pair(k, kz)
+            y[part][k > 0.7 * U, -1] = np.nan
+            first.append(k[k > 0.7 * U][0])
+            return y
+
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_oscillatory(poisoned, OMEGA, z)
+        assert len(first) == 1
+        assert U * math.sin(err.value.node) == pytest.approx(first[0], rel=1e-14)
 
 
 def _record_panels(monkeypatch):
@@ -701,7 +766,9 @@ class TestCallCap:
         def recording_eval(F, a, b):
             def counted(x):
                 y = F(x)
-                seen["cells"].append(np.size(y))
+                # a (kernel, g) pair holds N x heights x orientations cells
+                seen["cells"].append(y[0].size * y[1].shape[1] if isinstance(y, tuple)
+                                     else np.size(y))
                 return y
 
             return evaluate(counted, a, b)
