@@ -168,20 +168,24 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=N
     in the loop gain g = |r^2 e^{2i k_zm delta}|, so a fringe is sharp
     only where g is high. Boundaries go at every full period; fringes
     whose gain (the larger of TE and TM) exceeds _FRINGE_GAIN, and their
-    two neighbours, also keep the eighth-period points. When the
-    amplitude exp(-2 Im(k_zm) delta) cannot disturb the requested
-    tolerance the splitting is skipped entirely, before any gain is
-    computed.
+    two neighbours, also keep the eighth-period points. Fringes whose
+    round-trip amplitude exp(-2 Im(k_zm) delta) is below
+    t = max(1e-18, 0.01 rel_tol) cannot disturb the requested tolerance
+    and get no edge, bar one period of margin: with k_zm = a + ib,
+    2ab = Im(eps) omega^2/c^2 is fixed and a^2 - b^2 falls with k, so b
+    rises with k and reaches ln(1/t)/(2 delta) at one a^2 - b^2, in
+    closed form. When it does so at k_lo, no gain is computed.
 
     ``max_points`` is the initial panel budget of an integral that takes
-    every point as an edge: when the full periods alone exceed it, the
-    ValueError of that budget is raised before any array is built.
+    every point as an edge: when the full periods kept alone exceed it,
+    the ValueError of that budget is raised before any array is built.
     """
     if delta <= 0.0:
         return np.zeros(0)
     kzm_lo = complex(_slab_kzm(omega, eps, vacuum_kz(omega, k_lo)))
     amplitude = math.exp(-2.0 * min(kzm_lo.imag * delta, 700.0))
-    if amplitude < max(1e-18, 0.01 * rel_tol):
+    t = max(1e-18, 0.01 * rel_tol)
+    if amplitude < t:
         return np.zeros(0)
     phase_lo = kzm_lo.real * delta
     phase_hi = complex(_slab_kzm(omega, eps, vacuum_kz(omega, k_hi))).real * delta
@@ -191,8 +195,14 @@ def _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol, max_points=N
     # falls outside (k_lo, k_hi) are dropped, so the range is cut to
     # those that can fall inside, one index wider against rounding
     k_top_sq = eps.real * (omega / c) ** 2
+    # the index phase m q is delta sqrt(a^2 - b^2), and the amplitude is t
+    # at index phase `live`: edges stop one period below it
+    b_t = -math.log(t) / (2.0 * delta)
+    a_t = eps.imag * (omega / c) ** 2 / (2.0 * b_t)
+    live = delta * math.sqrt(max(a_t - b_t, 0.0) * (a_t + b_t))
     m_lo = max(int(math.ceil(min(phase_lo, phase_hi) / q)),
-               int(math.sqrt(max(k_top_sq - k_hi**2, 0.0)) * delta / q) - 1)
+               int(math.sqrt(max(k_top_sq - k_hi**2, 0.0)) * delta / q) - 1,
+               int(math.ceil((live - math.pi) / q)))
     m_hi = min(int(math.floor(max(phase_lo, phase_hi) / q)),
                int(math.ceil(math.sqrt(max(k_top_sq - k_lo**2, 0.0)) * delta / q)) + 1)
     if m_hi < m_lo:

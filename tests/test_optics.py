@@ -12,6 +12,7 @@ from neqatom.optics import (
     DielectricModel,
     LosslessResonanceError,
     SlabResonanceError,
+    _slab_kzm,
     load_material,
     loop_gain,
     permittivity,
@@ -187,6 +188,21 @@ class TestBranches:
             # the medium k_z in its textbook form, sqrt(eps U^2 - k^2)
             eps = permittivity(SIC, omega)
             assert sqrt_im_nonneg(eps * (omega / 2.99792458e8) ** 2 - k**2).imag >= 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        log_omega=st.floats(13.0, 15.0),
+        eps_re=st.floats(-20.0, 20.0),
+        log_eps_im=st.floats(-8.0, 1.0),
+    )
+    def test_slab_damping_rises_with_k(self, log_omega, eps_re, log_eps_im):
+        # the premise of the slab-phase amplitude cut: Im k_zm, hence the
+        # round-trip damping, never falls as k grows, across the light line
+        omega = 10.0**log_omega
+        eps = complex(eps_re, 10.0**log_eps_im)
+        k = omega / 2.99792458e8 * np.concatenate((np.linspace(0.0, 1.0, 101),
+                                                   np.geomspace(1.0, 1e3, 121)[1:]))
+        assert (np.diff(_slab_kzm(omega, eps, vacuum_kz(omega, k)).imag) >= 0.0).all()
 
 
 def _kz(omega, k):

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
-from neqatom.optics import DielectricModel, load_material, loop_gain, permittivity
+from neqatom.optics import (
+    DielectricModel,
+    _slab_kzm,
+    load_material,
+    loop_gain,
+    permittivity,
+    vacuum_kz,
+)
 from neqatom.quadrature import QuadratureSpec
 from neqatom.response import (
     AlphaPair,
@@ -107,6 +114,21 @@ LOW_LOSS_FROZEN = (
     (0.7094554772917422, 0.7094554772917422, 0.6792768524350732),
     (-0.19940909489274794, -0.19940909489274794, -0.26031340053772334),
     (0.22932664918042298, 0.22932664918042298, 0.4768774089087229),
+)
+
+
+# B, C, D (xx, zz) of response_vectors_many at 2 omega_r on 1 cm of SiC, at
+# the heights geomspace(1e-8, 1e-6, 4), recorded with an edge at every
+# evanescent full period of the slab phase (before the amplitude cut)
+THICK_FROZEN = (
+    ((0.36647153331020926, 0.15083975160243587), (-0.5584923463138793, -0.13418917613499273),
+     (40.21729217944152, 80.04886015085465)),
+    ((0.36647153331020926, 0.15083975160243587), (-0.5577609957906424, -0.13434535986999596),
+     (2.0297540855243446, 3.748260109567593)),
+    ((0.36647153331020926, 0.15083975160243587), (-0.5422559087239113, -0.13760571807313393),
+     (1.088212582991825, 2.141517257036751)),
+    ((0.36647153331020926, 0.15083975160243587), (-0.2704012558118501, -0.1941634049071969),
+     (0.22345308025260321, 0.669077645163182)),
 )
 
 
@@ -232,14 +254,49 @@ class TestSlabPhasePanels:
     def test_transparent_thick_slab_edge_counts(self):
         # eighth-period edges everywhere gave 5,631 propagative and 54,436
         # evanescent edges; the loop gain here stays below 1.3e-9, so only the
-        # full-period edges remain
+        # full-period edges remain; of the 6,805 evanescent ones, those where
+        # the round-trip amplitude reaches 1e-11 and one period past them
         omega = 2.0 * OMEGA_R
         eps = permittivity(SIC, omega)
         U = omega / c
         prop = _slab_phase_breakpoints(omega, 1e-2, eps, 0.0, U, 1e-9)
         evan = _slab_phase_breakpoints(omega, 1e-2, eps, U, U * math.sqrt(eps.real) + U, 1e-9)
         assert len(prop) <= 5631 / 6 and len(evan) <= 54436 / 6
-        assert (len(prop), len(evan)) == (704, 6805)
+        assert (len(prop), len(evan)) == (704, 1279)
+
+    def test_edges_stop_a_period_past_the_live_fringes(self):
+        # every full-period point where |e^{2i k_zm delta}| reaches
+        # t = max(1e-18, 0.01 rel_tol) is an edge, and no edge lies more
+        # than one period past (at larger k than) the last such point
+        omega, delta, rel_tol = 2.0 * OMEGA_R, 1e-2, 1e-9
+        eps = permittivity(SIC, omega)
+        U = omega / c
+        t = max(1e-18, 0.01 * rel_tol)
+        # full period n: delta sqrt(Re(eps) U^2 - k^2) = n pi, k falling with n
+        n = np.arange(int(math.sqrt(eps.real) * U * delta / math.pi) + 1)
+        k_all = np.sqrt(eps.real * U**2 - (n * math.pi / delta) ** 2)
+        dead = 0
+        for k_lo, k_hi in ((0.0, U), (U, U * math.sqrt(eps.real) + U)):
+            edges = _slab_phase_breakpoints(omega, delta, eps, k_lo, k_hi, rel_tol)
+            k = k_all[(k_all > k_lo) & (k_all < k_hi)]
+            amp = np.exp(-2.0 * _slab_kzm(omega, eps, vacuum_kz(omega, k)).imag * delta)
+            live = amp >= t
+            assert live.any()
+            dead += np.count_nonzero(~live)
+            assert np.abs(k[live][:, None] - edges).min(axis=1).max() <= 1e-12 * k_hi
+            # k is descending: the point after the last live one is a period past it
+            past = np.flatnonzero(live)[0] - 1
+            if past >= 0:
+                assert edges.max() <= k[past] * (1.0 + 1e-12)
+        assert dead > 5000
+
+    def test_amplitude_cut_keeps_the_values(self):
+        # the fringes the cut drops move B, C and D by roundoff only
+        z = np.geomspace(1e-8, 1e-6, 4)
+        for rv, frozen in zip(response_vectors_many(2.0 * OMEGA_R, z, 1e-2, SIC), THICK_FROZEN):
+            for name, want in zip("BCD", frozen):
+                np.testing.assert_allclose(getattr(rv, name)[[0, 2]], want, rtol=1e-11,
+                                           atol=0.0, err_msg=name)
 
     @pytest.mark.parametrize("delta", [1.0, 1e3])
     def test_thick_slab_exceeds_the_panel_budget(self, delta):
