@@ -32,13 +32,13 @@ passes as converged.
 Panels live in preallocated arrays (edges, K15 values, error estimates)
 with one row per panel: a split overwrites the parent's row with its left
 half and appends the right half, so ``initial + max_subdivisions`` rows
-always suffice. A heap holds one entry per panel, keyed on its largest
-error component. Each round pops the worst panels until the error left
-in the others would meet the tolerance in every column, or until the
-subdivision budget is spent, and bisects them all at once (the
-multi-region rule of S. G. Johnson's ``hcubature``), so an integral
-that needs many splits makes few calls. Left halves keep their rows and
-right halves are appended in pop order. A failing integral spends the
+always suffice. Each round bisects the worst panels, by largest error
+component with ties to the lower row, until the error left in the others
+would meet the tolerance in every column or the budget is spent (the
+multi-region rule of S. G. Johnson's ``hcubature``), so an integral that
+needs many splits makes few calls. A partial sort and one cumulative sum
+pick them, with no numpy call per panel. Left halves keep their rows and
+right halves are appended in that order. A failing integral spends the
 whole budget unless every panel reaches floating-point width first.
 
 No integrand call holds more than ``_MAX_CELLS`` nodes x columns (a
@@ -75,7 +75,6 @@ were split.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -126,6 +125,14 @@ _BATCHED_HEIGHTS = 4
 
 # Evanescent upper cut: damping factor below 1e-14 of its peak.
 _EVANESCENT_CUT = 0.5 * math.log(1e14)
+
+# rel_tol below which the evanescent ladder gets a rung at 0.75 kappa_max:
+# with x = kappa z, one panel over the top octave [cut/2, cut] leaves a
+# |K15 - G7| of 7.1e-12, 5.8e-11, 2.0e-10 and 2.7e-10 of the whole
+# integral p!/2^(p+1) of a density x^p e^{-2x}, p = 0...3
+_TOP_OCTAVE_ERROR = max(_EVANESCENT_CUT / 4 * 2 ** (p + 1) / math.factorial(p)
+                        * abs((_WEIGHTS[0] - _WEIGHTS[1]) @ (x**p * np.exp(-2.0 * x)))
+                        for x in [_EVANESCENT_CUT * (0.75 + _NODES / 4)] for p in range(4))
 
 
 @dataclass(frozen=True)
@@ -274,33 +281,26 @@ def _adaptive(F, edges, spec, extra_error=None, _heights=1):
     if n > _MAX_INITIAL_PANELS:
         raise ValueError("initial panel budget exceeded")
     rows = n + spec.max_subdivisions      # a split adds exactly one row
-    a = np.empty(rows)
-    b = np.empty(rows)
-    a[:n] = edges[:-1]
-    b[:n] = edges[1:]
-    vals = errs = None
+    a, b = np.empty(rows), np.empty(rows)
+    a[:n], b[:n] = edges[:-1], edges[1:]
+    vals = errs = worst = None            # worst: a row's largest error component
 
     def evaluate(lo, hi, dest):
         # panels (lo, hi) into rows ``dest``, in calls of at most _MAX_CELLS
         # node-columns: three columns per height until F's width is known
-        nonlocal vals, errs
+        nonlocal vals, errs, worst
         step = max(1, _MAX_CELLS // (15 * (3 * _heights if vals is None else vals.shape[1])))
         for s in range(0, len(lo), step):
             v, e = _eval_panels(F, lo[s:s + step], hi[s:s + step])
             if vals is None:
-                vals, errs = np.empty((rows, v.shape[1])), np.empty((rows, v.shape[1]))
-            vals[dest[s:s + step]], errs[dest[s:s + step]] = v, e
+                (vals, errs), worst = np.empty((2, rows, v.shape[1])), np.empty(rows)
+            d = dest[s:s + step]
+            vals[d], errs[d], worst[d] = v, e, e.max(axis=1)
 
     evaluate(edges[:-1], edges[1:], np.arange(n))
     evaluations = 15 * n
     m = vals.shape[1]
-    if extra_error is None:
-        extra_error = np.zeros(m)
-    # one entry per panel, keyed on its largest error component: a panel's
-    # row changes only after its entry is popped, so no entry goes stale
-    heap = list(zip((-errs[:n].max(axis=1)).tolist(), range(n)))
-    heapq.heapify(heap)
-    count = n
+    extra_error = np.zeros(m) if extra_error is None else extra_error
 
     # finite panels can still overflow their sum: raised, as in _eval_panels,
     # at the midpoint of the largest panel. The error floor is not checked:
@@ -312,19 +312,19 @@ def _adaptive(F, edges, spec, extra_error=None, _heights=1):
         j = int(np.maximum(np.abs(vals[:n]), errs[:n]).max(axis=1).argmax())
         raise NonFiniteIntegrandError(float(0.5 * (a[j] + b[j])))
     total_err = total_err + extra_error
-    splits = rounds = 0
+    count, splits, rounds = n, 0, 0
 
     def _final(ok):
-        # one sequential accumulation each, in ascending panel order, carried
-        # across row blocks of at most _MAX_CELLS cells
+        # one sequential sum of the value and error columns side by side, in
+        # ascending panel order, carried across blocks of at most _MAX_CELLS cells
         order = np.argsort(a[:count], kind="stable")
-        value, error = np.zeros(m), extra_error
-        step = max(1, _MAX_CELLS // m)
+        total = np.concatenate((np.zeros(m), extra_error))
+        step = max(1, _MAX_CELLS // (2 * m))
         for start in range(0, count, step):
             block = order[start:start + step]
-            value = np.cumsum(np.vstack((value, vals[block])), axis=0)[-1].copy()
-            error = np.cumsum(np.vstack((error, errs[block])), axis=0)[-1].copy()
-        result = QuadratureResult(value=value, error_estimate=error, evaluations=evaluations,
+            sums = np.vstack((total, np.hstack((vals[block], errs[block]))))
+            total = np.cumsum(sums, axis=0, out=sums)[-1]
+        result = QuadratureResult(total[:m].copy(), total[m:].copy(), evaluations=evaluations,
                                   splits=splits, rounds=rounds, initial_panels=n,
                                   converged=ok, edges=np.append(a[order], b[order[-1]]))
         if not ok:
@@ -338,40 +338,37 @@ def _adaptive(F, edges, spec, extra_error=None, _heights=1):
             return _final(ok=True)
         if splits >= spec.max_subdivisions:
             return _final(ok=False)
-        # pop the worst panels until the error left outside them meets the
-        # tolerance, within the budget, and bisect them all in one round
-        left_err = total_err
-        picked = []
-        while heap and len(picked) < spec.max_subdivisions - splits:
-            i = heapq.heappop(heap)[1]
-            if not a[i] < 0.5 * (a[i] + b[i]) < b[i]:
-                # panel at floating-point resolution: accept its estimate as-is
-                continue
-            picked.append(i)
-            left_err = left_err - errs[i]
-            if (left_err <= tol).all():
+        # the panels wider than floating point, worst first with ties to the
+        # lower row; one cumsum of the error left, bit for bit as subtracting
+        # one by one, ends the round at the first pick that meets tol
+        mid = 0.5 * (a[:count] + b[:count])
+        live = np.flatnonzero((a[:count] < mid) & (mid < b[:count]))
+        budget, take = spec.max_subdivisions - splits, 16
+        while True:                     # sort only the worst take, 4x more if short
+            take = min(take, budget, len(live))
+            order = (live if take == len(live)
+                     else live[worst[live] >= np.partition(worst[live], -take)[-take]])
+            order = order[np.argsort(-worst[order], kind="stable")][:take]
+            left = np.cumsum(np.concatenate((total_err[None], -errs[order])), axis=0)[1:]
+            met = np.flatnonzero((left <= tol).all(axis=1))
+            if len(met) or take == min(budget, len(live)):
                 break
-        if not picked:
-            # every remaining panel is at floating-point width
+            take *= 4
+        rows_in = order[:met[0] + 1] if len(met) else order
+        if not len(rows_in):            # every panel is at floating-point width
             return _final(ok=False)
-        rows_in = np.array(picked)
-        k = len(picked)
+        k = len(rows_in)
         lo, hi = a[rows_in], b[rows_in]
         mid = 0.5 * (lo + hi)
         # left halves keep their rows, right halves are appended
         dest = np.concatenate((rows_in, np.arange(count, count + k)))
         old_val, old_err = vals[rows_in].sum(axis=0), errs[rows_in].sum(axis=0)
         evaluate(np.concatenate((lo, mid)), np.concatenate((mid, hi)), dest)
-        evaluations += 30 * k
-        splits += k
-        rounds += 1
-        new_err = errs[dest]
+        evaluations, splits, rounds = evaluations + 30 * k, splits + k, rounds + 1
         total_val = total_val - old_val + vals[dest].sum(axis=0)
-        total_err = total_err - old_err + new_err.sum(axis=0)
+        total_err = total_err - old_err + errs[dest].sum(axis=0)
         b[rows_in] = mid
         a[count:count + k], b[count:count + k] = mid, hi
-        for row, e in zip(dest.tolist(), new_err.max(axis=1).tolist()):
-            heapq.heappush(heap, (-e, row))
         count += k
 
 
@@ -469,10 +466,11 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     column. The initial edges are one ladder, kappa_max 2^-j, from the cut
     down to its first rung at or below the floor min(omega/c, 1/(2 z_max))/8,
     so it brackets the scale 1/(2 z) of every height and omega/c. Below
-    the floor the slab response's seeds panel the light-line region (the
-    kappa-seed pass starts from kappa_top 2^-j down to kappa_top/2048),
-    and adaptivity refines where a column needs it. Rungs closer together
-    than 1e-14 of the cut merge (_merge_edges).
+    the floor the slab response's seeds panel the light-line region, and
+    adaptivity refines where a column needs it. Below rel_tol 2.7e-10
+    (_TOP_OCTAVE_ERROR) the top octave [kappa_max/2, kappa_max] would split,
+    so 0.75 kappa_max is a rung too. Rungs closer together than 1e-14 of
+    the cut merge (_merge_edges).
     ``_seeds`` are more initial panel edges, in kappa.
     """
     heights = _heights(z)
@@ -496,6 +494,8 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     floor = min(U, 0.5 / heights[-1]) / 8.0
     rungs = math.ceil(math.log2(_EVANESCENT_CUT) - math.log2(z_min) - math.log2(floor)) + 1
     interior = [kappa_max * 0.5**j for j in range(rungs)]
+    if spec.rel_tol < _TOP_OCTAVE_ERROR:
+        interior.append(0.75 * kappa_max)
     interior.extend(np.asarray(_seeds, dtype=float))
 
     # a tiny z_min overflows the tail bound: raised below

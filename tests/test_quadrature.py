@@ -406,16 +406,19 @@ def _pair_integrand(engine, kind, n):
 
     The kernel is e^{2i aux z} on the propagative sector, e^{(-2 + i) aux z}
     on the evanescent one (complex), or e^{-2 aux z} (real); g is complex
-    for a complex kernel. Returns (z, pair, dense).
+    for a complex kernel. g has a Lorentzian inside the sector, at k =
+    0.9 omega/c or 1.1 omega/c, so that every case splits. Returns (z,
+    pair, dense).
     """
     if engine is integrate_oscillatory:
-        z, phase = np.geomspace(0.1, 5.0, n) / U, (2j if kind == "complex" else -2.0)
+        z, phase, peak = np.geomspace(0.1, 5.0, n) / U, (2j if kind == "complex" else -2.0), 0.9
     else:
-        z, phase = np.geomspace(1e-8, 1e-6, n), (-2.0 + 1j if kind == "complex" else -2.0)
+        z, phase, peak = (np.geomspace(1e-8, 1e-6, n),
+                          (-2.0 + 1j if kind == "complex" else -2.0), 1.1)
 
     def pair(k, aux):
         kernel = np.exp(phase * np.multiply.outer(aux, z))
-        g = np.stack((k / U + 0.5, 1.0 / (1e-3 + (k / U - 0.9) ** 2)), axis=1)
+        g = np.stack((k / U + 0.5, 1.0 / (1e-3 + (k / U - peak) ** 2)), axis=1)
         if kind == "complex":
             g = g * (1.0 - 0.4j)
         return kernel, g * (k / U)[:, None]
@@ -588,6 +591,125 @@ def _one_panel_per_call(F, edges, spec, extra_error=None, _heights=1):
         heapq.heappush(heap, (-pe[0].max(), i))
         heapq.heappush(heap, (-pe[1].max(), len(a) - 1))
     return result()
+
+
+def _heap_rounds(F, edges, spec, extra_error=None):
+    """The per-panel heap selection that a partial sort replaced, kept as an oracle.
+
+    Each round pops panels one by one off a heap keyed on (minus the
+    largest error component, row), drops those at floating-point width and
+    subtracts each picked panel's error from the error left, until that
+    meets the tolerance or the budget is spent. Rows, halves and sums are
+    _adaptive's; every pass is one integrand call. Returns (converged,
+    result or best estimate).
+    """
+    edges = np.asarray(edges, dtype=float)
+    n = len(edges) - 1
+    rows = n + spec.max_subdivisions
+    a, b = np.empty(rows), np.empty(rows)
+    a[:n], b[:n] = edges[:-1], edges[1:]
+    v0, e0 = quadrature._eval_panels(F, a[:n], b[:n])
+    m = v0.shape[1]
+    vals, errs = np.empty((rows, m)), np.empty((rows, m))
+    vals[:n], errs[:n] = v0, e0
+    extra = np.zeros(m) if extra_error is None else extra_error
+    heap = list(zip((-errs[:n].max(axis=1)).tolist(), range(n)))
+    heapq.heapify(heap)
+    total_val, total_err = vals[:n].sum(axis=0), errs[:n].sum(axis=0) + extra
+    count, splits, rounds = n, 0, 0
+    while True:
+        tol = np.maximum(spec.rel_tol * np.abs(total_val), spec.abs_tol)
+        if (total_err <= tol).all() or splits >= spec.max_subdivisions:
+            break
+        left_err, picked = total_err, []
+        while heap and len(picked) < spec.max_subdivisions - splits:
+            i = heapq.heappop(heap)[1]
+            if not a[i] < 0.5 * (a[i] + b[i]) < b[i]:
+                continue
+            picked.append(i)
+            left_err = left_err - errs[i]
+            if (left_err <= tol).all():
+                break
+        if not picked:
+            break
+        k, rows_in = len(picked), np.array(picked)
+        lo, hi = a[rows_in], b[rows_in]
+        mid = 0.5 * (lo + hi)
+        dest = np.concatenate((rows_in, np.arange(count, count + k)))
+        old_val, old_err = vals[rows_in].sum(axis=0), errs[rows_in].sum(axis=0)
+        vals[dest], errs[dest] = quadrature._eval_panels(F, np.concatenate((lo, mid)),
+                                                         np.concatenate((mid, hi)))
+        splits, rounds = splits + k, rounds + 1
+        total_val = total_val - old_val + vals[dest].sum(axis=0)
+        total_err = total_err - old_err + errs[dest].sum(axis=0)
+        b[rows_in] = mid
+        a[count:count + k], b[count:count + k] = mid, hi
+        for row, e in zip(dest.tolist(), errs[dest].max(axis=1).tolist()):
+            heapq.heappush(heap, (-e, row))
+        count += k
+    order = np.argsort(a[:count], kind="stable")
+    value, error = np.zeros(m), extra.copy()
+    for i in order:
+        value += vals[i]
+        error += errs[i]
+    ok = bool((total_err <= tol).all())
+    return ok, QuadratureResult(value, error, 15 * n + 30 * splits, splits=splits, rounds=rounds,
+                                initial_panels=n, converged=ok,
+                                edges=np.append(a[order], b[order[-1]]))
+
+
+_X0 = 1.0 / math.sqrt(2.0)
+
+# (F, initial edges, spec) of each case against the heap oracle
+HEAP_CASES = {
+    "wavy": (TestOrderedSum.wavy, np.linspace(0.0, 1.0, 4),
+             QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)),
+    # no tolerance can be met: every round takes every live panel up to
+    # the budget, and the 256 ulps of the last panel reach floating-point
+    # width on the way
+    "budget": (TestOrderedSum.wavy, np.array([0.0, 1.0 - 2.0**-45, 1.0]),
+               QuadratureSpec(rel_tol=1e-300, abs_tol=0.0)),
+    # a jump at an irrational point, 2^-43 wide: every panel ends at
+    # floating-point width, within the budget
+    "fp-width": (lambda x: np.stack((1.0 * (x > _X0), x), axis=-1),
+                 np.array([_X0 - 2.0**-44, _X0 + 2.0**-44]),
+                 QuadratureSpec(rel_tol=1e-300, abs_tol=0.0)),
+    # period 1 on [4, 8]: within one binade x % 1 is exact, so the panels
+    # at one offset in each unit cell see the same values and tie exactly
+    "ties": (lambda x: TestOrderedSum.wavy(x % 1.0), np.arange(4.0, 9.0),
+             QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)),
+    # the budget ends within a group of tied panels
+    "ties-budget": (lambda x: TestOrderedSum.wavy(x % 1.0), np.arange(4.0, 9.0),
+                    QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=7)),
+}
+
+
+class TestHeapOracle:
+    """_adaptive picks a round's panels as the one-by-one heap did, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(HEAP_CASES))
+    def test_matches_heap_rounds(self, case):
+        F, edges, spec = HEAP_CASES[case]
+        want_ok, want = _heap_rounds(F, edges, spec)
+        try:
+            got, got_ok = _adaptive(F, edges, spec), True
+        except QuadratureToleranceError as err:
+            got, got_ok = err.best, False
+        assert want.splits > 0
+        assert (got_ok, got.converged) == (want_ok, want_ok)
+        assert (got.splits, got.rounds, got.evaluations) == (want.splits, want.rounds,
+                                                             want.evaluations)
+        assert np.array_equal(got.edges, want.edges)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.error_estimate.tobytes() == want.error_estimate.tobytes()
+
+    def test_ties_go_to_the_lower_row(self):
+        # a round that meets the tolerance within a group of tied panels
+        # takes the lowest rows: the first unit cell ends with one more panel
+        F, edges, spec = HEAP_CASES["ties"]
+        res = _adaptive(F, edges, spec)
+        cells = [np.sum((res.edges >= c) & (res.edges < c + 1)) for c in range(4, 8)]
+        assert cells[0] == cells[1] + 1 and cells[1] == cells[2] == cells[3]
 
 
 def _spiky(k, kz):

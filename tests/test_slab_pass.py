@@ -292,17 +292,23 @@ def test_light_line_ladder_spares_the_kappa_pass_its_rounds(omega, delta, monkey
     assert np.isin(rungs, seeds).all()
 
 
-# the converged heights of crossover-roots roots 0, 2 and 3
-@pytest.mark.parametrize("omega,delta,z,splits", [
-    (OMEGA_R, 1e-2, 5.5795e-7, 0),
-    (OMEGA_R, 110e-9, 5.6996e-7, 0),
-    (2.0 * OMEGA_R, 110e-9, 5.3729e-8, 1),
-], ids=["root0", "root2", "root3"])
-def test_root_spec_d_starts_without_a_split(omega, delta, z, splits, monkeypatch):
+# the converged heights of crossover-roots roots 0 to 3
+ROOTS = {
+    "root0": (OMEGA_R, 1e-2, 5.5795e-7),
+    "root1": (0.5 * OMEGA_R, 110e-9, 1.9854e-7),
+    "root2": (OMEGA_R, 110e-9, 5.6996e-7),
+    "root3": (2.0 * OMEGA_R, 110e-9, 5.3729e-8),
+}
+
+
+@pytest.mark.parametrize("root", sorted(ROOTS))
+def test_root_spec_d_starts_without_a_split(root, monkeypatch):
     # with a cut ladder in steps of 4, D splits 2-3 panels in 2 rounds
     # here. In steps of 2, with the light-line rungs among its seeds, it
-    # starts converged at roots 0 and 2; root 3 splits the top rung's panel
-    # [cut/2, cut] once, where e^{-2 kappa z} falls by e^16
+    # starts converged at roots 0 and 2; roots 1 and 3 split the top
+    # octave [cut/2, cut] once, where e^{-2 kappa z} falls by e^16, unless
+    # the ladder has its rung at 0.75 cut
+    omega, delta, z = ROOTS[root]
     results = []
     integrate = response.integrate_evanescent
 
@@ -313,4 +319,28 @@ def test_root_spec_d_starts_without_a_split(omega, delta, z, splits, monkeypatch
     monkeypatch.setattr(response, "integrate_evanescent", recording)
     response_vectors(omega, GeometryPoint(z=z, delta=delta), SIC, _ROOT_SPEC)
     (d,) = results
-    assert d.converged and d.splits <= splits and d.rounds <= splits
+    assert d.converged and d.splits == d.rounds == 0
+
+
+@pytest.mark.parametrize("root", ["root1", "root3"])
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, _ROOT_SPEC], ids=["default", "root"])
+def test_top_octave_rung_only_below_its_error(spec, root, monkeypatch):
+    # one panel over the top octave leaves a |K15 - G7| of 2.7e-10 of a
+    # kappa^3 e^{-2 kappa z} integral: D at the root spec (1e-10) starts
+    # from a rung at 0.75 cut, at the default spec (1e-9) from the ladder
+    # alone, so the default spec keeps every edge and every byte
+    omega, delta, z = ROOTS[root]
+    initial = []
+    adaptive = quadrature._adaptive
+
+    def recording(F, edges, *args, **kwargs):
+        if kwargs.get("extra_error") is not None:      # the evanescent tail bound
+            initial.append(edges)
+        return adaptive(F, edges, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adaptive", recording)
+    response_vectors(omega, GeometryPoint(z=z, delta=delta), SIC, spec)
+    (edges,) = initial
+    cut = quadrature._EVANESCENT_CUT / z
+    assert edges[-1] == cut and 0.5 * cut in edges
+    assert (0.75 * cut in edges) == (spec is _ROOT_SPEC)
