@@ -128,6 +128,8 @@ ISOTROPIC_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 # threshold on the alpha difference, but above the fp floor of the K15-G7
 # error estimator
 _ROOT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
+# bisection levels of crossover_distance per shared pass of 2^levels - 1 heights
+_ROOT_LEVELS = 3
 
 
 def check_weights(w) -> tuple:
@@ -365,7 +367,8 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     integral only, so a failure lands on the height that causes it. A
     height whose C fails reports C's error and takes no part in D, so it
     sets no D edge of its neighbours; a height whose D fails reports D's.
-    A failing slab pass lands on every height.
+    A failing slab pass (B and D's seed edges) lands on every height. A
+    recorded exception names its pass in ``integral``: "B", "C" or "D".
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -384,24 +387,27 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     try:
         slab = _b_vector(omega, delta, model, spec)
     except _POINT_ERRORS as exc:
+        exc.integral = "B"
         return [exc] * len(z)
 
-    def rows(integrate, heights):
+    def rows(integrate, heights, integral):
         # (value, error) row of each height in one pass; a failing pass of
         # several heights is integrated again one height at a time
         try:
             res = integrate(omega, eps, heights, delta, slab, spec)
         except _POINT_ERRORS as exc:
             if len(heights) == 1:
+                exc.integral = integral
                 return [exc]
-            return [row for i in range(len(heights)) for row in rows(integrate, heights[i:i + 1])]
+            return [row for i in range(len(heights))
+                    for row in rows(integrate, heights[i:i + 1], integral)]
         n = len(heights)
         return list(zip(res.value.reshape(n, 2), res.error_estimate.reshape(n, 2)))
 
-    c_rows = [row for p in _c_passes(z) for row in rows(_c_pass, z[p])]
+    c_rows = [row for p in _c_passes(z) for row in rows(_c_pass, z[p], "C")]
     # a height whose C failed reports C's error and takes no part in D
     c_ok = np.array([not isinstance(row, Exception) for row in c_rows])
-    d_rows = iter(rows(_d_pass, z[c_ok]) if c_ok.any() else [])
+    d_rows = iter(rows(_d_pass, z[c_ok], "D") if c_ok.any() else [])
     B = _with_yy(slab.B.value)
     out = []
     for c_row in c_rows:
@@ -509,15 +515,18 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
 
     ``bracket`` is (z_lo, z_hi) with a sign change of alpha_W - alpha_M.
     Converges to |alpha_W - alpha_M| < 1e-9 (alpha_W + alpha_M); the
-    integrals run at rel_tol 1e-10, abs_tol 1e-15.
+    integrals run at rel_tol 1e-10, abs_tol 1e-15. The bracket ends are
+    integrated alone, and the midpoints of the next ``_ROOT_LEVELS`` levels
+    in one :func:`response_vectors_many` pass: a height that the bisection
+    does not reach, failed or not, does not touch the search.
     """
     z_lo, z_hi = bracket
     if not (0.0 < z_lo < z_hi):
         raise ValueError("bracket must satisfy 0 < z_lo < z_hi")
 
-    def diff(z):
+    def diff(z, vectors=None):
         pair = alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
-                          dipole_weights, _ROOT_SPEC)
+                          dipole_weights, _ROOT_SPEC, vectors=vectors)
         return pair.alpha_W - pair.alpha_M, pair.alpha_W + pair.alpha_M
 
     g_lo, _ = diff(z_lo)
@@ -529,10 +538,21 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
     if g_lo * g_hi > 0.0:
         raise NoCrossoverError("no crossover in bracket")
     t_lo, t_hi = math.log(z_lo), math.log(z_hi)
+    level_pass = {}
     for _ in range(200):
         t_mid = 0.5 * (t_lo + t_hi)
         z_mid = math.exp(t_mid)
-        g_mid, total = diff(z_mid)
+        if z_mid not in level_pass:
+            # the next levels' midpoints by the loop's own arithmetic, so each is
+            # the float it visits; as a set, since at float width they repeat
+            ts = [t_lo, t_hi]
+            for _ in range(_ROOT_LEVELS):
+                ts = [*(t for a, b in zip(ts, ts[1:]) for t in (a, 0.5 * (a + b))), t_hi]
+            zs = sorted({math.exp(t) for t in ts[1:-1]})
+            level_pass = dict(zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)))
+        if isinstance(level_pass[z_mid], Exception):
+            raise level_pass[z_mid]
+        g_mid, total = diff(z_mid, level_pass[z_mid])
         if abs(g_mid) < 1e-9 * total:
             return z_mid
         if g_lo * g_mid < 0.0:

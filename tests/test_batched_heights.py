@@ -126,6 +126,7 @@ class TestFailureIsolation:
         self._failing_at(monkeypatch, engine, bad, "forced failure")
         isolated = response_vectors_many(OMEGA_R, zs, 110e-9, SIC)
         assert str(isolated[zs.index(bad)]) == "forced failure"
+        assert isolated[zs.index(bad)].integral == alone
         for h, got in zip(zs, isolated):
             if h == bad:
                 continue
@@ -152,7 +153,7 @@ class TestFailureIsolation:
         self._failing_at(monkeypatch, "integrate_oscillatory", bad, "C failure")
         self._failing_at(monkeypatch, "integrate_evanescent", bad, "D failure")
         many = response_vectors_many(OMEGA_R, [2e-7, bad, 5e-7], 110e-9, SIC)
-        assert str(many[1]) == "C failure"
+        assert str(many[1]) == "C failure" and many[1].integral == "C"
         assert isinstance(many[0], ResponseVectors) and isinstance(many[2], ResponseVectors)
 
     def test_d_skipped_where_no_c_converged(self, monkeypatch):
@@ -183,6 +184,7 @@ class TestFailureIsolation:
         finally:
             response._b_vector.cache_clear()
         assert [str(e) for e in many] == ["forced B failure"] * 3
+        assert [e.integral for e in many] == ["B"] * 3
 
 
 class TestGrouping:

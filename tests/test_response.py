@@ -13,19 +13,23 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
+from neqatom import response
 from neqatom.optics import (
     DielectricModel,
     _slab_kzm,
     load_material,
     loop_gain,
     permittivity,
+    surface_mode_frequency,
     vacuum_kz,
 )
-from neqatom.quadrature import QuadratureSpec
+from neqatom.quadrature import QuadratureResult, QuadratureSpec, QuadratureToleranceError
 from neqatom.response import (
     AlphaPair,
     GeometryPoint,
+    ISOTROPIC_WEIGHTS,
     NoCrossoverError,
+    _ROOT_SPEC,
     _slab_phase_breakpoints,
     alpha_pair,
     crossover_distance,
@@ -382,6 +386,159 @@ class TestCrossover:
     def test_bracket_without_sign_change(self):
         with pytest.raises(NoCrossoverError):
             crossover_distance(0.5 * OMEGA_R, 1e-2, SIC, (1e-8, 2e-8))
+
+
+def _one_height_bisection(omega, delta, model, bracket, dipole_weights=ISOTROPIC_WEIGHTS):
+    """The one-height bisection that shared level passes replaced, kept as an oracle.
+
+    Every height, the bracket ends and each midpoint, is one
+    ``alpha_pair`` call that integrates it alone. Bracket checks, stopping
+    rule and step cap are crossover_distance's.
+    """
+    def diff(z):
+        pair = response.alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
+                                   dipole_weights, _ROOT_SPEC)
+        return pair.alpha_W - pair.alpha_M, pair.alpha_W + pair.alpha_M
+
+    z_lo, z_hi = bracket
+    g_lo, _ = diff(z_lo)
+    g_hi, _ = diff(z_hi)
+    if g_lo == 0.0:
+        return z_lo
+    if g_hi == 0.0:
+        return z_hi
+    if g_lo * g_hi > 0.0:
+        raise NoCrossoverError("no crossover in bracket")
+    t_lo, t_hi = math.log(z_lo), math.log(z_hi)
+    for _ in range(200):
+        t_mid = 0.5 * (t_lo + t_hi)
+        z_mid = math.exp(t_mid)
+        g_mid, total = diff(z_mid)
+        if abs(g_mid) < 1e-9 * total:
+            return z_mid
+        if g_lo * g_mid < 0.0:
+            t_hi = t_mid
+        else:
+            t_lo, g_lo = t_mid, g_mid
+    return math.exp(0.5 * (t_lo + t_hi))
+
+
+def _spy(monkeypatch):
+    """Record the height of each alpha_pair call and the heights of each response pass."""
+    heights, passes = [], []
+    pair, many = response.alpha_pair, response.response_vectors_many
+
+    def alpha_pair_spy(omega, geom, *args, **kwargs):
+        heights.append(geom.z)
+        return pair(omega, geom, *args, **kwargs)
+
+    def many_spy(omega, z_values, *args, **kwargs):
+        passes.append(list(z_values))
+        return many(omega, z_values, *args, **kwargs)
+
+    monkeypatch.setattr(response, "alpha_pair", alpha_pair_spy)
+    monkeypatch.setattr(response, "response_vectors_many", many_spy)
+    return heights, passes
+
+
+# (omega, delta, model, bracket): the two CI crossover configs and the
+# frozen case
+ROOT_CASES = (
+    (OMEGA_R, 110e-9, SIC, (1e-8, 1e-4)),
+    (2.0 * OMEGA_R, 110e-9, SIC, (1e-8, 1e-4)),
+    (0.5 * OMEGA_R, 1e-2, SIC, (10e-9, 100e-6)),
+)
+
+
+class TestLevelPasses:
+    @pytest.mark.parametrize("case", ROOT_CASES)
+    def test_matches_one_height_bisection(self, monkeypatch, case):
+        heights, passes = _spy(monkeypatch)
+        want = _one_height_bisection(*case)
+        want_heights = list(heights)
+        del heights[:], passes[:]
+        got = crossover_distance(*case)
+        assert got == want
+        # one alpha_pair call per visited height, the same heights in order
+        assert heights == want_heights
+        visited = len(heights) - 2
+        assert len(passes) <= 2 + math.ceil(visited / 3)
+        assert len(passes) < len(heights)
+
+    @pytest.mark.parametrize("bracket, jump", [((1e-8, 1e-4), 3.3e-7), ((0.5, 2.0), 1.0)])
+    def test_bracket_at_float_width(self, monkeypatch, bracket, jump):
+        # alpha_W - alpha_M jumps from +1 to -1 at ``jump`` and has no zero:
+        # the bracket halves to float width, where the midpoints of a level
+        # coincide (and at 1 m, exp maps distinct log heights to one float).
+        # The search returns what the one-height loop returns after its 200
+        # steps, with no pass of repeated heights
+        heights, passes = [], []
+
+        def jumping_pair(omega, geom, *args, **kwargs):
+            heights.append(geom.z)
+            return AlphaPair(1.0, 0.0) if geom.z < jump else AlphaPair(0.0, 1.0)
+
+        def no_integrals(omega, z_values, *args):
+            assert np.all(np.diff(z_values) > 0.0)
+            passes.append(list(z_values))
+            return [None] * len(z_values)
+
+        monkeypatch.setattr(response, "alpha_pair", jumping_pair)
+        monkeypatch.setattr(response, "response_vectors_many", no_integrals)
+        want = _one_height_bisection(OMEGA_R, 1e-2, SIC, bracket)
+        want_heights = list(heights)
+        del heights[:]
+        assert crossover_distance(OMEGA_R, 1e-2, SIC, bracket) == want
+        assert heights == want_heights and len(heights) == 202
+        assert len(passes) <= math.ceil(200 / 3)
+
+    def _first_pass_with(self, monkeypatch, pick):
+        """Fail one height of the first level pass, chosen by ``pick(level, visited)``.
+
+        Returns the z* of the search without the failure, and the failure.
+        """
+        heights, passes = _spy(monkeypatch)
+        clean = crossover_distance(*ROOT_CASES[0])
+        level, visited = passes[2], heights[2:]
+        bad = pick(level, visited)
+        best = QuadratureResult(np.zeros(6), np.ones(6), 15)
+        failure = QuadratureToleranceError("forced failure", best=best)
+        many = response.response_vectors_many
+
+        def failing_at_bad(omega, z_values, *args, **kwargs):
+            got = many(omega, z_values, *args, **kwargs)
+            return [failure if z == bad else rv for z, rv in zip(z_values, got)]
+
+        monkeypatch.setattr(response, "response_vectors_many", failing_at_bad)
+        return clean, failure
+
+    def test_failure_off_the_path_leaves_the_root(self, monkeypatch):
+        clean, _ = self._first_pass_with(
+            monkeypatch, lambda level, visited: next(z for z in level if z not in visited))
+        assert crossover_distance(*ROOT_CASES[0]) == clean
+
+    def test_failure_on_the_path_is_raised(self, monkeypatch):
+        # the second level's height: the walk reaches it after one step
+        _, failure = self._first_pass_with(monkeypatch, lambda level, visited: visited[1])
+        with pytest.raises(QuadratureToleranceError) as info:
+            crossover_distance(*ROOT_CASES[0])
+        assert info.value is failure
+
+
+class TestFailingIntegral:
+    def test_d_at_the_surface_mode(self):
+        # D of 110 nm of SiC at omega_p, 1 um, misses the root spec
+        (got,) = response_vectors_many(surface_mode_frequency(SIC), [1e-6], 110e-9, SIC,
+                                       _ROOT_SPEC)
+        assert isinstance(got, QuadratureToleranceError)
+        assert got.integral == "D"
+
+    def test_c_at_one_centimetre(self):
+        # C_zz of 110 nm of SiC at omega_r, 1 cm, misses the default abs_tol
+        (got,) = response_vectors_many(OMEGA_R, [1e-2], 110e-9, SIC)
+        assert isinstance(got, QuadratureToleranceError)
+        assert got.integral == "C"
+        assert str(got) == "tolerance not met after 2000 subdivisions"
 
 
 class TestValidation:
