@@ -384,8 +384,12 @@ def _run_crossover(cfg, command):
         raise ConfigError("crossover: delta must be a single value")
     delta = float(cfg.delta_values[0])
     z_star = crossover_distance(cfg.omega, delta, cfg.model, cfg.bracket, cfg.weights)
-    pair = alpha_pair(cfg.omega, GeometryPoint(z=z_star, delta=delta),
-                      cfg.model, cfg.weights, cfg.spec)
+    try:
+        pair = alpha_pair(cfg.omega, GeometryPoint(z=z_star, delta=delta),
+                          cfg.model, cfg.weights, cfg.spec)
+    except _POINT_ERRORS as exc:
+        exc.z = z_star  # named by its height, as a failure of the search is
+        raise
     return [{"omega": cfg.omega, "delta": delta, "z_star": z_star,
              "alpha_W": pair.alpha_W, "alpha_M": pair.alpha_M}]
 
@@ -448,7 +452,12 @@ def run_command(argv) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _POINT_ERRORS as exc:
-        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
+        if hasattr(exc, "z"):  # a crossover height, by the integral that failed there
+            integral = f" (integral {exc.integral})" if hasattr(exc, "integral") else ""
+            print(f"numerical failure at z={exc.z!r}, delta={float(cfg.delta_values[0])!r}: "
+                  f"{_describe(exc)}{integral}", file=sys.stderr)
+        else:
+            print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     rows, failures = _rows(records, _COLUMNS[args.command])

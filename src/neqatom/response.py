@@ -124,12 +124,13 @@ class AlphaPair:
 
 ISOTROPIC_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
-# bisection spec of crossover_distance: tighter than its 1e-9 stopping
+# quadrature spec of crossover_distance: tighter than its 1e-9 stopping
 # threshold on the alpha difference, but above the fp floor of the K15-G7
 # error estimator
 _ROOT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
-# bisection levels of crossover_distance per shared pass of 2^levels - 1 heights
-_ROOT_LEVELS = 3
+# bisection levels of crossover_distance's first pass after the bracket ends,
+# 2^levels - 1 heights; its safeguard passes take one level fewer
+_ROOT_LEVELS = 4
 
 
 def check_weights(w) -> tuple:
@@ -509,24 +510,66 @@ def alpha_pair(omega: float, geom: GeometryPoint, model: DielectricModel,
     return AlphaPair(alpha_W=max(a_w, 0.0), alpha_M=max(a_m, 0.0))
 
 
+def _cubic_step(points, t_lo, t_hi):
+    """Heights {z: t} of a polish pass of crossover_distance, t* first, or None.
+
+    The cubic through the four (t, g) ``points`` nearest the bracket
+    (t_lo, t_hi), in Newton form, and the quadratic through the nearest
+    three: t* is the cubic's root in the bracket nearest a root of the
+    quadratic, e that distance, and the flanks t* -+ 4e are cut at half-way
+    to the bracket ends. None when t* has no height inside the bracket.
+    """
+    mid, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
+    near = sorted(points, key=lambda p: max(t_lo - p[0], p[0] - t_hi))[:4]
+    u = [(t - mid) / half for t, _ in near]  # the bracket is -1 < u < 1
+    a = [g for _, g in near]
+    for j in range(1, 4):  # divided differences
+        for i in range(3, j - 1, -1):
+            a[i] = (a[i] - a[i - 1]) / (u[i] - u[i - j])
+    terms = [a[k] * np.poly(u[:k]) for k in range(4)]
+    quadratic = np.polyadd(np.polyadd(terms[0], terms[1]), terms[2])
+    roots = [r.real for r in np.roots(np.polyadd(quadratic, terms[3]))
+             if r.imag == 0.0 and -1.0 < r.real < 1.0]
+    if not roots:
+        return None
+    e, u_star = min((min(abs(r - np.roots(quadratic)), default=math.inf), r) for r in roots)
+    t_star, e = mid + half * u_star, 4.0 * half * e
+    heights = {}
+    for t in (t_star, max(t_star - e, 0.5 * (t_lo + t_star)), min(t_star + e, 0.5 * (t_star + t_hi))):
+        if math.exp(t_lo) < math.exp(t) < math.exp(t_hi):
+            heights.setdefault(math.exp(t), t)
+    return heights if math.exp(t_star) in heights else None
+
+
 def crossover_distance(omega: float, delta: float, model: DielectricModel,
                        bracket, dipole_weights=ISOTROPIC_WEIGHTS) -> float:
-    """Height z* where alpha_W = alpha_M, by bisection on log z.
+    """Height z* where alpha_W = alpha_M, by bracketed interpolation on t = log z.
 
     ``bracket`` is (z_lo, z_hi) with a sign change of alpha_W - alpha_M.
     Converges to |alpha_W - alpha_M| < 1e-9 (alpha_W + alpha_M); the
     integrals run at rel_tol 1e-10, abs_tol 1e-15. The bracket ends are
-    integrated alone, and the midpoints of the next ``_ROOT_LEVELS`` levels
-    in one :func:`response_vectors_many` pass: a height that the bisection
-    does not reach, failed or not, does not touch the search.
+    integrated alone, then the midpoints of the next ``_ROOT_LEVELS``
+    bisection levels in one :func:`response_vectors_many` pass, walked as
+    bisection walks them. Each later pass holds t* and its two flanks
+    (``_cubic_step``). Where the cubic has no root in the bracket, or the
+    pass before did not halve it, a level pass of one level fewer runs
+    instead, so the search never converges slower than bisection. Only the
+    heights the search relies on, a walked midpoint or t*, raise when they
+    fail, and the error names its height in ``z``.
     """
     z_lo, z_hi = bracket
     if not (0.0 < z_lo < z_hi):
         raise ValueError("bracket must satisfy 0 < z_lo < z_hi")
 
     def diff(z, vectors=None):
-        pair = alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
-                          dipole_weights, _ROOT_SPEC, vectors=vectors)
+        try:
+            if isinstance(vectors, Exception):
+                raise vectors
+            pair = alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
+                              dipole_weights, _ROOT_SPEC, vectors=vectors)
+        except _POINT_ERRORS as exc:
+            exc.z = z
+            raise
         return pair.alpha_W - pair.alpha_M, pair.alpha_W + pair.alpha_M
 
     g_lo, _ = diff(z_lo)
@@ -538,25 +581,49 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
     if g_lo * g_hi > 0.0:
         raise NoCrossoverError("no crossover in bracket")
     t_lo, t_hi = math.log(z_lo), math.log(z_hi)
-    level_pass = {}
+    points = [(t_lo, g_lo), (t_hi, g_hi)]  # (t, g) of every height the search used
+
+    def visit(z, t, vectors):
+        # True where the stopping rule holds; else bisection's bracket update
+        nonlocal t_lo, g_lo, t_hi
+        g, total = diff(z, vectors)
+        points.append((t, g))
+        if abs(g) < 1e-9 * total:
+            return True
+        if t_lo < t < t_hi:
+            t_lo, g_lo, t_hi = (t_lo, g_lo, t) if g_lo * g < 0.0 else (t, g, t_hi)
+        return False
+
+    levels = _ROOT_LEVELS
     for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        z_mid = math.exp(t_mid)
-        if z_mid not in level_pass:
+        width = t_hi - t_lo
+        heights = None if levels else _cubic_step(points, t_lo, t_hi)
+        if heights is None:
             # the next levels' midpoints by the loop's own arithmetic, so each is
-            # the float it visits; as a set, since at float width they repeat
+            # the float it visits; at float width they repeat
+            levels = levels or _ROOT_LEVELS - 1
             ts = [t_lo, t_hi]
-            for _ in range(_ROOT_LEVELS):
+            for _ in range(levels):
                 ts = [*(t for a, b in zip(ts, ts[1:]) for t in (a, 0.5 * (a + b))), t_hi]
-            zs = sorted({math.exp(t) for t in ts[1:-1]})
-            level_pass = dict(zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)))
-        if isinstance(level_pass[z_mid], Exception):
-            raise level_pass[z_mid]
-        g_mid, total = diff(z_mid, level_pass[z_mid])
-        if abs(g_mid) < 1e-9 * total:
-            return z_mid
-        if g_lo * g_mid < 0.0:
-            t_hi = t_mid
-        else:
-            t_lo, g_lo = t_mid, g_mid
+            heights = {math.exp(t): t for t in ts[1:-1]}
+        zs = sorted(heights)
+        got = dict(zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)))
+        if levels:
+            for _ in range(levels):
+                t_mid = 0.5 * (t_lo + t_hi)
+                z_mid = math.exp(t_mid)
+                if not math.exp(t_lo) < z_mid < math.exp(t_hi) or visit(z_mid, t_mid, got[z_mid]):
+                    return z_mid  # float width, or the stopping rule
+            levels = 0
+            continue
+        # t* first, then the flanks in ascending z; a flank that fails is dropped
+        z_star = next(iter(heights))
+        for z in [z_star, *(z for z in zs if z != z_star)]:
+            try:
+                if visit(z, heights[z], got[z]):
+                    return z
+            except _POINT_ERRORS:
+                if z == z_star:
+                    raise
+        levels = 0 if t_hi - t_lo <= 0.5 * width else _ROOT_LEVELS - 1
     return math.exp(0.5 * (t_lo + t_hi))

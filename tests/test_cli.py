@@ -1,10 +1,12 @@
 """Config parsing, subcommands, output formats and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from neqatom import response
 from neqatom.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -14,6 +16,7 @@ from neqatom.cli import (
     load_config,
     run_command,
 )
+from neqatom.quadrature import QuadratureSpec
 
 FIG5A = """
 material = sic
@@ -421,6 +424,28 @@ delta = 1e-2
 bracket = 1e-8,2e-8
 """)
         assert run_command(["crossover", "--config", cfg]) == EXIT_NUMERICAL
+
+    def test_crossover_failure_names_height_and_integral(self, tmp_path, capsys):
+        # the search runs at its own spec and converges; the alpha pair
+        # reported at z* runs at the config's one subdivision and fails there
+        cfg = write(tmp_path, "omega = omega_r\ndelta = 110e-9\nbracket = 1e-8,1e-4\n"
+                              + FAILING_SPEC)
+        assert run_command(["crossover", "--config", cfg]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        got = re.fullmatch(r"numerical failure at z=(\S+), delta=1\.1e-07: "
+                           r"QuadratureToleranceError: tolerance not met after 1 subdivisions "
+                           r"\(integral [BCD]\)\n", captured.err)
+        assert got and 1e-8 < float(got.group(1)) < 1e-4
+        assert captured.out == ""
+
+    def test_crossover_search_failure_names_its_height(self, tmp_path, capsys, monkeypatch):
+        # a root spec of one subdivision fails the search at its lower bracket end
+        monkeypatch.setattr(response, "_ROOT_SPEC", QuadratureSpec(1e-10, 1e-15, 1))
+        cfg = write(tmp_path, "omega = omega_r\ndelta = 110e-9\nbracket = 1e-8,1e-4\n")
+        assert run_command(["crossover", "--config", cfg]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure at z=1e-08, delta=1.1e-07: QuadratureToleranceError: "
+            "tolerance not met after 1 subdivisions (integral D)\n")
 
     def test_frequency_without_a_default_dipole_names_omega(self, tmp_path, capsys,
                                                             monkeypatch):

@@ -383,6 +383,13 @@ class TestCrossover:
         assert len(flips) == 1
         assert zs[flips[0]] < CROSSOVER_FROZEN < zs[flips[0] + 1]
 
+    def test_surface_mode_root_on_one_centimetre(self):
+        # omega_p on 1 cm (root 4 of the crossover-roots benchmark) converges
+        # from (10 nm, 100 um); at some jittered brackets its upper end fails
+        # in C alone
+        z_star = crossover_distance(surface_mode_frequency(SIC), 1e-2, SIC, (1e-8, 1e-4))
+        assert z_star == pytest.approx(1.7039082e-6, rel=1e-6)
+
     def test_bracket_without_sign_change(self):
         with pytest.raises(NoCrossoverError):
             crossover_distance(0.5 * OMEGA_R, 1e-2, SIC, (1e-8, 2e-8))
@@ -424,13 +431,14 @@ def _one_height_bisection(omega, delta, model, bracket, dipole_weights=ISOTROPIC
 
 
 def _spy(monkeypatch):
-    """Record the height of each alpha_pair call and the heights of each response pass."""
-    heights, passes = [], []
+    """Record the height and value of each alpha_pair call and the heights of each pass."""
+    heights, pairs, passes = [], [], []
     pair, many = response.alpha_pair, response.response_vectors_many
 
     def alpha_pair_spy(omega, geom, *args, **kwargs):
         heights.append(geom.z)
-        return pair(omega, geom, *args, **kwargs)
+        pairs.append(pair(omega, geom, *args, **kwargs))
+        return pairs[-1]
 
     def many_spy(omega, z_values, *args, **kwargs):
         passes.append(list(z_values))
@@ -438,7 +446,7 @@ def _spy(monkeypatch):
 
     monkeypatch.setattr(response, "alpha_pair", alpha_pair_spy)
     monkeypatch.setattr(response, "response_vectors_many", many_spy)
-    return heights, passes
+    return heights, pairs, passes
 
 
 # (omega, delta, model, bracket): the two CI crossover configs and the
@@ -453,29 +461,31 @@ ROOT_CASES = (
 class TestLevelPasses:
     @pytest.mark.parametrize("case", ROOT_CASES)
     def test_matches_one_height_bisection(self, monkeypatch, case):
-        heights, passes = _spy(monkeypatch)
+        heights, pairs, passes = _spy(monkeypatch)
         want = _one_height_bisection(*case)
-        want_heights = list(heights)
-        del heights[:], passes[:]
+        del heights[:], pairs[:], passes[:]
         got = crossover_distance(*case)
-        assert got == want
-        # one alpha_pair call per visited height, the same heights in order
-        assert heights == want_heights
-        visited = len(heights) - 2
-        assert len(passes) <= 2 + math.ceil(visited / 3)
-        assert len(passes) < len(heights)
+        assert got == pytest.approx(want, rel=1e-7)
+        # the search returns the height whose alpha pair met the stopping rule
+        assert heights[-1] == got
+        assert abs(pairs[-1].alpha_W - pairs[-1].alpha_M) < 1e-9 * (pairs[-1].alpha_W
+                                                                     + pairs[-1].alpha_M)
+        # two bracket ends, one grid pass and at most five polish passes, where
+        # bisection by three levels a pass needs 12-13
+        assert len(passes) <= 8
+        assert all(z in [h for p in passes for h in p] for z in heights)
 
     @pytest.mark.parametrize("bracket, jump", [((1e-8, 1e-4), 3.3e-7), ((0.5, 2.0), 1.0)])
     def test_bracket_at_float_width(self, monkeypatch, bracket, jump):
         # alpha_W - alpha_M jumps from +1 to -1 at ``jump`` and has no zero:
-        # the bracket halves to float width, where the midpoints of a level
-        # coincide (and at 1 m, exp maps distinct log heights to one float).
-        # The search returns what the one-height loop returns after its 200
-        # steps, with no pass of repeated heights
-        heights, passes = [], []
+        # no interpolant finds it, and the bracket shrinks to float width,
+        # where the midpoints of a level coincide (and at 1 m, exp maps
+        # distinct log heights to one float). The search ends at the jump, as
+        # the one-height loop does after its 200 steps, with no pass of
+        # repeated heights
+        passes = []
 
         def jumping_pair(omega, geom, *args, **kwargs):
-            heights.append(geom.z)
             return AlphaPair(1.0, 0.0) if geom.z < jump else AlphaPair(0.0, 1.0)
 
         def no_integrals(omega, z_values, *args):
@@ -486,21 +496,46 @@ class TestLevelPasses:
         monkeypatch.setattr(response, "alpha_pair", jumping_pair)
         monkeypatch.setattr(response, "response_vectors_many", no_integrals)
         want = _one_height_bisection(OMEGA_R, 1e-2, SIC, bracket)
-        want_heights = list(heights)
-        del heights[:]
-        assert crossover_distance(OMEGA_R, 1e-2, SIC, bracket) == want
-        assert heights == want_heights and len(heights) == 202
+        got = crossover_distance(OMEGA_R, 1e-2, SIC, bracket)
+        # float width in t = log z, or in z where exp flattens it
+        width = 4.0 * (math.ulp(math.log(jump)) + 2.0**-52)
+        for z in (want, got):
+            assert abs(math.log(z) - math.log(jump)) <= width
         assert len(passes) <= math.ceil(200 / 3)
 
-    def _first_pass_with(self, monkeypatch, pick):
-        """Fail one height of the first level pass, chosen by ``pick(level, visited)``.
+    def test_stalled_polish_falls_back_to_level_passes(self, monkeypatch):
+        # alpha_W - alpha_M has a kink at its root, slope 1/10 in log z below
+        # and 1000 above: the cubic keeps landing on the steep side, and a
+        # polish pass that does not halve the bracket is followed by a
+        # 3-level pass of 7 heights. Polish passes alone take 35 passes here
+        t0, passes = math.log(3.3e-7), []
 
-        Returns the z* of the search without the failure, and the failure.
+        def kinked_pair(omega, geom, *args, **kwargs):
+            t = math.log(geom.z)
+            g = (t - t0) / 10.0 if t < t0 else min(1.0, 1000.0 * (t - t0))
+            return AlphaPair(1.0 + 0.5 * g, 1.0 - 0.5 * g)
+
+        def no_integrals(omega, z_values, *args):
+            passes.append(len(z_values))
+            return [None] * len(z_values)
+
+        monkeypatch.setattr(response, "alpha_pair", kinked_pair)
+        monkeypatch.setattr(response, "response_vectors_many", no_integrals)
+        got = crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, 1e-4))
+        assert abs(math.log(got) - t0) < 2e-8
+        assert passes[0] == 15 and 7 in passes
+        assert len(passes) <= 20
+
+    def _first_pass_with(self, monkeypatch, pick, index=2):
+        """Fail one height of a pass, chosen by ``pick(pass, visited)``.
+
+        ``index`` counts the passes of the search without the failure: 2 is
+        the grid pass, 3 the first polish pass. Returns that search's z*,
+        the failure and its height.
         """
-        heights, passes = _spy(monkeypatch)
+        heights, _, passes = _spy(monkeypatch)
         clean = crossover_distance(*ROOT_CASES[0])
-        level, visited = passes[2], heights[2:]
-        bad = pick(level, visited)
+        bad = pick(passes[index], heights[2:])
         best = QuadratureResult(np.zeros(6), np.ones(6), 15)
         failure = QuadratureToleranceError("forced failure", best=best)
         many = response.response_vectors_many
@@ -510,19 +545,36 @@ class TestLevelPasses:
             return [failure if z == bad else rv for z, rv in zip(z_values, got)]
 
         monkeypatch.setattr(response, "response_vectors_many", failing_at_bad)
-        return clean, failure
+        return clean, failure, bad
 
     def test_failure_off_the_path_leaves_the_root(self, monkeypatch):
-        clean, _ = self._first_pass_with(
+        clean, _, _ = self._first_pass_with(
             monkeypatch, lambda level, visited: next(z for z in level if z not in visited))
         assert crossover_distance(*ROOT_CASES[0]) == clean
 
     def test_failure_on_the_path_is_raised(self, monkeypatch):
         # the second level's height: the walk reaches it after one step
-        _, failure = self._first_pass_with(monkeypatch, lambda level, visited: visited[1])
+        _, failure, bad = self._first_pass_with(monkeypatch, lambda level, visited: visited[1])
         with pytest.raises(QuadratureToleranceError) as info:
             crossover_distance(*ROOT_CASES[0])
-        assert info.value is failure
+        assert info.value is failure and info.value.z == bad
+
+    def test_failing_flank_is_dropped(self, monkeypatch):
+        # the first polish pass's highest height, a flank of t* = visited[4]
+        clean, _, bad = self._first_pass_with(
+            monkeypatch, lambda polish, visited: polish[-1] if polish[1] == visited[4] else None, 3)
+        assert bad is not None
+        got = crossover_distance(*ROOT_CASES[0])
+        assert got == pytest.approx(clean, rel=1e-7)
+
+    def test_failure_at_t_star_is_raised(self, monkeypatch):
+        # the first alpha pair after the ends and the 4-level walk is t*
+        _, failure, bad = self._first_pass_with(
+            monkeypatch, lambda polish, visited: visited[4] if visited[4] in polish else None, 3)
+        assert bad is not None
+        with pytest.raises(QuadratureToleranceError) as info:
+            crossover_distance(*ROOT_CASES[0])
+        assert info.value is failure and info.value.z == bad
 
 
 class TestFailingIntegral:
