@@ -242,6 +242,7 @@ def _panel_sums(y, n):
 def _eval_panels(F, a, b):
     """K15 values and |K15 - G7| error estimates for a batch of panels.
 
+    A panel too narrow for distinct nodes gets an error of at least |K15|.
     Raises NonFiniteIntegrandError if any panel value or error is not
     finite, naming the first node where the integrand (a kernel or g of
     a pair) is not. A finite |K15 - G7| implies finite K15 and G7, so one
@@ -264,6 +265,12 @@ def _eval_panels(F, a, b):
         # finite samples can still overflow a panel sum: name its midpoint
         node = x[bad][0] if bad.any() else mid[~np.isfinite(err).all(axis=1)][0]
         raise NonFiniteIntegrandError(float(node))
+    # a panel whose outermost node gap, its smallest, is within two float
+    # spacings can have nodes that round onto each other: |K15 - G7| is then
+    # roundoff, not error, so its error is at least |K15|
+    narrow = half * (_NODES[-1] - _NODES[-2]) <= 2.0 * np.spacing(np.abs(mid))
+    if narrow.any():
+        err[narrow] = np.maximum(err[narrow], np.abs(k15[narrow]))
     return k15, err
 
 

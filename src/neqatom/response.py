@@ -128,8 +128,9 @@ ISOTROPIC_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 # threshold on the alpha difference, but above the fp floor of the K15-G7
 # error estimator
 _ROOT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
-# bisection levels of crossover_distance's first pass after the bracket ends,
-# 2^levels - 1 heights; its safeguard passes take one level fewer
+# levels of crossover_distance's first pass after the bracket ends: 2^levels - 1
+# heights evenly spaced in log z, the midpoints of that many bisection levels;
+# its fallback passes take one level fewer
 _ROOT_LEVELS = 4
 
 
@@ -510,35 +511,36 @@ def alpha_pair(omega: float, geom: GeometryPoint, model: DielectricModel,
     return AlphaPair(alpha_W=max(a_w, 0.0), alpha_M=max(a_m, 0.0))
 
 
-def _cubic_step(points, t_lo, t_hi):
-    """Heights {z: t} of a polish pass of crossover_distance, t* first, or None.
+def _inverse_root(points):
+    """t at g = 0 of the inverse Lagrange interpolant t(g) through the (t, g) ``points``.
 
-    The cubic through the four (t, g) ``points`` nearest the bracket
-    (t_lo, t_hi), in Newton form, and the quadratic through the nearest
-    three: t* is the cubic's root in the bracket nearest a root of the
-    quadratic, e that distance, and the flanks t* -+ 4e are cut at half-way
-    to the bracket ends. None when t* has no height inside the bracket.
+    The g must be distinct. Each t enters relative to the first point's,
+    so rounding scales with the points' spread in t, not with t.
     """
-    mid, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
+    t0 = points[0][0]
+    return t0 + sum((t - t0) * math.prod(gj / (gj - g) for j, (_, gj) in enumerate(points)
+                                         if j != i)
+                    for i, (t, g) in enumerate(points))
+
+
+def _inverse_step(points, t_lo, t_hi):
+    """t* and its two flanks, the log heights of an interpolation pass, or None.
+
+    t* is the value at g = 0 of the inverse cubic t(g) through the four
+    (t, g) ``points`` nearest the bracket (t_lo, t_hi), e its distance to
+    that of the inverse quadratic through the nearest three, and the
+    flanks t* -+ 4e are cut at half-way to the bracket ends. None when two
+    of the four g are equal or exp(t*) is not strictly inside the bracket.
+    """
     near = sorted(points, key=lambda p: max(t_lo - p[0], p[0] - t_hi))[:4]
-    u = [(t - mid) / half for t, _ in near]  # the bracket is -1 < u < 1
-    a = [g for _, g in near]
-    for j in range(1, 4):  # divided differences
-        for i in range(3, j - 1, -1):
-            a[i] = (a[i] - a[i - 1]) / (u[i] - u[i - j])
-    terms = [a[k] * np.poly(u[:k]) for k in range(4)]
-    quadratic = np.polyadd(np.polyadd(terms[0], terms[1]), terms[2])
-    roots = [r.real for r in np.roots(np.polyadd(quadratic, terms[3]))
-             if r.imag == 0.0 and -1.0 < r.real < 1.0]
-    if not roots:
+    if len({g for _, g in near}) < 4:
         return None
-    e, u_star = min((min(abs(r - np.roots(quadratic)), default=math.inf), r) for r in roots)
-    t_star, e = mid + half * u_star, 4.0 * half * e
-    heights = {}
-    for t in (t_star, max(t_star - e, 0.5 * (t_lo + t_star)), min(t_star + e, 0.5 * (t_star + t_hi))):
-        if math.exp(t_lo) < math.exp(t) < math.exp(t_hi):
-            heights.setdefault(math.exp(t), t)
-    return heights if math.exp(t_star) in heights else None
+    t_star = _inverse_root(near)
+    # the test in t first: far outside the bracket, exp(t*) can overflow
+    if not (t_lo < t_star < t_hi and math.exp(t_lo) < math.exp(t_star) < math.exp(t_hi)):
+        return None
+    e = 4.0 * abs(t_star - _inverse_root(near[:3]))
+    return [t_star, max(t_star - e, 0.5 * (t_lo + t_star)), min(t_star + e, 0.5 * (t_star + t_hi))]
 
 
 def crossover_distance(omega: float, delta: float, model: DielectricModel,
@@ -548,14 +550,17 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
     ``bracket`` is (z_lo, z_hi) with a sign change of alpha_W - alpha_M.
     Converges to |alpha_W - alpha_M| < 1e-9 (alpha_W + alpha_M); the
     integrals run at rel_tol 1e-10, abs_tol 1e-15. The bracket ends are
-    integrated alone, then the midpoints of the next ``_ROOT_LEVELS``
-    bisection levels in one :func:`response_vectors_many` pass, walked as
-    bisection walks them. Each later pass holds t* and its two flanks
-    (``_cubic_step``). Where the cubic has no root in the bracket, or the
-    pass before did not halve it, a level pass of one level fewer runs
-    instead, so the search never converges slower than bisection. Only the
-    heights the search relies on, a walked midpoint or t*, raise when they
-    fail, and the error names its height in ``z``.
+    integrated alone and raise when they fail. Every later pass integrates
+    its heights in one :func:`response_vectors_many` call and takes the
+    alpha pair of each that converged, in ascending z: each height inside
+    the bracket returns if it meets the stopping rule and otherwise
+    narrows the bracket. A height that fails is dropped; a pass in which
+    every height fails raises its first failure, which names its height
+    in ``z``. The first pass holds 2^``_ROOT_LEVELS`` - 1 heights evenly
+    spaced in t; each later pass holds t* and its two flanks
+    (``_inverse_step``), or, where that gives none or the pass before did
+    not halve the bracket, 2^(``_ROOT_LEVELS`` - 1) - 1 evenly spaced
+    heights, so the search never converges slower than bisection.
     """
     z_lo, z_hi = bracket
     if not (0.0 < z_lo < z_hi):
@@ -581,49 +586,32 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
     if g_lo * g_hi > 0.0:
         raise NoCrossoverError("no crossover in bracket")
     t_lo, t_hi = math.log(z_lo), math.log(z_hi)
-    points = [(t_lo, g_lo), (t_hi, g_hi)]  # (t, g) of every height the search used
+    points = [(t_lo, g_lo), (t_hi, g_hi)]  # (t, g) of every height that converged
 
-    def visit(z, t, vectors):
-        # True where the stopping rule holds; else bisection's bracket update
-        nonlocal t_lo, g_lo, t_hi
-        g, total = diff(z, vectors)
-        points.append((t, g))
-        if abs(g) < 1e-9 * total:
-            return True
-        if t_lo < t < t_hi:
-            t_lo, g_lo, t_hi = (t_lo, g_lo, t) if g_lo * g < 0.0 else (t, g, t_hi)
-        return False
-
-    levels = _ROOT_LEVELS
+    ts = np.linspace(t_lo, t_hi, 2**_ROOT_LEVELS + 1)[1:-1].tolist()
     for _ in range(200):
-        width = t_hi - t_lo
-        heights = None if levels else _cubic_step(points, t_lo, t_hi)
-        if heights is None:
-            # the next levels' midpoints by the loop's own arithmetic, so each is
-            # the float it visits; at float width they repeat
-            levels = levels or _ROOT_LEVELS - 1
-            ts = [t_lo, t_hi]
-            for _ in range(levels):
-                ts = [*(t for a, b in zip(ts, ts[1:]) for t in (a, 0.5 * (a + b))), t_hi]
-            heights = {math.exp(t): t for t in ts[1:-1]}
+        # {z: t} of the heights strictly inside the bracket, each float once
+        heights = {math.exp(t): t for t in ts if math.exp(t_lo) < math.exp(t) < math.exp(t_hi)}
+        if not heights:  # the bracket is at floating-point width
+            break
+        width, narrowed, failure = t_hi - t_lo, False, None
         zs = sorted(heights)
-        got = dict(zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)))
-        if levels:
-            for _ in range(levels):
-                t_mid = 0.5 * (t_lo + t_hi)
-                z_mid = math.exp(t_mid)
-                if not math.exp(t_lo) < z_mid < math.exp(t_hi) or visit(z_mid, t_mid, got[z_mid]):
-                    return z_mid  # float width, or the stopping rule
-            levels = 0
-            continue
-        # t* first, then the flanks in ascending z; a flank that fails is dropped
-        z_star = next(iter(heights))
-        for z in [z_star, *(z for z in zs if z != z_star)]:
+        for z, vectors in zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)):
             try:
-                if visit(z, heights[z], got[z]):
+                g, total = diff(z, vectors)
+            except _POINT_ERRORS as exc:
+                failure = failure or (exc, z)
+                continue
+            t = heights[z]
+            points.append((t, g))
+            if t_lo < t < t_hi:
+                if abs(g) < 1e-9 * total:
                     return z
-            except _POINT_ERRORS:
-                if z == z_star:
-                    raise
-        levels = 0 if t_hi - t_lo <= 0.5 * width else _ROOT_LEVELS - 1
+                t_lo, g_lo, t_hi = (t_lo, g_lo, t) if g_lo * g < 0.0 else (t, g, t_hi)
+                narrowed = True
+        if not narrowed:  # every height failed; a slab failure is one error for all
+            failure[0].z = failure[1]
+            raise failure[0]
+        ts = (t_hi - t_lo <= 0.5 * width and _inverse_step(points, t_lo, t_hi)
+              or np.linspace(t_lo, t_hi, 2**(_ROOT_LEVELS - 1) + 1)[1:-1].tolist())
     return math.exp(0.5 * (t_lo + t_hi))

@@ -307,6 +307,23 @@ class TestFailureAndSpec:
         assert np.all(np.isfinite(best.value))
         assert best.evaluations > 0
 
+    def test_float_width_panel_is_not_converged(self):
+        # an integrable peak of 1e15 at an irrational point: the panels around
+        # it shrink until their 15 nodes round onto each other, where
+        # |K15 - G7| is roundoff only. Such a panel keeps an error of at
+        # least |K15|, so the peak ends the search instead of passing
+        x0 = 1.0 / math.sqrt(2.0)
+        exact = 2.0 * (math.sqrt(x0) + math.sqrt(1.0 - x0))
+
+        def peak(x):
+            return 1.0 / np.sqrt(np.abs(x - x0) + 1e-30)
+
+        with pytest.raises(QuadratureToleranceError) as err:
+            _adaptive(peak, np.linspace(0.0, 1.0, 5), QuadratureSpec(rel_tol=1e-10, abs_tol=0.0))
+        best = err.value.best
+        assert abs(best.value[0] - exact) > 0.1
+        assert best.error_estimate[0] > 0.5 * abs(best.value[0] - exact)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)

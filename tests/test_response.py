@@ -470,8 +470,8 @@ class TestLevelPasses:
         assert heights[-1] == got
         assert abs(pairs[-1].alpha_W - pairs[-1].alpha_M) < 1e-9 * (pairs[-1].alpha_W
                                                                      + pairs[-1].alpha_M)
-        # two bracket ends, one grid pass and at most five polish passes, where
-        # bisection by three levels a pass needs 12-13
+        # two bracket ends, one grid pass and at most five interpolation
+        # passes, where bisection by three levels a pass needs 12-13
         assert len(passes) <= 8
         assert all(z in [h for p in passes for h in p] for z in heights)
 
@@ -505,9 +505,10 @@ class TestLevelPasses:
 
     def test_stalled_polish_falls_back_to_level_passes(self, monkeypatch):
         # alpha_W - alpha_M has a kink at its root, slope 1/10 in log z below
-        # and 1000 above: the cubic keeps landing on the steep side, and a
-        # polish pass that does not halve the bracket is followed by a
-        # 3-level pass of 7 heights. Polish passes alone take 35 passes here
+        # and 1000 above, clipped at 1: the heights on the steep side repeat
+        # g = 1, where no inverse interpolant exists, so the pass after them
+        # is a 3-level pass of 7 heights. The search takes 6 passes here,
+        # with or without the rule on passes that do not halve the bracket
         t0, passes = math.log(3.3e-7), []
 
         def kinked_pair(omega, geom, *args, **kwargs):
@@ -526,55 +527,113 @@ class TestLevelPasses:
         assert passes[0] == 15 and 7 in passes
         assert len(passes) <= 20
 
-    def _first_pass_with(self, monkeypatch, pick, index=2):
-        """Fail one height of a pass, chosen by ``pick(pass, visited)``.
+    def test_pass_that_does_not_halve_is_followed_by_a_level_pass(self, monkeypatch):
+        # every interpolation pass is one height a thousandth of the way up
+        # the bracket, below the root of a linear alpha_W - alpha_M: it
+        # narrows the bracket without halving it, so a 7-height pass follows
+        t0, passes = math.log(3.3e-7), []
+
+        def linear_pair(omega, geom, *args, **kwargs):
+            g = 0.1 * (math.log(geom.z) - t0)
+            return AlphaPair(1.0 + 0.5 * g, 1.0 - 0.5 * g)
+
+        def no_integrals(omega, z_values, *args):
+            passes.append(len(z_values))
+            return [None] * len(z_values)
+
+        monkeypatch.setattr(response, "alpha_pair", linear_pair)
+        monkeypatch.setattr(response, "response_vectors_many", no_integrals)
+        monkeypatch.setattr(response, "_inverse_step",
+                            lambda points, t_lo, t_hi: [t_lo + 1e-3 * (t_hi - t_lo)])
+        got = crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, 1e-4))
+        assert abs(math.log(got) - t0) < 2e-8
+        assert passes[:5] == [15, 1, 7, 1, 7]
+        assert all(b == 7 for a, b in zip(passes, passes[1:]) if a == 1)
+
+    def _failing(self, monkeypatch, pick, index):
+        """Fail the heights ``pick(heights, z*)`` of one pass of the search, by one error.
 
         ``index`` counts the passes of the search without the failure: 2 is
-        the grid pass, 3 the first polish pass. Returns that search's z*,
-        the failure and its height.
+        the grid pass, 3 the first interpolation pass, whose heights ascend
+        as (lower flank, t*, upper flank). Returns that search's z*, the
+        failure, the failing heights and the spy's alpha pair heights and
+        values.
         """
-        heights, _, passes = _spy(monkeypatch)
+        heights, pairs, passes = _spy(monkeypatch)
         clean = crossover_distance(*ROOT_CASES[0])
-        bad = pick(passes[index], heights[2:])
+        assert len(passes[3]) == 3
+        bad = pick(passes[index], clean)
         best = QuadratureResult(np.zeros(6), np.ones(6), 15)
         failure = QuadratureToleranceError("forced failure", best=best)
         many = response.response_vectors_many
 
         def failing_at_bad(omega, z_values, *args, **kwargs):
             got = many(omega, z_values, *args, **kwargs)
-            return [failure if z == bad else rv for z, rv in zip(z_values, got)]
+            return [failure if z in bad else rv for z, rv in zip(z_values, got)]
 
         monkeypatch.setattr(response, "response_vectors_many", failing_at_bad)
-        return clean, failure, bad
+        del heights[:], pairs[:]
+        return clean, failure, bad, heights, pairs
 
-    def test_failure_off_the_path_leaves_the_root(self, monkeypatch):
-        clean, _, _ = self._first_pass_with(
-            monkeypatch, lambda level, visited: next(z for z in level if z not in visited))
-        assert crossover_distance(*ROOT_CASES[0]) == clean
-
-    def test_failure_on_the_path_is_raised(self, monkeypatch):
-        # the second level's height: the walk reaches it after one step
-        _, failure, bad = self._first_pass_with(monkeypatch, lambda level, visited: visited[1])
-        with pytest.raises(QuadratureToleranceError) as info:
-            crossover_distance(*ROOT_CASES[0])
-        assert info.value is failure and info.value.z == bad
-
-    def test_failing_flank_is_dropped(self, monkeypatch):
-        # the first polish pass's highest height, a flank of t* = visited[4]
-        clean, _, bad = self._first_pass_with(
-            monkeypatch, lambda polish, visited: polish[-1] if polish[1] == visited[4] else None, 3)
-        assert bad is not None
+    def _dropped(self, clean, heights, pairs):
+        # the root moves within the stopping rule, and the search returns
+        # the height whose alpha pair met it
         got = crossover_distance(*ROOT_CASES[0])
         assert got == pytest.approx(clean, rel=1e-7)
+        assert heights[-1] == got
+        assert abs(pairs[-1].alpha_W - pairs[-1].alpha_M) < 1e-9 * (pairs[-1].alpha_W
+                                                                     + pairs[-1].alpha_M)
 
-    def test_failure_at_t_star_is_raised(self, monkeypatch):
-        # the first alpha pair after the ends and the 4-level walk is t*
-        _, failure, bad = self._first_pass_with(
-            monkeypatch, lambda polish, visited: visited[4] if visited[4] in polish else None, 3)
-        assert bad is not None
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_failing_grid_height_is_dropped(self, monkeypatch, side):
+        # the grid height next to z* on one side: without it the grid pass
+        # leaves a bracket twice as wide
+        def next_to_root(grid, clean):
+            return {max(z for z in grid if z < clean) if side == "below"
+                    else min(z for z in grid if z > clean)}
+
+        clean, _, _, heights, pairs = self._failing(monkeypatch, next_to_root, 2)
+        self._dropped(clean, heights, pairs)
+
+    def test_failing_flank_is_dropped(self, monkeypatch):
+        clean, _, _, heights, pairs = self._failing(
+            monkeypatch, lambda interp, clean: {interp[2]}, 3)
+        self._dropped(clean, heights, pairs)
+
+    def test_failure_at_t_star_is_dropped(self, monkeypatch):
+        # the flanks still narrow the bracket, and the search goes on
+        clean, _, _, heights, pairs = self._failing(
+            monkeypatch, lambda interp, clean: {interp[1]}, 3)
+        self._dropped(clean, heights, pairs)
+
+    @pytest.mark.parametrize("index", [2, 3], ids=["grid", "interpolation"])
+    def test_pass_that_fails_everywhere_raises_its_first_failure(self, monkeypatch, index):
+        # one error object for every height, as a failing slab pass gives:
+        # it names the lowest height, the first that the pass visits
+        _, failure, bad, _, _ = self._failing(monkeypatch, lambda zs, clean: set(zs), index)
         with pytest.raises(QuadratureToleranceError) as info:
             crossover_distance(*ROOT_CASES[0])
-        assert info.value is failure and info.value.z == bad
+        assert info.value is failure and info.value.z == min(bad)
+
+
+class TestInverseRoot:
+    @pytest.mark.parametrize("coeffs", [(2.0, 0.0, 0.0), (2.0, -30.0, 400.0)],
+                             ids=["linear", "cubic"])
+    def test_recovers_t0(self, coeffs):
+        # t = t0 + a g + b g^2 + c g^3: the inverse cubic through four
+        # points is t(g) itself, and its value at g = 0 is t0
+        t0 = math.log(3.3e-7)
+        a, b, c = coeffs
+
+        def t_of(g):
+            return t0 + g * (a + g * (b + g * c))
+
+        gs = (-3e-3, -1e-3, 2e-3, 5e-3)
+        assert abs(response._inverse_root([(t_of(g), g) for g in gs]) - t0) <= 4 * math.ulp(t0)
+
+    def test_repeated_g_gives_no_step(self):
+        points = [(-16.0, -1.0), (-14.0, 1.0), (-15.5, -0.5), (-14.5, 1.0)]
+        assert response._inverse_step(points, -15.5, -14.5) is None
 
 
 class TestFailingIntegral:
