@@ -250,7 +250,9 @@ def _grid(z_values, delta_values):
 
 
 def _describe(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+    """``Type: message``, and `` (integral X)`` when B, C or D failed."""
+    integral = f" (integral {exc.integral})" if hasattr(exc, "integral") else ""
+    return f"{type(exc).__name__}: {exc}{integral}"
 
 
 def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,

@@ -452,12 +452,9 @@ def run_command(argv) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _POINT_ERRORS as exc:
-        if hasattr(exc, "z"):  # a crossover height, by the integral that failed there
-            integral = f" (integral {exc.integral})" if hasattr(exc, "integral") else ""
-            print(f"numerical failure at z={exc.z!r}, delta={float(cfg.delta_values[0])!r}: "
-                  f"{_describe(exc)}{integral}", file=sys.stderr)
-        else:
-            print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
+        # a crossover failure is named by its height
+        at = f" at z={exc.z!r}, delta={float(cfg.delta_values[0])!r}" if hasattr(exc, "z") else ""
+        print(f"numerical failure{at}: {_describe(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     rows, failures = _rows(records, _COLUMNS[args.command])

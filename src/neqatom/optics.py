@@ -193,7 +193,8 @@ def slab_amplitudes(omega: float, eps, kz, delta: float, want_tau: bool = True):
         rho = tuple(np.zeros((2, *kz.shape), dtype=complex))
         return rho, (tuple(np.ones((2, *kz.shape), dtype=complex)) if want_tau else None)
     kzm = _slab_kzm(omega, eps, kz)
-    e2 = np.exp(2j * kzm * delta)
+    with np.errstate(over="ignore"):  # a thick slab's -inf exponent gives e = 0
+        e2 = np.exp(2j * kzm * delta)
     phase = np.exp(1j * (kzm - kz) * delta) if want_tau else None
     one_minus_e2 = 1.0 - e2
     rho, tau = [], []

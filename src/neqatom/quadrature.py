@@ -55,9 +55,10 @@ height-phase edges and the floor of the evanescent ladder; the smallest
 sets the evanescent cut, where that ladder starts, and the tail bound of
 every column.
 With one height both engines reproduce the single-height edges and
-arithmetic bit for bit. The initial pass is sized for at most three
-columns per height, one per dipole orientation; later calls for the
-integrand's actual width.
+arithmetic bit for bit. The initial pass is sized for three columns per
+height, as the integrand's width is not yet known; the slab response's C
+and D return two (xx, zz), so those calls fill at most two thirds of the cap.
+Later calls are sized for the actual width.
 
 A result carries its final panel edges, sorted, in the engine's own
 variable, also on failure (``QuadratureToleranceError.best``). Every
@@ -437,16 +438,18 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     heights = _heights(z)
     if heights[0] < 0.0:
         raise ValueError("z must be >= 0")
-    z_max = heights[-1]
+    z_max = float(heights[-1])
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     U = omega / c
     interior = np.asarray(_seeds, dtype=float)
     if z_max > 0.0:
+        # a Python float, silently inf near the float maximum: checked before int()
         n = _PHASE_EDGES_PER_PERIOD
-        m_max = int(math.floor(n * z_max * (omega / c) / math.pi))
-        if m_max > _MAX_INITIAL_PANELS:
+        phases = n * z_max * (omega / c) / math.pi
+        if phases >= _MAX_INITIAL_PANELS + 1:
             raise ValueError("oscillatory panel budget exceeded: z too large")
+        m_max = int(phases)
         kz_pts = np.arange(1, m_max + 1) * (math.pi / (n * z_max))
         k_pts = np.sqrt(np.maximum(U**2 - kz_pts**2, 0.0))
         interior = np.concatenate((_theta_from_k(k_pts, omega), interior))
@@ -486,7 +489,8 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     U = omega / c
-    z_min = heights[0]
+    # Python floats: a subnormal z_min gives kappa_max = inf, silently, raised below
+    z_min, z_max = float(heights[0]), float(heights[-1])
     kappa_max = _EVANESCENT_CUT / z_min
 
     def F(kappa):
@@ -498,7 +502,7 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     # takes over. The rung count comes from logs, as the cut over the
     # floor can overflow; a rung below the smallest float is 0, and is
     # clipped
-    floor = min(U, 0.5 / heights[-1]) / 8.0
+    floor = min(U, 0.5 / z_max) / 8.0
     rungs = math.ceil(math.log2(_EVANESCENT_CUT) - math.log2(z_min) - math.log2(floor)) + 1
     interior = [kappa_max * 0.5**j for j in range(rungs)]
     if spec.rel_tol < _TOP_OCTAVE_ERROR:

@@ -335,7 +335,8 @@ class TestEnvironmentScan:
         _b_vector.cache_clear()
         records = environment_scan(OMEGA_R, (1 / 3, 1 / 3, 1 / 3), SIC,
                                    [1e-8, 1e-7, 1e-6], [110e-9], 470.0, 170.0)
-        assert [r[3] for r in records] == ["QuadratureToleranceError: forced B failure"] * 3
+        assert [r[3] for r in records] == [
+            "QuadratureToleranceError: forced B failure (integral B)"] * 3
         # one (omega, delta): B is integrated once and its failure is
         # not retried per height, since B does not depend on the height
         assert len(calls) == 1

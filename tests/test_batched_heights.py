@@ -84,6 +84,15 @@ class TestFailureIsolation:
             warnings.simplefilter("error")
             many = response_vectors_many(OMEGA_R, [1e-150, 1e-8, 1e170], 1e-7, SIC)
         assert [type(r) for r in many] == [NonFiniteIntegrandError, ResponseVectors, ValueError]
+        # near the float maximum the phase-panel count, and 2z, overflow:
+        # C's budget error, and the height next to it keeps its own value
+        alone = response_vectors(OMEGA_R, GeometryPoint(z=1e-8, delta=1e-2), SIC)
+        for huge in (5e307, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, bad = response_vectors_many(OMEGA_R, [1e-8, huge], 1e-2, SIC)
+            assert _equal(got, alone)
+            assert type(bad) is ValueError and bad.integral == "C", huge
 
     def test_tiny_heights_give_vectors_or_a_typed_error_without_a_warning(self):
         # below about 1.2e-153 m the evanescent cut squares past the float
@@ -94,6 +103,12 @@ class TestFailureIsolation:
                 warnings.simplefilter("error")
                 (got,) = response_vectors_many(OMEGA_R, [10.0**e], 1e-7, SIC)
             assert isinstance(got, (ResponseVectors, NonFiniteIntegrandError)), (e, got)
+        # down to the smallest subnormal the cut 1/z is inf: D's tail check
+        for z in (5e-324, 1e-310, 2e-308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (got,) = response_vectors_many(OMEGA_R, [z], 1e-2, SIC)
+            assert type(got) is NonFiniteIntegrandError and got.integral == "D", z
 
     def test_lossless_far_height_fails_alone(self):
         # C_zz of the lossless 5 mm slab cancels below the K15-G7 floor at

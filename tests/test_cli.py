@@ -365,7 +365,7 @@ max_subdivisions = 1
         for row in rows:
             assert len(row) == len(columns)
             assert row[2:-1] == [missing] * (len(columns) - 3)
-            assert row[-1]
+            assert re.search(r" \(integral [BCD]\)$", row[-1]), row[-1]
 
     def test_negative_time_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, """
