@@ -42,6 +42,7 @@ from .quadrature import (
 from .response import (
     AlphaPair,
     GeometryPoint,
+    PointFailure,
     ResponseVectors,
     alpha_pair,
     crossover_distance,

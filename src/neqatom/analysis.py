@@ -3,12 +3,12 @@
 One path turns the response of a height into its transition environment.
 :func:`_environments` integrates every height of one (omega, delta)
 together (:func:`response_vectors_many`), then takes each height's alpha
-pair and rates. It returns the environment, or the exception raised, of
-every height. :func:`scan` and :func:`environment_scan` loop over it,
+pair and rates. It returns the environment, or the :class:`PointFailure`,
+of every height. :func:`scan` and :func:`environment_scan` loop over it,
 delta by delta; :func:`steady_point` and :func:`transition_environments`
 are its one-point cases. Argument errors (grids, temperatures,
 ``T_search``, ``omega``) raise ValueError before any integral; numerical
-failures are recorded per point.
+failures are recorded per point, as the text of their PointFailure.
 
 The steady state of the Lambda system is diagonal, so the distance to a
 thermal (Gibbs) state reduces to the Euclidean norm of the population
@@ -38,8 +38,9 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .response import (
     _POINT_ERRORS,
     GeometryPoint,
-    alpha_pair,
+    PointFailure,
     check_weights,
+    pair_at,
     response_vectors_many,
 )
 
@@ -181,7 +182,7 @@ def closest_thermal(p: Populations, atom: AtomModel,
 
 def _environments(atom: AtomModel, which: str, model: DielectricModel, z_values,
                   delta: float, T_W: float, T_M: float, spec: QuadratureSpec) -> list:
-    """The TransitionEnvironment, or the exception raised, of every height.
+    """The TransitionEnvironment, or the PointFailure, of every height.
 
     All the heights ``z_values`` of one transition ``which`` and slab
     ``delta`` are integrated together (:func:`response_vectors_many`);
@@ -195,14 +196,13 @@ def _environments(atom: AtomModel, which: str, model: DielectricModel, z_values,
     # each height's vectors give way to its environment, or to its failure
     envs = response_vectors_many(omega, z_values, delta, model, spec)
     for i, (z, rv) in enumerate(zip(z_values, envs)):
-        if isinstance(rv, Exception):
+        envs[i] = pair = pair_at(omega, z, delta, model, weights, spec, rv)
+        if isinstance(pair, PointFailure):
             continue
         try:
-            pair = alpha_pair(omega, GeometryPoint(z=z, delta=delta), model, weights,
-                              spec, vectors=rv)
             envs[i] = transition_rates(atom, which, pair, T_W, T_M)
         except _POINT_ERRORS as exc:
-            envs[i] = exc
+            envs[i] = PointFailure(exc, z)
     return envs
 
 
@@ -210,12 +210,12 @@ def transition_environments(atom: AtomModel, model: DielectricModel, geom: Geome
                             T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC):
     """Radiative environments ``(env31, env32)`` of both transitions at one point.
 
-    The one-point case of :func:`_environments`; a failure raises.
+    The one-point case of :func:`_environments`; a PointFailure raises.
     """
     envs = []
     for which in ("31", "32"):
         (env,) = _environments(atom, which, model, [geom.z], geom.delta, T_W, T_M, spec)
-        if isinstance(env, Exception):
+        if isinstance(env, PointFailure):
             raise env
         envs.append(env)
     return tuple(envs)
@@ -249,12 +249,6 @@ def _grid(z_values, delta_values):
     return z_values, delta_values
 
 
-def _describe(exc: Exception) -> str:
-    """``Type: message``, and `` (integral X)`` when B, C or D failed."""
-    integral = f" (integral {exc.integral})" if hasattr(exc, "integral") else ""
-    return f"{type(exc).__name__}: {exc}{integral}"
-
-
 def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
          T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC,
          T_search=DEFAULT_T_SEARCH, with_thermal: bool = True) -> ScanResult:
@@ -278,15 +272,15 @@ def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
 
 
 def _steady(atom, z, delta, env31, env32, T_search, with_thermal) -> ScanPoint:
-    """Scan point from the environments (or exceptions) of both transitions."""
+    """Scan point from the environments (or PointFailures) of both transitions."""
     for env in (env31, env32):
-        if isinstance(env, Exception):
-            return ScanPoint(z=z, delta=delta, error=_describe(env))
+        if isinstance(env, PointFailure):
+            return ScanPoint(z=z, delta=delta, error=str(env))
     try:
         pops = steady_state(env31.n_eff, env32.n_eff)
         thermal = closest_thermal(pops, atom, T_search) if with_thermal else None
     except _POINT_ERRORS as exc:
-        return ScanPoint(z=z, delta=delta, error=_describe(exc))
+        return ScanPoint(z=z, delta=delta, error=str(PointFailure(exc, z)))
     return ScanPoint(z=z, delta=delta, env31=env31, env32=env32,
                      populations=pops, thermal=thermal)
 
@@ -321,8 +315,8 @@ def environment_scan(omega: float, weights, model: DielectricModel, z_values,
     for delta in delta_values.tolist():
         for z, env in zip(z_values.tolist(), _environments(probe, "32", model, z_values,
                                                            delta, T_W, T_M, spec)):
-            if isinstance(env, Exception):
-                records.append((z, delta, None, _describe(env)))
+            if isinstance(env, PointFailure):
+                records.append((z, delta, None, str(env)))
             else:
                 records.append((z, delta, env, None))
     return records

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DEFAULT_T_SEARCH,
-    _describe,
     environment_scan,
     probe_atom,
     scan,
@@ -41,9 +40,11 @@ from .response import (
     _POINT_ERRORS,
     ISOTROPIC_WEIGHTS,
     GeometryPoint,
-    alpha_pair,
+    PointFailure,
     check_weights,
     crossover_distance,
+    pair_at,
+    response_vectors_many,
 )
 
 EXIT_OK = 0
@@ -384,12 +385,10 @@ def _run_crossover(cfg, command):
         raise ConfigError("crossover: delta must be a single value")
     delta = float(cfg.delta_values[0])
     z_star = crossover_distance(cfg.omega, delta, cfg.model, cfg.bracket, cfg.weights)
-    try:
-        pair = alpha_pair(cfg.omega, GeometryPoint(z=z_star, delta=delta),
-                          cfg.model, cfg.weights, cfg.spec)
-    except _POINT_ERRORS as exc:
-        exc.z = z_star  # named by its height, as a failure of the search is
-        raise
+    (entry,) = response_vectors_many(cfg.omega, [z_star], delta, cfg.model, cfg.spec)
+    pair = pair_at(cfg.omega, z_star, delta, cfg.model, cfg.weights, cfg.spec, entry)
+    if isinstance(pair, PointFailure):
+        raise pair
     return [{"omega": cfg.omega, "delta": delta, "z_star": z_star,
              "alpha_W": pair.alpha_W, "alpha_M": pair.alpha_M}]
 
@@ -451,10 +450,12 @@ def run_command(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except PointFailure as failure:  # evolve and crossover: one height and delta
+        print(f"numerical failure at z={failure.z!r}, delta={float(cfg.delta_values[0])!r}:"
+              f" {failure}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except _POINT_ERRORS as exc:
-        # a crossover failure is named by its height
-        at = f" at z={exc.z!r}, delta={float(cfg.delta_values[0])!r}" if hasattr(exc, "z") else ""
-        print(f"numerical failure{at}: {_describe(exc)}", file=sys.stderr)
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     rows, failures = _rows(records, _COLUMNS[args.command])

@@ -83,6 +83,18 @@ class NoCrossoverError(ValueError):
     """alpha_W - alpha_M does not change sign on the given bracket."""
 
 
+class PointFailure(Exception):
+    """Typed ``error`` of height ``z``; ``integral`` "B", "C", "D", or None past the integrals."""
+
+    def __init__(self, error: Exception, z: float, integral: str | None = None):
+        super().__init__(error, z, integral)
+        self.error, self.z, self.integral = error, float(z), integral
+
+    def __str__(self):
+        named = f" (integral {self.integral})" if self.integral else ""
+        return f"{type(self.error).__name__}: {self.error}{named}"
+
+
 @dataclass(frozen=True)
 class GeometryPoint:
     """Atom height z above the near face of a slab of thickness delta."""
@@ -356,8 +368,8 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     """B, C and D at every height of one frequency and slab, on shared nodes.
 
     ``z_values`` are heights > 0 in strictly increasing order. Returns one
-    entry per height: its :class:`ResponseVectors`, or the exception (an
-    ArithmeticError, RuntimeError or ValueError) its integration raised.
+    entry per height: its :class:`ResponseVectors`, or the PointFailure of
+    the error (ArithmeticError, RuntimeError, ValueError) it raised.
     B and the seed edges of C and D are computed once. C integrates its
     heights in passes of at most a decade (see _c_passes), D the heights
     whose C converged in one pass: one integrand call serves the C (or D)
@@ -367,8 +379,8 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     integral only, so a failure lands on the height that causes it. A
     height whose C fails reports C's error and takes no part in D, so it
     sets no D edge of its neighbours; a height whose D fails reports D's.
-    A failing slab pass (B and D's seed edges) lands on every height. A
-    recorded exception names its pass in ``integral``: "B", "C" or "D".
+    A failing slab pass (B and D's seed edges) gives every height its own
+    PointFailure of the one error, its ``integral`` "B" (else "C" or "D").
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
@@ -387,8 +399,7 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     try:
         slab = _b_vector(omega, delta, model, spec)
     except _POINT_ERRORS as exc:
-        exc.integral = "B"
-        return [exc] * len(z)
+        return [PointFailure(exc, h, "B") for h in z]
 
     def rows(integrate, heights, integral):
         # (value, error) row of each height in one pass; a failing pass of
@@ -397,8 +408,7 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
             res = integrate(omega, eps, heights, delta, slab, spec)
         except _POINT_ERRORS as exc:
             if len(heights) == 1:
-                exc.integral = integral
-                return [exc]
+                return [PointFailure(exc, heights[0], integral)]
             return [row for i in range(len(heights))
                     for row in rows(integrate, heights[i:i + 1], integral)]
         n = len(heights)
@@ -406,13 +416,13 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
 
     c_rows = [row for p in _c_passes(z) for row in rows(_c_pass, z[p], "C")]
     # a height whose C failed reports C's error and takes no part in D
-    c_ok = np.array([not isinstance(row, Exception) for row in c_rows])
+    c_ok = np.array([not isinstance(row, PointFailure) for row in c_rows])
     d_rows = iter(rows(_d_pass, z[c_ok], "D") if c_ok.any() else [])
     B = _with_yy(slab.B.value)
     out = []
     for c_row in c_rows:
-        d_row = c_row if isinstance(c_row, Exception) else next(d_rows)
-        if isinstance(d_row, Exception):
+        d_row = c_row if isinstance(c_row, PointFailure) else next(d_rows)
+        if isinstance(d_row, PointFailure):
             out.append(d_row)
             continue
         (C, c_err), (D, d_err) = c_row, d_row
@@ -478,8 +488,8 @@ def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,
     The one-height case of :func:`response_vectors_many`; a failure raises.
     """
     (rv,) = response_vectors_many(omega, [geom.z], geom.delta, model, spec)
-    if isinstance(rv, Exception):
-        raise rv
+    if isinstance(rv, PointFailure):
+        raise rv.error
     return rv
 
 
@@ -502,6 +512,18 @@ def alpha_pair(omega: float, geom: GeometryPoint, model: DielectricModel,
     if a_w < -tol or a_m < -tol:
         raise PassivityError("passivity violation")
     return AlphaPair(alpha_W=max(a_w, 0.0), alpha_M=max(a_m, 0.0))
+
+
+def pair_at(omega: float, z: float, delta: float, model: DielectricModel, weights,
+            spec: QuadratureSpec, entry):
+    """The AlphaPair at ``z`` from its response_vectors_many ``entry``, or its PointFailure."""
+    if isinstance(entry, PointFailure):
+        return entry
+    try:
+        return alpha_pair(omega, GeometryPoint(z=z, delta=delta), model, weights, spec,
+                          vectors=entry)
+    except _POINT_ERRORS as exc:
+        return PointFailure(exc, z)
 
 
 def _inverse_root(points):
@@ -543,13 +565,13 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
     ``bracket`` is (z_lo, z_hi) with a sign change of alpha_W - alpha_M.
     Converges to |alpha_W - alpha_M| < 1e-9 (alpha_W + alpha_M); the
     integrals run at rel_tol 1e-10, abs_tol 1e-15. The bracket ends are
-    integrated alone and raise when they fail. Every later pass integrates
-    its heights in one :func:`response_vectors_many` call and takes the
-    alpha pair of each that converged, in ascending z: each height inside
-    the bracket returns if it meets the stopping rule and otherwise
-    narrows the bracket. A height that fails is dropped; a pass in which
-    every height fails raises its first failure, which names its height
-    in ``z``. The first pass holds 2^``_ROOT_LEVELS`` - 1 heights evenly
+    integrated alone and raise their PointFailure when they fail. Every
+    pass integrates its heights in one :func:`response_vectors_many` call
+    and takes the alpha pair of each that converged, in ascending z: each
+    height inside the bracket returns if it meets the stopping rule and
+    otherwise narrows the bracket. A height that fails is dropped; a pass
+    in which every height fails raises the lowest height's PointFailure.
+    The first pass holds 2^``_ROOT_LEVELS`` - 1 heights evenly
     spaced in t; each later pass holds t* and its two flanks
     (``_inverse_step``), or, where that gives none or the pass before did
     not halve the bracket, 2^(``_ROOT_LEVELS`` - 1) - 1 evenly spaced
@@ -558,20 +580,16 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
     z_lo, z_hi = bracket
     if not (0.0 < z_lo < z_hi):
         raise ValueError("bracket must satisfy 0 < z_lo < z_hi")
+    dipole_weights = check_weights(dipole_weights)
 
-    def diff(z, vectors=None):
-        try:
-            if isinstance(vectors, Exception):
-                raise vectors
-            pair = alpha_pair(omega, GeometryPoint(z=z, delta=delta), model,
-                              dipole_weights, _ROOT_SPEC, vectors=vectors)
-        except _POINT_ERRORS as exc:
-            exc.z = z
-            raise
+    def diff(z, entry):
+        pair = pair_at(omega, z, delta, model, dipole_weights, _ROOT_SPEC, entry)
+        if isinstance(pair, PointFailure):
+            raise pair
         return pair.alpha_W - pair.alpha_M, pair.alpha_W + pair.alpha_M
 
-    g_lo, _ = diff(z_lo)
-    g_hi, _ = diff(z_hi)
+    g_lo, _ = diff(z_lo, *response_vectors_many(omega, [z_lo], delta, model, _ROOT_SPEC))
+    g_hi, _ = diff(z_hi, *response_vectors_many(omega, [z_hi], delta, model, _ROOT_SPEC))
     if g_lo == 0.0:
         return z_lo
     if g_hi == 0.0:
@@ -589,11 +607,11 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
             break
         width, narrowed, failure = t_hi - t_lo, False, None
         zs = sorted(heights)
-        for z, vectors in zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)):
+        for z, entry in zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)):
             try:
-                g, total = diff(z, vectors)
-            except _POINT_ERRORS as exc:
-                failure = failure or (exc, z)
+                g, total = diff(z, entry)
+            except PointFailure as exc:
+                failure = failure or exc
                 continue
             t = heights[z]
             points.append((t, g))
@@ -602,9 +620,8 @@ def crossover_distance(omega: float, delta: float, model: DielectricModel,
                     return z
                 t_lo, g_lo, t_hi = (t_lo, g_lo, t) if g_lo * g < 0.0 else (t, g, t_hi)
                 narrowed = True
-        if not narrowed:  # every height failed; a slab failure is one error for all
-            failure[0].z = failure[1]
-            raise failure[0]
+        if not narrowed:  # every height failed
+            raise failure
         ts = (t_hi - t_lo <= 0.5 * width and _inverse_step(points, t_lo, t_hi)
               or np.linspace(t_lo, t_hi, 2**(_ROOT_LEVELS - 1) + 1)[1:-1].tolist())
     return math.exp(0.5 * (t_lo + t_hi))

@@ -25,7 +25,7 @@ from neqatom.atom import AtomModel, Populations, bose_occupation, steady_state
 from neqatom.optics import load_material, surface_mode_frequency
 from neqatom import analysis, response
 from neqatom.quadrature import QuadratureResult, QuadratureSpec, QuadratureToleranceError
-from neqatom.response import ISOTROPIC_WEIGHTS, GeometryPoint, _b_vector
+from neqatom.response import ISOTROPIC_WEIGHTS, GeometryPoint, PointFailure, _b_vector
 
 SIC = load_material("sic")
 OMEGA_R = 1.495e14
@@ -276,9 +276,11 @@ class TestTransitionEnvironments:
 
     def test_failure_raises(self):
         geom = GeometryPoint(z=3.6e-7, delta=1e-2)
-        with pytest.raises(QuadratureToleranceError):
+        with pytest.raises(PointFailure) as info:
             transition_environments(FIG5_ATOM, SIC, geom, 570.0, 170.0,
                                     QuadratureSpec(1e-14, 0.0, 1))
+        assert isinstance(info.value.error, QuadratureToleranceError)
+        assert info.value.z == geom.z and info.value.integral in ("B", "C", "D")
 
 
 class TestEnvironmentScan:

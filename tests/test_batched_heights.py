@@ -25,6 +25,7 @@ from neqatom.quadrature import (
 )
 from neqatom.response import (
     GeometryPoint,
+    PointFailure,
     ResponseVectors,
     response_vectors,
     response_vectors_many,
@@ -83,7 +84,8 @@ class TestFailureIsolation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             many = response_vectors_many(OMEGA_R, [1e-150, 1e-8, 1e170], 1e-7, SIC)
-        assert [type(r) for r in many] == [NonFiniteIntegrandError, ResponseVectors, ValueError]
+        assert [type(r) for r in many] == [PointFailure, ResponseVectors, PointFailure]
+        assert [type(many[0].error), type(many[2].error)] == [NonFiniteIntegrandError, ValueError]
         # near the float maximum the phase-panel count, and 2z, overflow:
         # C's budget error, and the height next to it keeps its own value
         alone = response_vectors(OMEGA_R, GeometryPoint(z=1e-8, delta=1e-2), SIC)
@@ -92,7 +94,7 @@ class TestFailureIsolation:
                 warnings.simplefilter("error")
                 got, bad = response_vectors_many(OMEGA_R, [1e-8, huge], 1e-2, SIC)
             assert _equal(got, alone)
-            assert type(bad) is ValueError and bad.integral == "C", huge
+            assert type(bad.error) is ValueError and bad.integral == "C", huge
 
     def test_tiny_heights_give_vectors_or_a_typed_error_without_a_warning(self):
         # below about 1.2e-153 m the evanescent cut squares past the float
@@ -102,20 +104,21 @@ class TestFailureIsolation:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 (got,) = response_vectors_many(OMEGA_R, [10.0**e], 1e-7, SIC)
-            assert isinstance(got, (ResponseVectors, NonFiniteIntegrandError)), (e, got)
+            assert isinstance(got, ResponseVectors) or isinstance(
+                got.error, NonFiniteIntegrandError), (e, got)
         # down to the smallest subnormal the cut 1/z is inf: D's tail check
         for z in (5e-324, 1e-310, 2e-308):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 (got,) = response_vectors_many(OMEGA_R, [z], 1e-2, SIC)
-            assert type(got) is NonFiniteIntegrandError and got.integral == "D", z
+            assert type(got.error) is NonFiniteIntegrandError and got.integral == "D", z
 
     def test_lossless_far_height_fails_alone(self):
         # C_zz of the lossless 5 mm slab cancels below the K15-G7 floor at
         # 80 um (as at 160 um); 20 and 40 um converge on their own
         zs = [2e-5, 4e-5, 8e-5]
         many = response_vectors_many(5e14, zs, 5e-3, LOSSLESS)
-        assert isinstance(many[2], QuadratureToleranceError)
+        assert isinstance(many[2].error, QuadratureToleranceError)
         for h, got in zip(zs[:2], many[:2]):
             assert _equal(got, response_vectors(5e14, GeometryPoint(z=h, delta=5e-3), LOSSLESS))
 
@@ -140,8 +143,9 @@ class TestFailureIsolation:
         clean = dict(zip(grid, response_vectors_many(OMEGA_R, grid, 110e-9, SIC)))
         self._failing_at(monkeypatch, engine, bad, "forced failure")
         isolated = response_vectors_many(OMEGA_R, zs, 110e-9, SIC)
-        assert str(isolated[zs.index(bad)]) == "forced failure"
+        assert str(isolated[zs.index(bad)].error) == "forced failure"
         assert isolated[zs.index(bad)].integral == alone
+        assert isolated[zs.index(bad)].z == bad
         for h, got in zip(zs, isolated):
             if h == bad:
                 continue
@@ -168,7 +172,7 @@ class TestFailureIsolation:
         self._failing_at(monkeypatch, "integrate_oscillatory", bad, "C failure")
         self._failing_at(monkeypatch, "integrate_evanescent", bad, "D failure")
         many = response_vectors_many(OMEGA_R, [2e-7, bad, 5e-7], 110e-9, SIC)
-        assert str(many[1]) == "C failure" and many[1].integral == "C"
+        assert str(many[1].error) == "C failure" and many[1].integral == "C"
         assert isinstance(many[0], ResponseVectors) and isinstance(many[2], ResponseVectors)
 
     def test_d_skipped_where_no_c_converged(self, monkeypatch):
@@ -183,14 +187,16 @@ class TestFailureIsolation:
         monkeypatch.setattr(response, "integrate_evanescent", recording)
         self._failing_at(monkeypatch, "integrate_oscillatory", bad, "C failure")
         (alone,) = response_vectors_many(OMEGA_R, [bad], 110e-9, SIC)
-        assert str(alone) == "C failure" and seen == []
+        assert str(alone.error) == "C failure" and seen == []
         response_vectors_many(OMEGA_R, [2e-7, bad, 5e-7], 110e-9, SIC)
         assert seen == [[2e-7, 5e-7]]
 
     def test_failing_b_lands_on_every_height(self, monkeypatch):
+        forced = QuadratureToleranceError("forced B failure",
+                                          best=QuadratureResult(np.zeros(3), np.ones(3), 15))
+
         def failing_b(*args, **kwargs):
-            raise QuadratureToleranceError("forced B failure",
-                                           best=QuadratureResult(np.zeros(3), np.ones(3), 15))
+            raise forced
 
         monkeypatch.setattr(response, "integrate_propagative", failing_b)
         response._b_vector.cache_clear()
@@ -198,8 +204,11 @@ class TestFailureIsolation:
             many = response_vectors_many(OMEGA_R, [1e-8, 1e-7, 1e-6], 110e-9, SIC)
         finally:
             response._b_vector.cache_clear()
-        assert [str(e) for e in many] == ["forced B failure"] * 3
-        assert [e.integral for e in many] == ["B"] * 3
+        # one record per height, all holding the one error
+        assert [str(f.error) for f in many] == ["forced B failure"] * 3
+        assert [f.z for f in many] == [1e-8, 1e-7, 1e-6]
+        assert [f.integral for f in many] == ["B"] * 3
+        assert all(f.error is forced for f in many)
 
 
 class TestGrouping:
@@ -254,6 +263,7 @@ class TestGrouping:
         assert seen == [sorted(c_converged)]
         # the heights 6.6 cm up fail alone too: the pass changes no outcome
         for h, got in zip(z.tolist(), many):
+            got = got.error if isinstance(got, PointFailure) else got
             assert type(got) is type(_single(OMEGA_R, h, 110e-9, SIC)), h
 
     def test_one_d_pass_for_any_span(self, monkeypatch):

@@ -335,7 +335,8 @@ max_subdivisions = 1
                               "T_M = 170\nz = 1e-7\ndelta = 110e-9\nt = 0,1\n" + FAILING_SPEC)
         assert run_command(["evolve", "--config", cfg]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
-        assert captured.err.startswith("numerical failure: QuadratureToleranceError")
+        assert re.fullmatch(r"numerical failure at z=1e-07, delta=1\.1e-07: "
+                            r"QuadratureToleranceError: .* \(integral [BCD]\)\n", captured.err)
         assert captured.out == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -403,7 +404,7 @@ t = -1,0
     def test_initial_checked_before_integration(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("alpha_pair called")
-        monkeypatch.setattr("neqatom.analysis.alpha_pair", fail)
+        monkeypatch.setattr("neqatom.response.alpha_pair", fail)
         cfg = write(tmp_path, """
 omega_31 = omega_p
 omega_32 = omega_r

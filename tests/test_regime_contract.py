@@ -21,7 +21,13 @@ from neqatom.optics import (
     SlabResonanceError,
 )
 from neqatom.quadrature import NonFiniteIntegrandError, QuadratureToleranceError
-from neqatom.response import GeometryPoint, ResponseVectors, alpha_pair, response_vectors_many
+from neqatom.response import (
+    GeometryPoint,
+    PointFailure,
+    ResponseVectors,
+    alpha_pair,
+    response_vectors_many,
+)
 
 OMEGA_T = 1e14
 SEED = 0
@@ -57,8 +63,8 @@ def test_every_height_converges_or_raises_a_typed_error(point):
     model, omega, delta, z = _sample(rng)
     for h, got in zip(z, response_vectors_many(omega, z, delta, model)):
         where = (model, omega, delta, h)
-        if isinstance(got, Exception):
-            assert _documented(got), (where, repr(got))
+        if isinstance(got, PointFailure):
+            assert _documented(got.error), (where, repr(got.error))
             continue
         assert isinstance(got, ResponseVectors), where
         for name in ("B", "C", "D", "error"):

@@ -29,6 +29,7 @@ from neqatom.response import (
     GeometryPoint,
     ISOTROPIC_WEIGHTS,
     NoCrossoverError,
+    PointFailure,
     _ROOT_SPEC,
     _slab_phase_breakpoints,
     alpha_pair,
@@ -503,7 +504,7 @@ class TestLevelPasses:
         width = 4.0 * (math.ulp(math.log(jump)) + 2.0**-52)
         for z in (want, got):
             assert abs(math.log(z) - math.log(jump)) <= width
-        assert len(passes) <= math.ceil(200 / 3)
+        assert len(passes[2:]) <= math.ceil(200 / 3)  # after the two bracket ends
 
     def test_stalled_polish_falls_back_to_level_passes(self, monkeypatch):
         # alpha_W - alpha_M has a kink at its root, slope 1/10 in log z below
@@ -526,8 +527,9 @@ class TestLevelPasses:
         monkeypatch.setattr(response, "response_vectors_many", no_integrals)
         got = crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, 1e-4))
         assert abs(math.log(got) - t0) < 2e-8
-        assert passes[0] == 15 and 7 in passes
-        assert len(passes) <= 20
+        # the two bracket ends are one-height passes
+        assert passes[:3] == [1, 1, 15] and 7 in passes[2:]
+        assert len(passes[2:]) <= 20
 
     def test_pass_that_does_not_halve_is_followed_by_a_level_pass(self, monkeypatch):
         # every interpolation pass is one height a thousandth of the way up
@@ -549,8 +551,9 @@ class TestLevelPasses:
                             lambda points, t_lo, t_hi: [t_lo + 1e-3 * (t_hi - t_lo)])
         got = crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, 1e-4))
         assert abs(math.log(got) - t0) < 2e-8
-        assert passes[:5] == [15, 1, 7, 1, 7]
-        assert all(b == 7 for a, b in zip(passes, passes[1:]) if a == 1)
+        # the two bracket ends are one-height passes
+        assert passes[:7] == [1, 1, 15, 1, 7, 1, 7]
+        assert all(b == 7 for a, b in zip(passes[2:], passes[3:]) if a == 1)
 
     def _failing(self, monkeypatch, pick, index):
         """Fail the heights ``pick(heights, z*)`` of one pass of the search, by one error.
@@ -571,7 +574,8 @@ class TestLevelPasses:
 
         def failing_at_bad(omega, z_values, *args, **kwargs):
             got = many(omega, z_values, *args, **kwargs)
-            return [failure if z in bad else rv for z, rv in zip(z_values, got)]
+            return [PointFailure(failure, z, "B") if z in bad else rv
+                    for z, rv in zip(z_values, got)]
 
         monkeypatch.setattr(response, "response_vectors_many", failing_at_bad)
         del heights[:], pairs[:]
@@ -611,11 +615,12 @@ class TestLevelPasses:
     @pytest.mark.parametrize("index", [2, 3], ids=["grid", "interpolation"])
     def test_pass_that_fails_everywhere_raises_its_first_failure(self, monkeypatch, index):
         # one error object for every height, as a failing slab pass gives:
-        # it names the lowest height, the first that the pass visits
+        # the raised record is the lowest height's, the first that the pass visits
         _, failure, bad, _, _ = self._failing(monkeypatch, lambda zs, clean: set(zs), index)
-        with pytest.raises(QuadratureToleranceError) as info:
+        with pytest.raises(PointFailure) as info:
             crossover_distance(*ROOT_CASES[0])
-        assert info.value is failure and info.value.z == min(bad)
+        assert info.value.error is failure and info.value.z == min(bad)
+        assert info.value.integral == "B"
 
 
 class TestInverseRoot:
@@ -643,15 +648,15 @@ class TestFailingIntegral:
         # D of 110 nm of SiC at omega_p, 1 um, misses the root spec
         (got,) = response_vectors_many(surface_mode_frequency(SIC), [1e-6], 110e-9, SIC,
                                        _ROOT_SPEC)
-        assert isinstance(got, QuadratureToleranceError)
+        assert isinstance(got.error, QuadratureToleranceError)
         assert got.integral == "D"
 
     def test_c_at_one_centimetre(self):
         # C_zz of 110 nm of SiC at omega_r, 1 cm, misses the default abs_tol
         (got,) = response_vectors_many(OMEGA_R, [1e-2], 110e-9, SIC)
-        assert isinstance(got, QuadratureToleranceError)
+        assert isinstance(got.error, QuadratureToleranceError)
         assert got.integral == "C"
-        assert str(got) == "tolerance not met after 2000 subdivisions"
+        assert str(got.error) == "tolerance not met after 2000 subdivisions"
 
 
 class TestValidation:
@@ -670,6 +675,14 @@ class TestValidation:
         # the bracket end fails as a height, before any root step
         with pytest.raises(ValueError, match="got inf"):
             crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, math.inf))
+
+    def test_crossover_weights_checked_before_any_integral(self, monkeypatch):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated before the weights were checked")
+
+        monkeypatch.setattr(response, "response_vectors_many", no_integral)
+        with pytest.raises(ValueError, match="3 nonnegative entries"):
+            crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, 1e-4), (2.0, 0.0, 0.0))
 
     def test_alpha_pair_type_invariants(self):
         with pytest.raises(ValueError):

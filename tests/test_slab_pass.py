@@ -247,7 +247,7 @@ def test_seed_pass_other_failure_lands_on_every_height(monkeypatch):
         many = response_vectors_many(0.5 * OMEGA_R, [1e-8, 1e-6, 1e-4], 110e-9, SIC)
     finally:
         _b_vector.cache_clear()
-    assert [type(e) for e in many] == [NonFiniteIntegrandError] * 3
+    assert [type(e.error) for e in many] == [NonFiniteIntegrandError] * 3
 
 
 def test_resonant_thin_slab_converges_at_the_root_spec():
