@@ -41,6 +41,7 @@ from .quadrature import (
 )
 from .response import (
     AlphaPair,
+    Crossover,
     GeometryPoint,
     PointFailure,
     ResponseVectors,

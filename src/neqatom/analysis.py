@@ -196,7 +196,7 @@ def _environments(atom: AtomModel, which: str, model: DielectricModel, z_values,
     # each height's vectors give way to its environment, or to its failure
     envs = response_vectors_many(omega, z_values, delta, model, spec)
     for i, (z, rv) in enumerate(zip(z_values, envs)):
-        envs[i] = pair = pair_at(omega, z, delta, model, weights, spec, rv)
+        envs[i] = pair = pair_at(omega, z, delta, model, weights, rv)
         if isinstance(pair, PointFailure):
             continue
         try:

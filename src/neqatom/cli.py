@@ -38,13 +38,12 @@ from .optics import (
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .response import (
     _POINT_ERRORS,
+    _ROOT_SPEC,
     ISOTROPIC_WEIGHTS,
     GeometryPoint,
     PointFailure,
     check_weights,
     crossover_distance,
-    pair_at,
-    response_vectors_many,
 )
 
 EXIT_OK = 0
@@ -270,8 +269,7 @@ def _scenario(text: str, overrides: dict) -> ScenarioConfig:
         ("z", merged.get("z")), ("delta", merged["delta"]),
         *((key, values[key]) for key in ("weights", "weights_31", "weights_32")),
         ("initial", astuple(values["initial"])), ("thermal_search", values["thermal_search"]),
-        ("t", merged.get("t")), ("bracket", values["bracket"]), ("rel_tol", spec.rel_tol),
-        ("abs_tol", spec.abs_tol), ("max_subdivisions", spec.max_subdivisions),
+        ("t", merged.get("t")), ("bracket", values["bracket"]), *vars(spec).items(),
     )
     return ScenarioConfig(
         material_name=material, model=model, spec=spec, **values,
@@ -384,13 +382,10 @@ def _run_crossover(cfg, command):
     if cfg.delta_values.size != 1:
         raise ConfigError("crossover: delta must be a single value")
     delta = float(cfg.delta_values[0])
-    z_star = crossover_distance(cfg.omega, delta, cfg.model, cfg.bracket, cfg.weights)
-    (entry,) = response_vectors_many(cfg.omega, [z_star], delta, cfg.model, cfg.spec)
-    pair = pair_at(cfg.omega, z_star, delta, cfg.model, cfg.weights, cfg.spec, entry)
-    if isinstance(pair, PointFailure):
-        raise pair
-    return [{"omega": cfg.omega, "delta": delta, "z_star": z_star,
-             "alpha_W": pair.alpha_W, "alpha_M": pair.alpha_M}]
+    root = crossover_distance(cfg.omega, delta, cfg.model, cfg.bracket, cfg.weights)
+    # the row is the search's own pair, so the header gives the search's spec
+    cfg.resolved.update((key, _meta_text(value)) for key, value in vars(_ROOT_SPEC).items())
+    return [{"omega": cfg.omega, "delta": delta, "z_star": root.z, **vars(root.pair)}]
 
 
 # every runner takes (cfg, command) and returns one record per row

@@ -132,15 +132,23 @@ class AlphaPair:
                              f"({self.alpha_W!r}, {self.alpha_M!r})")
 
 
+@dataclass(frozen=True)
+class Crossover:
+    """Height z where alpha_W = alpha_M, and the AlphaPair that met the stopping rule there."""
+
+    z: float
+    pair: AlphaPair
+
+
 ISOTROPIC_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 # quadrature spec of crossover_distance: tighter than its 1e-9 stopping
 # threshold on the alpha difference, but above the fp floor of the K15-G7
 # error estimator
 _ROOT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
-# levels of crossover_distance's first pass after the bracket ends: 2^levels - 1
-# heights evenly spaced in log z, the midpoints of that many bisection levels;
-# its fallback passes take one level fewer
+# levels of crossover_distance's first pass besides the bracket ends:
+# 2^levels - 1 heights evenly spaced in log z, the midpoints of that many
+# bisection levels; its fallback passes take one level fewer
 _ROOT_LEVELS = 4
 
 
@@ -514,14 +522,12 @@ def alpha_pair(omega: float, geom: GeometryPoint, model: DielectricModel,
     return AlphaPair(alpha_W=max(a_w, 0.0), alpha_M=max(a_m, 0.0))
 
 
-def pair_at(omega: float, z: float, delta: float, model: DielectricModel, weights,
-            spec: QuadratureSpec, entry):
+def pair_at(omega: float, z: float, delta: float, model: DielectricModel, weights, entry):
     """The AlphaPair at ``z`` from its response_vectors_many ``entry``, or its PointFailure."""
     if isinstance(entry, PointFailure):
         return entry
     try:
-        return alpha_pair(omega, GeometryPoint(z=z, delta=delta), model, weights, spec,
-                          vectors=entry)
+        return alpha_pair(omega, GeometryPoint(z=z, delta=delta), model, weights, vectors=entry)
     except _POINT_ERRORS as exc:
         return PointFailure(exc, z)
 
@@ -559,69 +565,67 @@ def _inverse_step(points, t_lo, t_hi):
 
 
 def crossover_distance(omega: float, delta: float, model: DielectricModel,
-                       bracket, dipole_weights=ISOTROPIC_WEIGHTS) -> float:
+                       bracket, dipole_weights=ISOTROPIC_WEIGHTS) -> Crossover:
     """Height z* where alpha_W = alpha_M, by bracketed interpolation on t = log z.
 
     ``bracket`` is (z_lo, z_hi) with a sign change of alpha_W - alpha_M.
-    Converges to |alpha_W - alpha_M| < 1e-9 (alpha_W + alpha_M); the
-    integrals run at rel_tol 1e-10, abs_tol 1e-15. The bracket ends are
-    integrated alone and raise their PointFailure when they fail. Every
-    pass integrates its heights in one :func:`response_vectors_many` call
-    and takes the alpha pair of each that converged, in ascending z: each
-    height inside the bracket returns if it meets the stopping rule and
-    otherwise narrows the bracket. A height that fails is dropped; a pass
-    in which every height fails raises the lowest height's PointFailure.
-    The first pass holds 2^``_ROOT_LEVELS`` - 1 heights evenly
-    spaced in t; each later pass holds t* and its two flanks
-    (``_inverse_step``), or, where that gives none or the pass before did
-    not halve the bracket, 2^(``_ROOT_LEVELS`` - 1) - 1 evenly spaced
-    heights, so the search never converges slower than bisection.
+    Returns z* and the alpha pair that met |alpha_W - alpha_M| < 1e-9
+    (alpha_W + alpha_M) there, or the bracket's midpoint at floating-point
+    width. Each pass is one :func:`response_vectors_many` call at
+    ``_ROOT_SPEC``: first the bracket ends and 2^``_ROOT_LEVELS`` - 1
+    heights evenly spaced in t, then t* and its flanks (``_inverse_step``)
+    or evenly spaced heights, which narrow the bracket in ascending z until
+    one meets that rule. A failing bracket end raises its PointFailure, as
+    does a pass whose every height fails (the lowest's); others are dropped.
     """
     z_lo, z_hi = bracket
     if not (0.0 < z_lo < z_hi):
         raise ValueError("bracket must satisfy 0 < z_lo < z_hi")
+    if not z_hi < math.inf:
+        raise ValueError(f"heights must be finite, got {float(z_hi)!r}")
     dipole_weights = check_weights(dipole_weights)
 
-    def diff(z, entry):
-        pair = pair_at(omega, z, delta, model, dipole_weights, _ROOT_SPEC, entry)
-        if isinstance(pair, PointFailure):
-            raise pair
-        return pair.alpha_W - pair.alpha_M, pair.alpha_W + pair.alpha_M
+    def visit(zs):
+        # the Crossover, or the PointFailure, of each height of one pass, in turn
+        for z, entry in zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)):
+            pair = pair_at(omega, z, delta, model, dipole_weights, entry)
+            yield pair if isinstance(pair, PointFailure) else Crossover(z, pair)
 
-    g_lo, _ = diff(z_lo, *response_vectors_many(omega, [z_lo], delta, model, _ROOT_SPEC))
-    g_hi, _ = diff(z_hi, *response_vectors_many(omega, [z_hi], delta, model, _ROOT_SPEC))
-    if g_lo == 0.0:
-        return z_lo
-    if g_hi == 0.0:
-        return z_hi
+    t_lo, t_hi = math.log(z_lo), math.log(z_hi)
+    ts = np.linspace(t_lo, t_hi, 2**_ROOT_LEVELS + 1)[1:-1].tolist()
+    heights = {math.exp(t): t for t in ts if z_lo < math.exp(t) < z_hi}  # each float once
+    lo, *passed, hi = visit([z_lo, *sorted(heights), z_hi])
+    for end in (lo, hi):
+        if isinstance(end, PointFailure):
+            raise end
+    g_lo, g_hi = (end.pair.alpha_W - end.pair.alpha_M for end in (lo, hi))
+    if g_lo == 0.0 or g_hi == 0.0:
+        return lo if g_lo == 0.0 else hi
     if g_lo * g_hi > 0.0:
         raise NoCrossoverError("no crossover in bracket")
-    t_lo, t_hi = math.log(z_lo), math.log(z_hi)
     points = [(t_lo, g_lo), (t_hi, g_hi)]  # (t, g) of every height that converged
 
-    ts = np.linspace(t_lo, t_hi, 2**_ROOT_LEVELS + 1)[1:-1].tolist()
-    for _ in range(200):
-        # {z: t} of the heights strictly inside the bracket, each float once
-        heights = {math.exp(t): t for t in ts if math.exp(t_lo) < math.exp(t) < math.exp(t_hi)}
+    for n in range(200):
         if not heights:  # the bracket is at floating-point width
             break
         width, narrowed, failure = t_hi - t_lo, False, None
-        zs = sorted(heights)
-        for z, entry in zip(zs, response_vectors_many(omega, zs, delta, model, _ROOT_SPEC)):
-            try:
-                g, total = diff(z, entry)
-            except PointFailure as exc:
-                failure = failure or exc
+        for found in visit(sorted(heights)) if n else passed:
+            if isinstance(found, PointFailure):
+                failure = failure or found
                 continue
-            t = heights[z]
+            t, g = heights[found.z], found.pair.alpha_W - found.pair.alpha_M
             points.append((t, g))
             if t_lo < t < t_hi:
-                if abs(g) < 1e-9 * total:
-                    return z
+                if abs(g) < 1e-9 * (found.pair.alpha_W + found.pair.alpha_M):
+                    return found
                 t_lo, g_lo, t_hi = (t_lo, g_lo, t) if g_lo * g < 0.0 else (t, g, t_hi)
                 narrowed = True
         if not narrowed:  # every height failed
             raise failure
         ts = (t_hi - t_lo <= 0.5 * width and _inverse_step(points, t_lo, t_hi)
               or np.linspace(t_lo, t_hi, 2**(_ROOT_LEVELS - 1) + 1)[1:-1].tolist())
-    return math.exp(0.5 * (t_lo + t_hi))
+        heights = {math.exp(t): t for t in ts if math.exp(t_lo) < math.exp(t) < math.exp(t_hi)}
+    (found,) = visit([math.exp(0.5 * (t_lo + t_hi))])
+    if isinstance(found, PointFailure):
+        raise found
+    return found

@@ -290,6 +290,34 @@ bracket = 1e-8,1e-4
         z_star = float(rows[0]["z_star"])
         assert 1e-8 < z_star < 1e-4
 
+    def test_crossover_row_is_the_searchs_own_pair(self, tmp_path):
+        # the row's alpha pair is the one that met the stopping rule, at the
+        # root spec: a config spec of one subdivision, which no integral here
+        # meets, gives the default config's output bit for bit
+        base = "omega = omega_r\ndelta = 110e-9\nbracket = 1e-8,1e-4\n"
+        texts = []
+        for name, text in (("default", base), ("failing", base + FAILING_SPEC)):
+            out = tmp_path / f"{name}.csv"
+            cfg = write(tmp_path, text, name=f"{name}.cfg")
+            assert run_command(["crossover", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            texts.append(out.read_text())
+        assert texts[1] == texts[0]
+        _, rows = rows_of(out)
+        w, m = float(rows[0]["alpha_W"]), float(rows[0]["alpha_M"])
+        assert len(rows) == 1 and abs(w - m) < 1e-9 * (w + m)
+
+    def test_crossover_header_gives_the_root_spec(self, tmp_path):
+        # the config's tolerances do not reach the search or its row, so the
+        # header gives the spec they run at
+        cfg = write(tmp_path, "omega = omega_r\ndelta = 110e-9\nbracket = 1e-8,1e-4\n"
+                              "rel_tol = 1e-6\nabs_tol = 1e-12\nmax_subdivisions = 50\n")
+        out = tmp_path / "out.json"
+        assert run_command(["crossover", "--config", cfg, "--out", str(out),
+                            "--format", "json"]) == EXIT_OK
+        meta = json.loads(out.read_text())["metadata"]
+        assert (meta["rel_tol"], meta["abs_tol"], meta["max_subdivisions"]) == (
+            "1e-10", "1e-15", "2000")
+
 
 class TestExitCodes:
     def test_missing_required_key(self, tmp_path):
@@ -427,16 +455,14 @@ bracket = 1e-8,2e-8
         assert run_command(["crossover", "--config", cfg]) == EXIT_NUMERICAL
 
     def test_crossover_failure_names_height_and_integral(self, tmp_path, capsys):
-        # the search runs at its own spec and converges; the alpha pair
-        # reported at z* runs at the config's one subdivision and fails there
-        cfg = write(tmp_path, "omega = omega_r\ndelta = 110e-9\nbracket = 1e-8,1e-4\n"
-                              + FAILING_SPEC)
+        # the upper bracket end is too far for C's phase panels: the search
+        # fails there, in its first pass
+        cfg = write(tmp_path, "omega = omega_r\ndelta = 110e-9\nbracket = 1e-8,1e300\n")
         assert run_command(["crossover", "--config", cfg]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
-        got = re.fullmatch(r"numerical failure at z=(\S+), delta=1\.1e-07: "
-                           r"QuadratureToleranceError: tolerance not met after 1 subdivisions "
-                           r"\(integral [BCD]\)\n", captured.err)
-        assert got and 1e-8 < float(got.group(1)) < 1e-4
+        assert captured.err == (
+            "numerical failure at z=1e+300, delta=1.1e-07: ValueError: "
+            "oscillatory panel budget exceeded: z too large (integral C)\n")
         assert captured.out == ""
 
     def test_crossover_search_failure_names_its_height(self, tmp_path, capsys, monkeypatch):

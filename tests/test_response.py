@@ -369,8 +369,12 @@ class TestCrossover:
             crossover_distance(OMEGA_R, 1e-6, VACUUM, (1e-8, 1e-4))
 
     def test_frozen_regression_value(self):
-        z_star = crossover_distance(0.5 * OMEGA_R, 1e-2, SIC, (10e-9, 100e-6))
+        root = crossover_distance(0.5 * OMEGA_R, 1e-2, SIC, (10e-9, 100e-6))
+        z_star = root.z
         assert 10e-9 < z_star < 100e-6
+        # the returned pair is the search's own, at the root spec
+        assert abs(root.pair.alpha_W - root.pair.alpha_M) < 1e-9 * (root.pair.alpha_W
+                                                                     + root.pair.alpha_M)
         assert z_star == pytest.approx(CROSSOVER_FROZEN, rel=1e-4)
         pair = alpha_pair(0.5 * OMEGA_R, GeometryPoint(z=z_star, delta=1e-2), SIC)
         assert abs(pair.alpha_W - pair.alpha_M) < 1e-8 * (pair.alpha_W + pair.alpha_M)
@@ -390,7 +394,7 @@ class TestCrossover:
         # omega_p on 1 cm (root 4 of the crossover-roots benchmark) converges
         # from (10 nm, 100 um); at some jittered brackets its upper end fails
         # in C alone
-        z_star = crossover_distance(surface_mode_frequency(SIC), 1e-2, SIC, (1e-8, 1e-4))
+        z_star = crossover_distance(surface_mode_frequency(SIC), 1e-2, SIC, (1e-8, 1e-4)).z
         assert z_star == pytest.approx(1.7039082e-6, rel=1e-6)
 
     def test_bracket_without_sign_change(self):
@@ -468,15 +472,22 @@ class TestLevelPasses:
         want = _one_height_bisection(*case)
         del heights[:], pairs[:], passes[:]
         got = crossover_distance(*case)
-        assert got == pytest.approx(want, rel=1e-7)
-        # the search returns the height whose alpha pair met the stopping rule
-        assert heights[-1] == got
-        assert abs(pairs[-1].alpha_W - pairs[-1].alpha_M) < 1e-9 * (pairs[-1].alpha_W
-                                                                     + pairs[-1].alpha_M)
-        # two bracket ends, one grid pass and at most five interpolation
-        # passes, where bisection by three levels a pass needs 12-13
-        assert len(passes) <= 8
-        assert all(z in [h for p in passes for h in p] for z in heights)
+        assert got.z == pytest.approx(want, rel=1e-7)
+        # the search returns the height whose alpha pair met the stopping
+        # rule, with that pair
+        assert heights[-1] == got.z and pairs[-1] == got.pair
+        assert abs(got.pair.alpha_W - got.pair.alpha_M) < 1e-9 * (got.pair.alpha_W
+                                                                   + got.pair.alpha_M)
+        # one first pass of the two bracket ends and the 15-height grid, and
+        # at most five interpolation passes, where bisection by three levels
+        # a pass needs 12-13
+        assert len(passes[0]) == 17 and (passes[0][0], passes[0][-1]) == case[3]
+        assert len(passes) <= 6
+        # each height is integrated once, and in a pass with others
+        integrated = [h for p in passes for h in p]
+        assert len(set(integrated)) == len(integrated)
+        assert min(len(p) for p in passes) > 1
+        assert all(z in integrated for z in heights)
 
     @pytest.mark.parametrize("bracket, jump", [((1e-8, 1e-4), 3.3e-7), ((0.5, 2.0), 1.0)])
     def test_bracket_at_float_width(self, monkeypatch, bracket, jump):
@@ -502,9 +513,13 @@ class TestLevelPasses:
         got = crossover_distance(OMEGA_R, 1e-2, SIC, bracket)
         # float width in t = log z, or in z where exp flattens it
         width = 4.0 * (math.ulp(math.log(jump)) + 2.0**-52)
-        for z in (want, got):
+        for z in (want, got.z):
             assert abs(math.log(z) - math.log(jump)) <= width
-        assert len(passes[2:]) <= math.ceil(200 / 3)  # after the two bracket ends
+        # the search passes, the first with the two bracket ends, then the
+        # returned height integrated alone for its pair
+        assert len(passes[:-1]) <= math.ceil(200 / 3)
+        assert passes[-1] == [got.z]
+        assert got.pair == jumping_pair(OMEGA_R, GeometryPoint(z=got.z, delta=1e-2))
 
     def test_stalled_polish_falls_back_to_level_passes(self, monkeypatch):
         # alpha_W - alpha_M has a kink at its root, slope 1/10 in log z below
@@ -526,10 +541,10 @@ class TestLevelPasses:
         monkeypatch.setattr(response, "alpha_pair", kinked_pair)
         monkeypatch.setattr(response, "response_vectors_many", no_integrals)
         got = crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, 1e-4))
-        assert abs(math.log(got) - t0) < 2e-8
-        # the two bracket ends are one-height passes
-        assert passes[:3] == [1, 1, 15] and 7 in passes[2:]
-        assert len(passes[2:]) <= 20
+        assert abs(math.log(got.z) - t0) < 2e-8
+        # the first pass holds the two bracket ends and the 15-height grid
+        assert passes[0] == 17 and 7 in passes[1:]
+        assert len(passes) <= 20
 
     def test_pass_that_does_not_halve_is_followed_by_a_level_pass(self, monkeypatch):
         # every interpolation pass is one height a thousandth of the way up
@@ -550,23 +565,23 @@ class TestLevelPasses:
         monkeypatch.setattr(response, "_inverse_step",
                             lambda points, t_lo, t_hi: [t_lo + 1e-3 * (t_hi - t_lo)])
         got = crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, 1e-4))
-        assert abs(math.log(got) - t0) < 2e-8
-        # the two bracket ends are one-height passes
-        assert passes[:7] == [1, 1, 15, 1, 7, 1, 7]
-        assert all(b == 7 for a, b in zip(passes[2:], passes[3:]) if a == 1)
+        assert abs(math.log(got.z) - t0) < 2e-8
+        # the first pass holds the two bracket ends and the 15-height grid
+        assert passes[:5] == [17, 1, 7, 1, 7]
+        assert all(b == 7 for a, b in zip(passes, passes[1:]) if a == 1)
 
     def _failing(self, monkeypatch, pick, index):
         """Fail the heights ``pick(heights, z*)`` of one pass of the search, by one error.
 
-        ``index`` counts the passes of the search without the failure: 2 is
-        the grid pass, 3 the first interpolation pass, whose heights ascend
-        as (lower flank, t*, upper flank). Returns that search's z*, the
-        failure, the failing heights and the spy's alpha pair heights and
-        values.
+        ``index`` counts the passes of the search without the failure: 0 is
+        the first pass (the bracket ends around the grid), 1 the first
+        interpolation pass, whose heights ascend as (lower flank, t*, upper
+        flank). Returns that search's z*, the failure, the failing heights
+        and the spy's alpha pair heights and values.
         """
         heights, pairs, passes = _spy(monkeypatch)
-        clean = crossover_distance(*ROOT_CASES[0])
-        assert len(passes[3]) == 3
+        clean = crossover_distance(*ROOT_CASES[0]).z
+        assert len(passes[1]) == 3
         bad = pick(passes[index], clean)
         best = QuadratureResult(np.zeros(6), np.ones(6), 15)
         failure = QuadratureToleranceError("forced failure", best=best)
@@ -585,38 +600,41 @@ class TestLevelPasses:
         # the root moves within the stopping rule, and the search returns
         # the height whose alpha pair met it
         got = crossover_distance(*ROOT_CASES[0])
-        assert got == pytest.approx(clean, rel=1e-7)
-        assert heights[-1] == got
-        assert abs(pairs[-1].alpha_W - pairs[-1].alpha_M) < 1e-9 * (pairs[-1].alpha_W
-                                                                     + pairs[-1].alpha_M)
+        assert got.z == pytest.approx(clean, rel=1e-7)
+        assert heights[-1] == got.z and pairs[-1] == got.pair
+        assert abs(got.pair.alpha_W - got.pair.alpha_M) < 1e-9 * (got.pair.alpha_W
+                                                                   + got.pair.alpha_M)
 
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_failing_grid_height_is_dropped(self, monkeypatch, side):
         # the grid height next to z* on one side: without it the grid pass
         # leaves a bracket twice as wide
-        def next_to_root(grid, clean):
-            return {max(z for z in grid if z < clean) if side == "below"
-                    else min(z for z in grid if z > clean)}
+        def next_to_root(first, clean):
+            return {max(z for z in first if z < clean) if side == "below"
+                    else min(z for z in first if z > clean)}
 
-        clean, _, _, heights, pairs = self._failing(monkeypatch, next_to_root, 2)
+        clean, _, _, heights, pairs = self._failing(monkeypatch, next_to_root, 0)
         self._dropped(clean, heights, pairs)
 
     def test_failing_flank_is_dropped(self, monkeypatch):
         clean, _, _, heights, pairs = self._failing(
-            monkeypatch, lambda interp, clean: {interp[2]}, 3)
+            monkeypatch, lambda interp, clean: {interp[2]}, 1)
         self._dropped(clean, heights, pairs)
 
     def test_failure_at_t_star_is_dropped(self, monkeypatch):
         # the flanks still narrow the bracket, and the search goes on
         clean, _, _, heights, pairs = self._failing(
-            monkeypatch, lambda interp, clean: {interp[1]}, 3)
+            monkeypatch, lambda interp, clean: {interp[1]}, 1)
         self._dropped(clean, heights, pairs)
 
-    @pytest.mark.parametrize("index", [2, 3], ids=["grid", "interpolation"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["grid", "interpolation"])
     def test_pass_that_fails_everywhere_raises_its_first_failure(self, monkeypatch, index):
         # one error object for every height, as a failing slab pass gives:
-        # the raised record is the lowest height's, the first that the pass visits
-        _, failure, bad, _, _ = self._failing(monkeypatch, lambda zs, clean: set(zs), index)
+        # the raised record is the lowest height's, the first that the pass
+        # visits. In the first pass every grid height fails, and the
+        # bracket ends converge
+        _, failure, bad, _, _ = self._failing(
+            monkeypatch, lambda zs, clean: set(zs[1:-1] if index == 0 else zs), index)
         with pytest.raises(PointFailure) as info:
             crossover_distance(*ROOT_CASES[0])
         assert info.value.error is failure and info.value.z == min(bad)
@@ -675,6 +693,16 @@ class TestValidation:
         # the bracket end fails as a height, before any root step
         with pytest.raises(ValueError, match="got inf"):
             crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, math.inf))
+
+    @pytest.mark.parametrize("bracket", [(1e-8, math.inf), (math.nan, 1e-4), (1e-4, 1e-8)],
+                             ids=["infinite", "nan", "reversed"])
+    def test_crossover_bracket_checked_before_any_integral(self, monkeypatch, bracket):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated before the bracket was checked")
+
+        monkeypatch.setattr(response, "response_vectors_many", no_integral)
+        with pytest.raises(ValueError, match="got inf|bracket must satisfy"):
+            crossover_distance(OMEGA_R, 1e-2, SIC, bracket)
 
     def test_crossover_weights_checked_before_any_integral(self, monkeypatch):
         def no_integral(*args, **kwargs):
