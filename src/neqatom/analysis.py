@@ -15,6 +15,11 @@ thermal (Gibbs) state reduces to the Euclidean norm of the population
 difference. The closest thermal state is found by a 64-point logarithmic
 pre-scan, which picks the basin of the global minimum when the distance
 profile has two or more minima, and golden-section refinement within it.
+A scan searches the states of one slab together (one pre-scan array, a
+golden section per state, one distance array); :func:`closest_thermal` is
+its one-row case, with the same bits. The refinement keeps math.exp: np.exp
+differs from it in the last bit for about 4.5 % of arguments, and one bit
+can decide between two nearly equal distances.
 """
 
 from __future__ import annotations
@@ -84,45 +89,31 @@ def thermal_populations(atom: AtomModel, T: float) -> Populations:
     """Boltzmann populations at temperature T with energies (0, E2, E3)."""
     if not T > 0.0:
         raise ValueError("T must be > 0")
-    x2, x3 = _exponents(atom, T)
-    q = np.array([1.0, math.exp(-min(x2, 745.0)), math.exp(-min(x3, 745.0))])
-    q /= q.sum()
-    return Populations(p1=float(q[0]), p2=float(q[1]), p3=float(q[2]))
+    return Populations(*_gibbs(atom, T))
 
 
 def distance_to_thermal(p: Populations, atom: AtomModel, T: float) -> float:
-    """Frobenius distance between the (diagonal) state and the Gibbs state at T."""
-    q = thermal_populations(atom, T)
-    return float(np.linalg.norm(p.as_array() - q.as_array()))
+    """Frobenius distance to the Gibbs state at T: one row of :func:`_distances`."""
+    if not T > 0.0:
+        raise ValueError("T must be > 0")
+    return float(_distances(p.as_array()[None], atom, [T])[0])
 
 
-def _exponents(atom: AtomModel, T: float):
-    """Boltzmann exponents (x2, x3) = (E2, E3)/(k_B T); infinite where k_B T underflows."""
-    kT = k_B * T
-    if kT == 0.0:
-        return math.inf, math.inf
-    return hbar * (atom.omega_31 - atom.omega_32) / kT, hbar * atom.omega_31 / kT
-
-
-def _grid_distances(p: Populations, atom: AtomModel, T: np.ndarray) -> np.ndarray:
-    """Thermal distances at every temperature of ``T``, in one numpy pass."""
-    # a k_B T that underflows to 0 gives x = inf, as in _exponents
-    with np.errstate(divide="ignore"):
-        x3 = hbar * atom.omega_31 / (k_B * T)
-        x2 = hbar * (atom.omega_31 - atom.omega_32) / (k_B * T)
-    e2 = np.exp(-np.minimum(x2, 745.0))
-    e3 = np.exp(-np.minimum(x3, 745.0))
+def _gibbs(atom: AtomModel, T: float) -> tuple:
+    """Gibbs populations (q1, q2, q3) at T on Python floats, with math.exp."""
+    kT = k_B * T  # a k_B T that underflows to 0 gives x = inf
+    x2, x3 = ((hbar * (atom.omega_31 - atom.omega_32) / kT, hbar * atom.omega_31 / kT)
+              if kT else (math.inf, math.inf))
+    e2, e3 = math.exp(-min(x2, 745.0)), math.exp(-min(x3, 745.0))
     s = 1.0 + e2 + e3
-    return np.sqrt((p.p1 - 1.0 / s) ** 2 + (p.p2 - e2 / s) ** 2 + (p.p3 - e3 / s) ** 2)
+    return 1.0 / s, e2 / s, e3 / s
 
 
-def _distance(p: Populations, atom: AtomModel, T: float) -> float:
-    """Thermal distance at one temperature: the formula of _grid_distances on floats."""
-    x2, x3 = _exponents(atom, T)
-    e2 = math.exp(-min(x2, 745.0))
-    e3 = math.exp(-min(x3, 745.0))
-    s = 1.0 + e2 + e3
-    return math.sqrt((p.p1 - 1.0 / s) ** 2 + (p.p2 - e2 / s) ** 2 + (p.p3 - e3 / s) ** 2)
+def _distances(P: np.ndarray, atom: AtomModel, T_values) -> np.ndarray:
+    """Thermal distance of each state row of ``P`` at its temperature in ``T_values``:
+    a BLAS dot per row, as np.linalg.norm takes (``X @ d`` and einsum round differently)."""
+    diff = P - np.array([_gibbs(atom, T) for T in T_values]).reshape(-1, 3)
+    return np.sqrt(np.vecdot(diff, diff))
 
 
 def _check_bracket(T_search):
@@ -141,6 +132,19 @@ def _prescan_grid(T_lo: float, T_hi: float) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=16)
+def _prescan_gibbs(atom: AtomModel, T_lo: float, T_hi: float) -> np.ndarray:
+    """(64, 3) Gibbs populations on the pre-scan grid, with np.exp's Boltzmann
+    factors; built once per atom and bracket, read-only."""
+    E = hbar * np.array([atom.omega_31 - atom.omega_32, atom.omega_31])
+    q = np.ones((64, 3))
+    with np.errstate(divide="ignore"):  # a k_B T that underflows to 0 gives x = inf
+        q[:, 1:] = np.exp(-np.minimum(E / (k_B * _prescan_grid(T_lo, T_hi)[:, None]), 745.0))
+    q /= q.sum(axis=1, keepdims=True)
+    q.flags.writeable = False
+    return q
+
+
 def closest_thermal(p: Populations, atom: AtomModel,
                     T_search=DEFAULT_T_SEARCH) -> ThermalComparison:
     """Temperature minimizing the thermal distance over a bracket.
@@ -150,34 +154,53 @@ def closest_thermal(p: Populations, atom: AtomModel,
     coarser. The state counts as thermal below DEFAULT_THERMAL_THRESHOLD.
     A minimum on the search boundary is flagged, not raised. The reported
     distance is :func:`distance_to_thermal` at the closest temperature.
+    The one-row case of :func:`_closest_thermal_rows`.
     """
+    return _closest_thermal_rows(p.as_array()[None], atom, T_search)[0]
+
+
+def _closest_thermal_rows(P: np.ndarray, atom: AtomModel, T_search) -> list:
+    """The ThermalComparison of each state row of ``P``: one pre-scan of all the
+    rows, a golden section per row, and one distance per row at its closest T."""
     T_lo, T_hi = _check_bracket(T_search)
     grid = _prescan_grid(float(T_lo), float(T_hi))
-    j = int(np.argmin(_grid_distances(p, atom, grid)))
-    lo = float(grid[max(j - 1, 0)])
-    hi = float(grid[min(j + 1, len(grid) - 1)])
+    gibbs = _prescan_gibbs(atom, float(T_lo), float(T_hi))
+    scan_d = np.sqrt(((P[:, None, :] - gibbs) ** 2).sum(axis=2))  # one (n, 64) pre-scan
+    j = np.argmin(scan_d, axis=1)
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, len(grid) - 1)]
+    T_best = [_golden(p, atom, a, b) for p, a, b in zip(P.tolist(), lo.tolist(), hi.tolist())]
+    d_best, edge = _distances(P, atom, T_best), (j == 0) | (j == len(grid) - 1)
+    return [ThermalComparison(closest_T=T, distance=d,
+                              is_thermal=d < DEFAULT_THERMAL_THRESHOLD, at_boundary=at)
+            for T, d, at in zip(T_best, d_best.tolist(), edge.tolist())]
 
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = _distance(p, atom, x1)
-    f2 = _distance(p, atom, x2)
-    tol = max(0.005, 4.0 * math.ulp(hi))  # 4 ulp(T) > 0.005 K from 2^43 K on
+
+def _golden(p, atom: AtomModel, a: float, b: float) -> float:
+    """Closest T of the state ``p = (p1, p2, p3)`` in [a, b]: golden section on
+    Python floats to 0.005 K, or to 4 float spacings of ``b`` where that is coarser."""
+    p1, p2, p3 = p
+    E2, E3 = hbar * (atom.omega_31 - atom.omega_32), hbar * atom.omega_31
+
+    def distance(T):  # _gibbs's formula inline: a call per evaluation slows the search 10 %
+        kT = k_B * T
+        x2, x3 = (E2 / kT, E3 / kT) if kT else (math.inf, math.inf)
+        e2, e3 = math.exp(-min(x2, 745.0)), math.exp(-min(x3, 745.0))
+        s = 1.0 + e2 + e3
+        return math.sqrt((p1 - 1.0 / s) ** 2 + (p2 - e2 / s) ** 2 + (p3 - e3 / s) ** 2)
+
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = distance(x1), distance(x2)
+    tol = max(0.005, 4.0 * math.ulp(b))  # 4 ulp(T) > 0.005 K from 2^43 K on
     while (b - a) > tol:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = _distance(p, atom, x1)
+            f1 = distance(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = _distance(p, atom, x2)
-    T_best = 0.5 * (a + b)
-    d_best = distance_to_thermal(p, atom, T_best)
-    at_boundary = j == 0 or j == len(grid) - 1
-    return ThermalComparison(closest_T=float(T_best), distance=d_best,
-                             is_thermal=d_best < DEFAULT_THERMAL_THRESHOLD,
-                             at_boundary=at_boundary)
+            f2 = distance(x2)
+    return 0.5 * (a + b)
 
 
 def _environments(atom: AtomModel, which: str, model: DielectricModel, z_values,
@@ -266,23 +289,29 @@ def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
     for delta in delta_values.tolist():
         envs31 = _environments(atom, "31", model, z_values, delta, T_W, T_M, spec)
         envs32 = _environments(atom, "32", model, z_values, delta, T_W, T_M, spec)
-        for z, env31, env32 in zip(z_values.tolist(), envs31, envs32):
-            points.append(_steady(atom, z, delta, env31, env32, T_search, with_thermal))
+        points.extend(_steady(atom, z_values, delta, envs31, envs32, T_search, with_thermal))
     return ScanResult(z_values=z_values, delta_values=delta_values, points=tuple(points))
 
 
-def _steady(atom, z, delta, env31, env32, T_search, with_thermal) -> ScanPoint:
-    """Scan point from the environments (or PointFailures) of both transitions."""
-    for env in (env31, env32):
-        if isinstance(env, PointFailure):
-            return ScanPoint(z=z, delta=delta, error=str(env))
-    try:
-        pops = steady_state(env31.n_eff, env32.n_eff)
-        thermal = closest_thermal(pops, atom, T_search) if with_thermal else None
-    except _POINT_ERRORS as exc:
-        return ScanPoint(z=z, delta=delta, error=str(PointFailure(exc, z)))
-    return ScanPoint(z=z, delta=delta, env31=env31, env32=env32,
-                     populations=pops, thermal=thermal)
+def _steady(atom, z_values, delta, envs31, envs32, T_search, with_thermal) -> list:
+    """Scan points of one slab from the environments (or PointFailures) of both
+    transitions; the closest-thermal searches of its steady states run as one."""
+    heights = []  # (z, env31, env32, steady state, first failure)
+    for z, env31, env32 in zip(z_values.tolist(), envs31, envs32):
+        failure = next((e for e in (env31, env32) if isinstance(e, PointFailure)), None)
+        pops = None
+        if failure is None:
+            try:
+                pops = steady_state(env31.n_eff, env32.n_eff)
+            except _POINT_ERRORS as exc:
+                failure = PointFailure(exc, z)
+        heights.append((z, env31, env32, pops, failure))
+    rows = np.reshape([p.as_array() for *_, p, failure in heights if failure is None], (-1, 3))
+    thermal = iter(_closest_thermal_rows(rows, atom, T_search) if with_thermal else ())
+    return [ScanPoint(z=z, delta=delta, error=str(failure)) if failure else
+            ScanPoint(z=z, delta=delta, env31=env31, env32=env32, populations=pops,
+                      thermal=next(thermal, None))
+            for z, env31, env32, pops, failure in heights]
 
 
 def probe_atom(omega: float, weights) -> AtomModel:

@@ -190,6 +190,32 @@ class TestScan:
         layout = [(p.delta, p.z) for p in res.points]
         assert layout == [(1e-7, 1e-7), (1e-7, 1e-6), (1e-2, 1e-7), (1e-2, 1e-6)]
 
+    def test_points_have_the_bits_of_the_one_state_functions(self):
+        # a slab's steady states and searches are taken in arrays
+        res = scan(COOLING_ATOM, SIC, np.geomspace(1e-8, 1e-4, 50), [1e-8, 1.1e-7, 1e-2],
+                   570.0, 170.0)
+        assert len(res.points) == 150
+        for pt in res.points:
+            assert pt.error is None
+            assert pt.populations == steady_state(pt.env31.n_eff, pt.env32.n_eff)
+            assert pt.thermal == closest_thermal(pt.populations, COOLING_ATOM)
+
+    def test_failing_heights_beside_a_converged_one(self):
+        res = scan(COOLING_ATOM, SIC, [5e-324, 1e-8, 1.7e308], [1e-2], 570.0, 170.0)
+        first, middle, last = res.points
+        assert first.error == ("NonFiniteIntegrandError: integrand not finite at node inf"
+                               " (integral D)")
+        assert last.error == ("ValueError: oscillatory panel budget exceeded: z too large"
+                              " (integral C)")
+        assert middle == steady_point(COOLING_ATOM, SIC, GeometryPoint(z=1e-8, delta=1e-2),
+                                      570.0, 170.0)
+        assert middle.thermal is not None
+
+    def test_degenerate_steady_state_is_each_points_error(self):
+        res = scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [1e-2], 0.0, 0.0)
+        assert [pt.error for pt in res.points] == [
+            "DegenerateSteadyStateError: steady state not unique at zero temperature"] * 2
+
     def test_per_point_failure_recorded_and_scan_continues(self):
         bad_spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=1)
         res = scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [110e-9], 470.0, 170.0,
