@@ -15,11 +15,12 @@ thermal (Gibbs) state reduces to the Euclidean norm of the population
 difference. The closest thermal state is found by a 64-point logarithmic
 pre-scan, which picks the basin of the global minimum when the distance
 profile has two or more minima, and golden-section refinement within it.
-A scan searches the states of one slab together (one pre-scan array, a
-golden section per state, one distance array); :func:`closest_thermal` is
-its one-row case, with the same bits. The refinement keeps math.exp: np.exp
-differs from it in the last bit for about 4.5 % of arguments, and one bit
-can decide between two nearly equal distances.
+A scan searches the states of one slab together (one pre-scan array, a golden
+section per state, one distance array), unless its bracket ``T_search`` is
+None; :func:`closest_thermal` is its one-row case, with the same bits. Every
+Gibbs state, the cached pre-scan table's included, takes :func:`_gibbs`'s
+math.exp: np.exp differs from it in the last bit for about 4.5 % of
+arguments, and one bit can decide between two nearly equal distances.
 """
 
 from __future__ import annotations
@@ -125,24 +126,13 @@ def _check_bracket(T_search):
 
 
 @lru_cache(maxsize=16)
-def _prescan_grid(T_lo: float, T_hi: float) -> np.ndarray:
-    """The 64-point log-spaced pre-scan grid of a bracket, built once, read-only."""
+def _prescan(atom: AtomModel, T_lo: float, T_hi: float) -> tuple:
+    """The 64-point log-spaced pre-scan grid of a bracket and its (64, 3) Gibbs
+    rows from :func:`_gibbs`; built once per atom and bracket, read-only."""
     grid = np.geomspace(T_lo, T_hi, 64)
-    grid.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=16)
-def _prescan_gibbs(atom: AtomModel, T_lo: float, T_hi: float) -> np.ndarray:
-    """(64, 3) Gibbs populations on the pre-scan grid, with np.exp's Boltzmann
-    factors; built once per atom and bracket, read-only."""
-    E = hbar * np.array([atom.omega_31 - atom.omega_32, atom.omega_31])
-    q = np.ones((64, 3))
-    with np.errstate(divide="ignore"):  # a k_B T that underflows to 0 gives x = inf
-        q[:, 1:] = np.exp(-np.minimum(E / (k_B * _prescan_grid(T_lo, T_hi)[:, None]), 745.0))
-    q /= q.sum(axis=1, keepdims=True)
-    q.flags.writeable = False
-    return q
+    gibbs = np.array([_gibbs(atom, T) for T in grid.tolist()])
+    grid.flags.writeable = gibbs.flags.writeable = False
+    return grid, gibbs
 
 
 def closest_thermal(p: Populations, atom: AtomModel,
@@ -163,8 +153,7 @@ def _closest_thermal_rows(P: np.ndarray, atom: AtomModel, T_search) -> list:
     """The ThermalComparison of each state row of ``P``: one pre-scan of all the
     rows, a golden section per row, and one distance per row at its closest T."""
     T_lo, T_hi = _check_bracket(T_search)
-    grid = _prescan_grid(float(T_lo), float(T_hi))
-    gibbs = _prescan_gibbs(atom, float(T_lo), float(T_hi))
+    grid, gibbs = _prescan(atom, float(T_lo), float(T_hi))
     scan_d = np.sqrt(((P[:, None, :] - gibbs) ** 2).sum(axis=2))  # one (n, 64) pre-scan
     j = np.argmin(scan_d, axis=1)
     lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, len(grid) - 1)]
@@ -246,13 +235,13 @@ def transition_environments(atom: AtomModel, model: DielectricModel, geom: Geome
 
 def steady_point(atom: AtomModel, model: DielectricModel, geom: GeometryPoint,
                  T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC,
-                 T_search=DEFAULT_T_SEARCH, with_thermal: bool = True) -> ScanPoint:
+                 T_search=DEFAULT_T_SEARCH) -> ScanPoint:
     """Full pipeline at one geometry point; failures recorded, not raised.
 
-    The one-point case of :func:`scan`.
+    The one-point case of :func:`scan`; ``T_search=None`` runs no
+    closest-thermal search.
     """
-    return scan(atom, model, [geom.z], [geom.delta], T_W, T_M, spec, T_search,
-                with_thermal).points[0]
+    return scan(atom, model, [geom.z], [geom.delta], T_W, T_M, spec, T_search).points[0]
 
 
 def _grid(z_values, delta_values):
@@ -274,26 +263,27 @@ def _grid(z_values, delta_values):
 
 def scan(atom: AtomModel, model: DielectricModel, z_values, delta_values,
          T_W: float, T_M: float, spec: QuadratureSpec = DEFAULT_SPEC,
-         T_search=DEFAULT_T_SEARCH, with_thermal: bool = True) -> ScanResult:
+         T_search=DEFAULT_T_SEARCH) -> ScanResult:
     """Evaluate the full pipeline over the (delta, z) product grid.
 
     For each delta, each transition integrates all heights together. The
-    result order is delta-major, z-minor. Argument errors raise before any
-    integral; per-point failures land in ``ScanPoint.error`` and the scan
-    continues.
+    result order is delta-major, z-minor. Each converged point is compared
+    with the Gibbs states of the bracket ``T_search``; None runs no search.
+    Argument errors raise before any integral; per-point failures land in
+    ``ScanPoint.error`` and the scan continues.
     """
     z_values, delta_values = _grid(z_values, delta_values)
-    if with_thermal:
+    if T_search is not None:
         _check_bracket(T_search)
     points = []
     for delta in delta_values.tolist():
         envs31 = _environments(atom, "31", model, z_values, delta, T_W, T_M, spec)
         envs32 = _environments(atom, "32", model, z_values, delta, T_W, T_M, spec)
-        points.extend(_steady(atom, z_values, delta, envs31, envs32, T_search, with_thermal))
+        points.extend(_steady(atom, z_values, delta, envs31, envs32, T_search))
     return ScanResult(z_values=z_values, delta_values=delta_values, points=tuple(points))
 
 
-def _steady(atom, z_values, delta, envs31, envs32, T_search, with_thermal) -> list:
+def _steady(atom, z_values, delta, envs31, envs32, T_search) -> list:
     """Scan points of one slab from the environments (or PointFailures) of both
     transitions; the closest-thermal searches of its steady states run as one."""
     heights = []  # (z, env31, env32, steady state, first failure)
@@ -307,7 +297,7 @@ def _steady(atom, z_values, delta, envs31, envs32, T_search, with_thermal) -> li
                 failure = PointFailure(exc, z)
         heights.append((z, env31, env32, pops, failure))
     rows = np.reshape([p.as_array() for *_, p, failure in heights if failure is None], (-1, 3))
-    thermal = iter(_closest_thermal_rows(rows, atom, T_search) if with_thermal else ())
+    thermal = iter(_closest_thermal_rows(rows, atom, T_search) if T_search is not None else ())
     return [ScanPoint(z=z, delta=delta, error=str(failure)) if failure else
             ScanPoint(z=z, delta=delta, env31=env31, env32=env32, populations=pops,
                       thermal=next(thermal, None))

@@ -10,6 +10,8 @@ a comma list, or ``log:lo:hi:n`` / ``lin:lo:hi:n``.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -295,10 +297,11 @@ def _fmt(value) -> str:
 def _write(out_path, fmt, command, cfg, columns, rows):
     meta = {"command": command, "version": __version__, **cfg.resolved}
     if fmt == "csv":
-        lines = [f"# {k} = {v}" for k, v in meta.items()]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        payload = "\n".join(lines) + "\n"
+        buf = io.StringIO()  # csv quotes a cell that holds a comma, as an error text may
+        buf.writelines(f"# {k} = {v}\n" for k, v in meta.items())
+        csv.writer(buf, lineterminator="\n").writerows(
+            [columns, *([_fmt(v) for v in row] for row in rows)])
+        payload = buf.getvalue()
     else:
         def norm(v):
             if isinstance(v, (bool, np.bool_)):
@@ -352,9 +355,8 @@ def _run_rates(cfg, command):
 
 
 def _run_steady(cfg, command):
-    result = scan(cfg.atom(), cfg.model, cfg.z_values, cfg.delta_values,
-                  cfg.T_W, cfg.T_M, cfg.spec, cfg.thermal_search,
-                  with_thermal=(command == "thermal-track"))
+    result = scan(cfg.atom(), cfg.model, cfg.z_values, cfg.delta_values, cfg.T_W, cfg.T_M,
+                  cfg.spec, cfg.thermal_search if command == "thermal-track" else None)
     records = []
     for pt in result.points:
         rec = {"delta": pt.delta, "z": pt.z, "error": pt.error}

@@ -515,6 +515,10 @@ def integrate_evanescent(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
     if not np.isfinite(tail).all():
         raise NonFiniteIntegrandError(kappa_max)
     edges = _merge_edges(0.0, kappa_max, interior)
-    result = _adaptive(F, edges, spec, extra_error=np.abs(tail), _heights=len(heights))
+    try:  # the tail node counts in the result, or in the best estimate of a failure
+        result = _adaptive(F, edges, spec, extra_error=np.abs(tail), _heights=len(heights))
+    except QuadratureToleranceError as exc:
+        exc.best.evaluations += 1
+        raise
     result.evaluations += 1
     return result

@@ -140,8 +140,8 @@ class TestClosestThermal:
         assert grid[-2] <= float(T) <= grid[-1]
 
     def test_prescan_grid_cached_per_bracket(self):
-        # interleaved brackets reuse their own grid and repeat their first answers
-        analysis._prescan_grid.cache_clear()
+        # interleaved brackets reuse their own table and repeat their first answers
+        analysis._prescan.cache_clear()
         states = (thermal_populations(FIG5_ATOM, 300.0), Populations(0.05, 0.9, 0.05))
         brackets = ((1.0, 5000.0), (10.0, 800.0))
         first = {(i, b): closest_thermal(p, FIG5_ATOM, b)
@@ -150,11 +150,15 @@ class TestClosestThermal:
             for b in brackets:
                 for i, p in enumerate(states):
                     assert closest_thermal(p, FIG5_ATOM, b) == first[i, b]
-        assert analysis._prescan_grid.cache_info().misses == 2
-        grid = analysis._prescan_grid(10.0, 800.0)
+        assert analysis._prescan.cache_info().misses == 2
+        grid, gibbs = analysis._prescan(FIG5_ATOM, 10.0, 800.0)
         assert np.array_equal(grid, np.geomspace(10.0, 800.0, 64))
-        with pytest.raises(ValueError):
-            grid[0] = 1.0
+        # the rows are the populations thermal_populations gives, bit for bit
+        assert np.array_equal(gibbs, [thermal_populations(FIG5_ATOM, T).as_array()
+                                      for T in grid.tolist()])
+        for table in (grid, gibbs):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
 
     def test_bracket_validation(self):
         p = thermal_populations(FIG5_ATOM, 300.0)
@@ -178,15 +182,17 @@ class TestScan:
 
     def test_equilibrium_scan_is_constant(self):
         zs = np.geomspace(1e-8, 1e-5, 5)
-        res = scan(FIG5_ATOM, SIC, zs, [110e-9], 470.0, 470.0, with_thermal=False)
+        res = scan(FIG5_ATOM, SIC, zs, [110e-9], 470.0, 470.0, T_search=None)
         pops = np.array([p.populations.as_array() for p in res.points])
         assert np.abs(pops - pops[0]).max() < 1e-6
         boltz = thermal_populations(FIG5_ATOM, 470.0).as_array()
         assert np.abs(pops - boltz).max() < 1e-6
+        # no bracket, no search
+        assert all(p.thermal is None for p in res.points)
 
     def test_grid_order_is_delta_major(self):
         res = scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [1e-7, 1e-2], 470.0, 170.0,
-                   with_thermal=False)
+                   T_search=None)
         layout = [(p.delta, p.z) for p in res.points]
         assert layout == [(1e-7, 1e-7), (1e-7, 1e-6), (1e-2, 1e-7), (1e-2, 1e-6)]
 
@@ -219,7 +225,7 @@ class TestScan:
     def test_per_point_failure_recorded_and_scan_continues(self):
         bad_spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=1)
         res = scan(FIG5_ATOM, SIC, [1e-7, 1e-6], [110e-9], 470.0, 170.0,
-                   spec=bad_spec, with_thermal=False)
+                   spec=bad_spec, T_search=None)
         assert len(res.points) == 2
         assert all(p.error is not None for p in res.points)
         assert all(p.populations is None for p in res.points)
@@ -283,7 +289,7 @@ class TestScan:
             call()
 
     def test_zero_temperature_is_valid(self):
-        (pt,) = scan(FIG5_ATOM, SIC, [1e-7], [1e-2], 0.0, 170.0, with_thermal=False).points
+        (pt,) = scan(FIG5_ATOM, SIC, [1e-7], [1e-2], 0.0, 170.0, T_search=None).points
         assert pt.error is None
 
 
@@ -291,7 +297,7 @@ class TestTransitionEnvironments:
     def test_matches_steady_point(self):
         geom = GeometryPoint(z=3.6e-7, delta=1e-2)
         env31, env32 = transition_environments(FIG5_ATOM, SIC, geom, 570.0, 170.0)
-        pt = steady_point(FIG5_ATOM, SIC, geom, 570.0, 170.0, with_thermal=False)
+        pt = steady_point(FIG5_ATOM, SIC, geom, 570.0, 170.0, T_search=None)
         assert (env31, env32) == (pt.env31, pt.env32)
         # a single-transition scan at the same point gives the same environment
         for omega, weights, env in ((FIG5_ATOM.omega_31, FIG5_ATOM.weights_31, env31),

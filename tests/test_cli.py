@@ -1,5 +1,6 @@
 """Config parsing, subcommands, output formats and exit codes."""
 
+import csv
 import json
 import re
 
@@ -396,6 +397,22 @@ max_subdivisions = 1
             assert row[2:-1] == [missing] * (len(columns) - 3)
             assert re.search(r" \(integral [BCD]\)$", row[-1]), row[-1]
 
+    def test_csv_cell_holding_a_comma_is_quoted(self, tmp_path):
+        # the error message of every row holds a comma: csv.reader reads each
+        # row back with as many cells as the header, the whole message in one
+        cfg = write(tmp_path, "omega = 1e10\nT_W = 1e308\nT_M = 170\nz = 1e-7,1e-6\n"
+                              "delta = 1e-2\n")
+        out = tmp_path / "out.csv"
+        assert run_command(["rates", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        header, *rows = csv.reader(line for line in out.read_text().splitlines()
+                                   if not line.startswith("#"))
+        assert header == list(_COLUMNS["rates"])
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == len(header)
+            assert row[-1] == ("ValueError: hbar*omega/(k_B*T) underflows:"
+                               " n(omega, T) overflows")
+
     def test_negative_time_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, """
 omega = omega_r
@@ -508,3 +525,28 @@ delta = 110e-9
         out = tmp_path / "out.csv"
         assert run_command(["rates", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert "# rel_tol = 1e-05" in out.read_text()
+
+    @pytest.mark.parametrize("flag,env,header", [
+        (["--rel-tol", "1e-5"], "1e-6", "1e-05"),
+        ([], "1e-6", "1e-06"),
+        ([], None, "1e-07"),
+    ], ids=["flag", "env", "config"])
+    def test_rel_tol_flag_over_env_over_config(self, tmp_path, monkeypatch, flag, env, header):
+        cfg = write(tmp_path, RATES_POINT + "rel_tol = 1e-7\n")
+        if env is None:
+            monkeypatch.delenv("NEQATOM_REL_TOL", raising=False)
+        else:
+            monkeypatch.setenv("NEQATOM_REL_TOL", env)
+        out = tmp_path / "out.csv"
+        assert run_command(["rates", "--config", cfg, "--out", str(out), *flag]) == EXIT_OK
+        assert f"\n# rel_tol = {header}\n" in out.read_text()
+
+    def test_rel_tol_flag_leaves_the_crossover_header_at_the_root_spec(self, tmp_path,
+                                                                        monkeypatch):
+        cfg = write(tmp_path, "omega = omega_r\ndelta = 110e-9\nbracket = 1e-8,1e-4\n"
+                              "rel_tol = 1e-7\n")
+        monkeypatch.setenv("NEQATOM_REL_TOL", "1e-6")
+        out = tmp_path / "out.csv"
+        assert run_command(["crossover", "--config", cfg, "--out", str(out),
+                            "--rel-tol", "1e-5"]) == EXIT_OK
+        assert "\n# rel_tol = 1e-10\n" in out.read_text()

@@ -68,7 +68,7 @@ def _resonant_track_populations():
     """Steady states of the cooling scenario on the resonant-track grid:
     50 log-spaced heights from 10 nm to 100 um over three slabs."""
     result = scan(COOLING_ATOM, SIC, np.geomspace(1e-8, 1e-4, 50), [1e-8, 1.1e-7, 1e-2],
-                  570.0, 170.0, with_thermal=False)
+                  570.0, 170.0, T_search=None)
     assert all(pt.error is None for pt in result.points)
     return [pt.populations for pt in result.points]
 
