@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,6 +122,7 @@ def _check_nonnegative(name: str, *values: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0")
 
 
+@lru_cache(maxsize=64)  # a scan asks again at every height; a failure is not kept
 def bose_occupation(omega: float, T: float) -> float:
     """Mean photon number n(omega, T); 0 at T = 0.
 

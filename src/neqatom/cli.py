@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from dataclasses import astuple, dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,7 @@ _RUNNERS = {
 }
 
 
+@cache  # built on the first command, once per process
 def _build_parser() -> argparse.ArgumentParser:
     epilog = (
         "config keys: " + ", ".join(_CONFIG_KEYS) + "\n"
@@ -431,8 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     overrides = {
         "rel_tol": os.environ.get("NEQATOM_REL_TOL"),
         "abs_tol": os.environ.get("NEQATOM_ABS_TOL"),

@@ -15,29 +15,29 @@ with d the dipole orientation weights.
 
 What does not depend on the atom height is computed once per (frequency,
 thickness, material, tolerances), in one cached slab pass (``_b_vector``):
-B itself, and the panel edges every height's C and D start from. B starts
-from the slab-phase breakpoints and a geometric ladder toward grazing
-incidence (``_GRAZING_LADDER``), and C from B's final edges (in theta),
-which hold both. D starts from the evanescent slab-phase breakpoints
-when the slab has any; otherwise from the final edges (in kappa) of one
-adaptive pass over the D density without its height factor, which
-resolves the guided-mode poles near the light line. That pass starts
-from a geometric ladder toward the light line (``_LIGHT_LINE_LADDER``),
-whose rungs D inherits below the floor of its own ladder. C adds the
-phase edges of the largest height of a pass and D the ladder of its
-heights, so the seeds move where panels start, not what each integral
-must meet.
+B itself, the panel edges every height's C and D start from, and C's
+density at B's nodes. B starts from the slab-phase breakpoints and a
+geometric ladder toward grazing incidence (``_GRAZING_LADDER``), and C
+from B's final edges (in theta), which hold both. D starts from the
+evanescent slab-phase breakpoints when the slab has any; otherwise from
+the final edges (in kappa) of one adaptive pass over the D density
+without its height factor, which resolves the guided-mode poles near
+the light line. That pass starts from a geometric ladder toward the
+light line (``_LIGHT_LINE_LADDER``), whose rungs D inherits below the
+floor of its own ladder. C adds the phase edges of the largest height of
+a pass and D the ladder of its heights, so the seeds move where panels
+start, not what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, then integrates C and D in passes of several
-heights, so that one slab-amplitude evaluation per node serves them all.
-C keeps a pass within one decade, because its height-phase edges grow
-with the largest height. D integrates the heights whose C converged in
-one pass: its ladder reaches from the smallest one's cut down past the
-largest one's scale, and a height whose C fails takes no part in it. The
-C and D integrands return the height kernel and the height-free density
-apart, and the engine contracts them panel by panel. The
-engine bounds nodes x columns of every integrand call, so a pass may
+heights, so that one slab-amplitude evaluation per node serves them all,
+and B's serve C too. C keeps a pass within one decade, because its
+height-phase edges grow with the largest height. D integrates the heights
+whose C converged in one pass: its ladder reaches from the smallest one's
+cut down past the largest one's scale, and a height whose C fails takes
+no part in it. The C and D integrands return the height kernel and the
+height-free density apart, and the engine contracts them panel by panel.
+The engine bounds nodes x columns of every integrand call, so a pass may
 hold any number of heights. A pass that fails is integrated again
 height by height, for that integral only, so each failure stays with
 its own height.
@@ -66,6 +66,7 @@ from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
     QuadratureToleranceError,
+    _MAX_CELLS,
     _MAX_INITIAL_PANELS,
     _adaptive,
     _theta_from_k,
@@ -280,10 +281,12 @@ class _SlabPass:
     breakpoints of the propagative sector, the grazing ladder and B's
     refinement. ``kappa_seeds`` are the initial edges every pass of D adds
     to its ladder, in kappa, or None for a real permittivity (D = 0).
+    ``c_density`` is (kz, k, C's g) at B's nodes, sorted by kz; None past _MAX_CELLS cells.
     """
 
     B: QuadratureResult
     kappa_seeds: np.ndarray | None
+    c_density: tuple | None = None
 
 
 def _d_density(omega, eps, delta, k, kappa, jac):
@@ -324,14 +327,17 @@ def _kappa_seeds(omega, eps, delta, spec):
     return res.edges
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)  # tables of at most 2^19 nodes x 48 B: 192 MiB in all
 def _b_vector(omega: float, delta: float, model: DielectricModel,
               spec: QuadratureSpec) -> _SlabPass:
-    """B and the C and D seed edges of one (omega, delta), shared by every height."""
+    """B, the C and D seed edges and C's density of one (omega, delta), shared by every height."""
     eps = permittivity(model, omega)
+    kept = []  # (kz, k, C's density) at B's nodes, call by call, up to _MAX_CELLS cells
 
     def integrand(k, kz):
         (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, delta)
+        if 2 * sum(len(nodes[0]) for nodes in kept) <= _MAX_CELLS:
+            kept.append((kz, k, _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)))
         return _density(omega, k, kz**2, np.abs(rho_te) ** 2 + np.abs(tau_te) ** 2,
                         np.abs(rho_tm) ** 2 + np.abs(tau_tm) ** 2, k / kz)
 
@@ -341,8 +347,13 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
                                  max_points=_MAX_INITIAL_PANELS)
     seeds = np.concatenate((_theta_from_k(bk, omega), _GRAZING_LADDER))
     b_res = integrate_propagative(integrand, omega, spec, _seeds=seeds)
+    table = None
+    if kept and 2 * b_res.evaluations <= _MAX_CELLS:  # every node kept: sorted by kz
+        kz, k, g = (np.concatenate(column) for column in zip(*kept))
+        order = np.argsort(kz)
+        table = kz[order], k[order], g[order]
     kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
-    return _SlabPass(B=b_res, kappa_seeds=kappa)
+    return _SlabPass(B=b_res, kappa_seeds=kappa, c_density=table)
 
 
 # failures recorded against the height (or scan point) they belong to
@@ -409,23 +420,11 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     except _POINT_ERRORS as exc:
         return [PointFailure(exc, h, "B") for h in z]
 
-    def rows(integrate, heights, integral):
-        # (value, error) row of each height in one pass; a failing pass of
-        # several heights is integrated again one height at a time
-        try:
-            res = integrate(omega, eps, heights, delta, slab, spec)
-        except _POINT_ERRORS as exc:
-            if len(heights) == 1:
-                return [PointFailure(exc, heights[0], integral)]
-            return [row for i in range(len(heights))
-                    for row in rows(integrate, heights[i:i + 1], integral)]
-        n = len(heights)
-        return list(zip(res.value.reshape(n, 2), res.error_estimate.reshape(n, 2)))
-
-    c_rows = [row for p in _c_passes(z) for row in rows(_c_pass, z[p], "C")]
+    args = (omega, eps, delta, slab, spec)
+    c_rows = [row for p in _c_passes(z) for row in _pass_rows(_c_pass, "C", z[p], *args)]
     # a height whose C failed reports C's error and takes no part in D
     c_ok = np.array([not isinstance(row, PointFailure) for row in c_rows])
-    d_rows = iter(rows(_d_pass, z[c_ok], "D") if c_ok.any() else [])
+    d_rows = iter(_pass_rows(_d_pass, "D", z[c_ok], *args) if c_ok.any() else [])
     B = _with_yy(slab.B.value)
     out = []
     for c_row in c_rows:
@@ -439,6 +438,19 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     return out
 
 
+def _pass_rows(integrate, integral, z, omega, eps, delta, slab, spec):
+    """(value, error) row, or PointFailure, of each height ``z`` in one pass, a failing
+    pass retried height by height. Not a closure: that would be a reference cycle."""
+    try:
+        res = integrate(omega, eps, z, delta, slab, spec)
+    except _POINT_ERRORS as exc:
+        if len(z) == 1:
+            return [PointFailure(exc, z[0], integral)]
+        return [row for h in z[:, None]
+                for row in _pass_rows(integrate, integral, h, omega, eps, delta, slab, spec)]
+    return list(zip(res.value.reshape(len(z), 2), res.error_estimate.reshape(len(z), 2)))
+
+
 def _c_pass(omega, eps, z, delta, slab, spec):
     """C of the heights ``z`` (array), columns (xx, zz) height by height.
 
@@ -447,21 +459,35 @@ def _c_pass(omega, eps, z, delta, slab, spec):
     e^{2i kz z}, complex (node, height), and the height-free density
     g = (3c/4 omega)(k/kz)(rho_TE w_TE + rho_TM w_TM), w_TM =
     (c/omega)^2 (-kz^2, 2 k^2), complex (node, orientation), formed once
-    per node. The engine contracts Re(kernel ⊗ g) panel by panel.
+    per node: at a node of B, read from the slab's table. The engine
+    contracts Re(kernel ⊗ g) panel by panel.
     """
     with np.errstate(over="ignore"):  # inf only past the engine's phase-panel budget
         two_z = 2.0 * z
 
-    # the integrands run once per split round, so they keep to few numpy
-    # calls: kz is real on the propagative sector, so the kernel is one
-    # cos and one sin per (node, height)
-    def integrand(k, kz):
+    def density(k, kz):
         (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
+        return _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)
+
+    # the integrand runs once per split round: kz is real on the propagative
+    # sector, so the kernel is one cos and one sin per (node, height)
+    def integrand(k, kz):
         phase = np.multiply.outer(kz, two_z)
         kernel = np.empty(phase.shape, dtype=complex)
         np.cos(phase, out=kernel.real)
         np.sin(phase, out=kernel.imag)
-        return kernel, _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)
+        if slab.c_density is None:
+            return kernel, density(k, kz)
+        # a node of B, the same (kz, k), takes its g from the table
+        table_kz, table_k, table_g = slab.c_density
+        i = np.minimum(np.searchsorted(table_kz, kz), len(table_kz) - 1)
+        new = (table_kz[i] != kz) | (table_k[i] != k)
+        if new.all():
+            return kernel, density(k, kz)
+        g = table_g[i]
+        if new.any():
+            g[new] = density(k[new], kz[new])
+        return kernel, g
 
     return integrate_oscillatory(integrand, omega, z, spec, _seeds=slab.B.edges)
 

@@ -10,6 +10,7 @@ quadrature tolerance, never beyond it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from neqatom.quadrature import (
     DEFAULT_SPEC,
     NonFiniteIntegrandError,
     QuadratureSpec,
+    QuadratureToleranceError,
     integrate_evanescent,
     integrate_oscillatory,
     integrate_propagative,
@@ -147,6 +149,111 @@ def test_cache_warmth_leaves_a_height_unchanged(omega, delta):
     assert np.all(np.abs(grid[1].D - warm.D) <= bound)
     warm_grid = response_vectors_many(omega, [1e-2 * z, z, 1e2 * z], delta, SIC, _ROOT_SPEC)
     assert [_bits(rv) for rv in warm_grid] == [_bits(rv) for rv in grid]
+    # the warm calls read the cached density table: C without it, every
+    # node formed anew, has the same bits
+    slab = _b_vector(omega, delta, SIC, _ROOT_SPEC)
+    assert slab.c_density is not None
+    bare = _c_results(omega, delta, SIC, _ROOT_SPEC, [z], replace(slab, c_density=None))
+    assert bare[0].value[[0, 0, 1]].tobytes() == warm.C.tobytes()
+
+
+def _c_results(omega, delta, model, spec, z, slab):
+    """C of the heights ``z`` from ``slab``, pass by pass, as response_vectors_many
+    groups them: each pass's result, or the best estimate of its failure."""
+    z, eps, out = np.asarray(z, dtype=float), permittivity(model, omega), []
+    for p in response._c_passes(z):
+        try:
+            out.append(response._c_pass(omega, eps, z[p], delta, slab, spec))
+        except QuadratureToleranceError as err:
+            out.append(err.best)
+    return out
+
+
+def _c_bits(res):
+    return (res.value.tobytes(), res.error_estimate.tobytes(), res.edges.tobytes(),
+            res.evaluations, res.splits, res.rounds, res.initial_panels, res.converged)
+
+
+# (model, omega, delta, spec, heights, phase edges per C pass, B splits):
+# the offband-rates slab at that workload's seed-0 heights, whose two
+# passes add 0 and 1 height-phase edge to B's 713 panels; CI's far
+# heights, whose phase edges cut every one of B's 9 panels; two slabs
+# whose B splits at the root spec, so the table holds halves
+TABLE_CASES = {
+    "offband": (SIC, 2.0 * OMEGA_R, 1e-2, DEFAULT_SPEC,
+                [1.3025886325340288e-08, 5.6578504991936244e-08,
+                 2.0270160786638968e-07, 8.310725094184839e-07], [0, 1], 0),
+    "far": (SIC, OMEGA_R, 110e-9, DEFAULT_SPEC, [1e-4, 3e-4, 1e-3, 3e-3], [190, 1904], 0),
+    "halves": (SIC, OMEGA_R, 1e-8, _ROOT_SPEC, [1e-8, 1e-7, 1e-6, 5e-6], [0, 0, 3], 1),
+    "low-loss": (LOW_LOSS, 3e14, 1e-2, _ROOT_SPEC, [1e-7, 1e-6, 5e-6], [0, 6], 175),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_density_table_changes_no_bit_of_c(case):
+    # each C node that is a node of B takes g from the slab pass's table,
+    # the others form it: C is the C of every node formed anew, bit for
+    # bit, in value, error, edges and counts
+    model, omega, delta, spec, z, phase_edges, b_splits = TABLE_CASES[case]
+    _b_vector.cache_clear()
+    slab = _b_vector(omega, delta, model, spec)
+    assert slab.B.splits == b_splits
+    assert len(slab.c_density[0]) == slab.B.evaluations
+    with_table = _c_results(omega, delta, model, spec, z, slab)
+    without = _c_results(omega, delta, model, spec, z, replace(slab, c_density=None))
+    assert [r.initial_panels - slab.B.initial_panels - b_splits for r in with_table] == phase_edges
+    assert [_c_bits(r) for r in with_table] == [_c_bits(r) for r in without]
+
+
+def test_b_too_large_for_a_table_keeps_none(monkeypatch):
+    # a B of more than _MAX_CELLS / 2 nodes keeps no table, and its C
+    # forms every node: the same bits as with the table
+    omega, delta, z = 2.0 * OMEGA_R, 1e-2, TABLE_CASES["offband"][4]
+    _b_vector.cache_clear()
+    with_table = response_vectors_many(omega, z, delta, SIC)
+    assert _b_vector(omega, delta, SIC, DEFAULT_SPEC).c_density is not None
+    monkeypatch.setattr(response, "_MAX_CELLS", 2 * 15 * 713 - 1)
+    _b_vector.cache_clear()
+    try:
+        without = response_vectors_many(omega, z, delta, SIC)
+        assert _b_vector(omega, delta, SIC, DEFAULT_SPEC).c_density is None
+    finally:
+        _b_vector.cache_clear()
+    assert [_bits(rv) for rv in without] == [_bits(rv) for rv in with_table]
+
+
+def test_cache_holds_at_most_192_mib_of_tables():
+    # a table holds kz, k and g's two complex columns, 48 B, at each of at
+    # most _MAX_CELLS / 2 nodes, and the cache at most maxsize tables
+    slab = _b_vector(2.0 * OMEGA_R, 1e-2, SIC, DEFAULT_SPEC)
+    per_node = sum(column.itemsize * column[0].size for column in slab.c_density)
+    nodes = _b_vector.cache_info().maxsize * response._MAX_CELLS // 2
+    assert per_node == 48 and nodes * per_node <= 192 * 2**20
+
+
+@pytest.mark.parametrize("z,delta,nodes", [
+    (TABLE_CASES["offband"][4], 1e-2, 10_725),
+    (np.geomspace(1e-10, 4e-3, 12), 1e-2, 145_410),    # CI's wide config
+], ids=["offband", "wide"])
+def test_each_propagative_node_forms_its_amplitudes_once(z, delta, nodes, monkeypatch):
+    # B, and every C pass of one (omega, delta), send each propagative node
+    # through slab_amplitudes once: C takes B's from the table (the parent
+    # evaluated 32,100 nodes on offband, 216,645 on wide)
+    seen = []
+
+    def recording(omega, eps, kz, delta, want_tau=True):
+        if np.isrealobj(kz):
+            seen.append(np.array(kz))
+        return slab_amplitudes(omega, eps, kz, delta, want_tau)
+
+    monkeypatch.setattr(response, "slab_amplitudes", recording)
+    _b_vector.cache_clear()
+    try:
+        response_vectors_many(2.0 * OMEGA_R, z, delta, SIC)
+    finally:
+        _b_vector.cache_clear()
+    kz = np.concatenate(seen)
+    assert len(kz) == len(np.unique(kz)) == nodes
 
 
 def test_seeds_spare_the_rounds(monkeypatch):
