@@ -416,9 +416,10 @@ def integrate_oscillatory(integrand, omega, z, spec=DEFAULT_SPEC, *, _seeds=()):
 
     The substitution k = (omega/c) sin(theta) removes the 1/k_z endpoint
     singularity; both k and the real k_z = (omega/c) cos(theta) are handed
-    to the integrand in exact trigonometric form. ``_seeds`` are initial
-    panel edges in theta, such as the final edges of an earlier integral
-    over the sector.
+    to the integrand in exact trigonometric form, whole panels of 15 nodes
+    a call. ``_seeds`` are initial panel edges in theta, such as the final
+    edges of an earlier integral over the sector, whose nodes an initial
+    panel between two of them repeats bit for bit.
 
     ``z`` is one height or an ascending array of heights integrated on
     shared nodes; the integrand then returns the columns of every height

@@ -30,17 +30,16 @@ start, not what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, then integrates C and D in passes of several
-heights, so that one slab-amplitude evaluation per node serves them all,
-and B's serve C too. C keeps a pass within one decade, because its
-height-phase edges grow with the largest height. D integrates the heights
-whose C converged in one pass: its ladder reaches from the smallest one's
-cut down past the largest one's scale, and a height whose C fails takes
-no part in it. The C and D integrands return the height kernel and the
-height-free density apart, and the engine contracts them panel by panel.
-The engine bounds nodes x columns of every integrand call, so a pass may
-hold any number of heights. A pass that fails is integrated again
-height by height, for that integral only, so each failure stays with
-its own height.
+heights, so that one slab-amplitude evaluation per node serves them all, and
+B's serve C too. C keeps a pass within one decade, because its height-phase
+edges grow with the largest height. D integrates the heights whose C
+converged in one pass: its ladder reaches from the smallest one's cut down
+past the largest one's scale, and a height whose C fails takes no part in
+it. The C and D integrands return the height kernel and the height-free
+density apart, and the engine contracts them panel by panel. The engine
+bounds nodes x columns of every integrand call, so a pass may hold any
+number of heights. A pass that fails is integrated again height by height,
+for that integral only, so each failure stays with its own height.
 ``response_vectors`` and ``alpha_pair`` are its one-height case.
 """
 
@@ -281,7 +280,7 @@ class _SlabPass:
     breakpoints of the propagative sector, the grazing ladder and B's
     refinement. ``kappa_seeds`` are the initial edges every pass of D adds
     to its ladder, in kappa, or None for a real permittivity (D = 0).
-    ``c_density`` is (kz, k, C's g) at B's nodes, sorted by kz; None past _MAX_CELLS cells.
+    ``c_density``: (kz, k, C's g) at each B panel's nodes, by middle kz; None past _MAX_CELLS.
     """
 
     B: QuadratureResult
@@ -348,10 +347,10 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     seeds = np.concatenate((_theta_from_k(bk, omega), _GRAZING_LADDER))
     b_res = integrate_propagative(integrand, omega, spec, _seeds=seeds)
     table = None
-    if kept and 2 * b_res.evaluations <= _MAX_CELLS:  # every node kept: sorted by kz
+    if kept and 2 * b_res.evaluations <= _MAX_CELLS:  # B's panels, by their middle node's kz
         kz, k, g = (np.concatenate(column) for column in zip(*kept))
-        order = np.argsort(kz)
-        table = kz[order], k[order], g[order]
+        order = np.argsort(kz[7::15])
+        table = kz.reshape(-1, 15)[order], k.reshape(-1, 15)[order], g.reshape(-1, 15, 2)[order]
     kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
     return _SlabPass(B=b_res, kappa_seeds=kappa, c_density=table)
 
@@ -478,13 +477,14 @@ def _c_pass(omega, eps, z, delta, slab, spec):
         np.sin(phase, out=kernel.imag)
         if slab.c_density is None:
             return kernel, density(k, kz)
-        # a node of B, the same (kz, k), takes its g from the table
+        # calls hold whole panels of 15 nodes: one of B's, at the same (kz, k), reads the table
         table_kz, table_k, table_g = slab.c_density
-        i = np.minimum(np.searchsorted(table_kz, kz), len(table_kz) - 1)
-        new = (table_kz[i] != kz) | (table_k[i] != k)
+        i = np.minimum(np.searchsorted(table_kz[:, 7], kz[7::15]), len(table_kz) - 1)
+        new = (table_kz[i] != kz.reshape(-1, 15)) | (table_k[i] != k.reshape(-1, 15))
+        new = np.repeat(new.any(axis=1), 15)
         if new.all():
             return kernel, density(k, kz)
-        g = table_g[i]
+        g = table_g[i].reshape(-1, 2)
         if new.any():
             g[new] = density(k[new], kz[new])
         return kernel, g

@@ -198,7 +198,7 @@ def test_density_table_changes_no_bit_of_c(case):
     _b_vector.cache_clear()
     slab = _b_vector(omega, delta, model, spec)
     assert slab.B.splits == b_splits
-    assert len(slab.c_density[0]) == slab.B.evaluations
+    assert slab.c_density[0].size == slab.B.evaluations
     with_table = _c_results(omega, delta, model, spec, z, slab)
     without = _c_results(omega, delta, model, spec, z, replace(slab, c_density=None))
     assert [r.initial_panels - slab.B.initial_panels - b_splits for r in with_table] == phase_edges
@@ -226,7 +226,7 @@ def test_cache_holds_at_most_192_mib_of_tables():
     # a table holds kz, k and g's two complex columns, 48 B, at each of at
     # most _MAX_CELLS / 2 nodes, and the cache at most maxsize tables
     slab = _b_vector(2.0 * OMEGA_R, 1e-2, SIC, DEFAULT_SPEC)
-    per_node = sum(column.itemsize * column[0].size for column in slab.c_density)
+    per_node = sum(column.nbytes for column in slab.c_density) // slab.B.evaluations
     nodes = _b_vector.cache_info().maxsize * response._MAX_CELLS // 2
     assert per_node == 48 and nodes * per_node <= 192 * 2**20
 
