@@ -275,14 +275,15 @@ _LIGHT_LINE_LADDER = 0.5 ** np.arange(_LIGHT_LINE_RUNGS, 0, -1)
 class _SlabPass:
     """The height-free integrals of one (frequency, thickness, material, spec).
 
-    ``B`` is the B result (columns xx, zz). Every height's C starts from
-    its final edges ``B.edges``, in theta: they hold the slab-phase
-    breakpoints of the propagative sector, the grazing ladder and B's
-    refinement. ``kappa_seeds`` are the initial edges every pass of D adds
-    to its ladder, in kappa, or None for a real permittivity (D = 0).
-    ``c_density``: (kz, k, C's g) at each B panel's nodes, by middle kz; None past _MAX_CELLS.
+    ``eps`` is the permittivity, formed once for B, C and D, and ``B`` the B result
+    (columns xx, zz). Every height's C starts from its final edges ``B.edges``, in theta:
+    the slab-phase breakpoints of the propagative sector, the grazing ladder and B's
+    refinement. ``kappa_seeds`` are the initial edges every pass of D adds to its ladder,
+    in kappa, or None for a real permittivity (D = 0). ``c_density``: (kz, k, C's g) at
+    the nodes of B's calls that fit _MAX_CELLS / 2 nodes, by middle kz; None if none fit.
     """
 
+    eps: complex
     B: QuadratureResult
     kappa_seeds: np.ndarray | None
     c_density: tuple | None = None
@@ -331,11 +332,11 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
               spec: QuadratureSpec) -> _SlabPass:
     """B, the C and D seed edges and C's density of one (omega, delta), shared by every height."""
     eps = permittivity(model, omega)
-    kept = []  # (kz, k, C's density) at B's nodes, call by call, up to _MAX_CELLS cells
+    kept = []  # (kz, k, C's density) at B's nodes, each call that fits _MAX_CELLS / 2 nodes
 
     def integrand(k, kz):
         (rho_te, rho_tm), (tau_te, tau_tm) = slab_amplitudes(omega, eps, kz, delta)
-        if 2 * sum(len(nodes[0]) for nodes in kept) <= _MAX_CELLS:
+        if 2 * (len(kz) + sum(len(nodes[0]) for nodes in kept)) <= _MAX_CELLS:
             kept.append((kz, k, _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)))
         return _density(omega, k, kz**2, np.abs(rho_te) ** 2 + np.abs(tau_te) ** 2,
                         np.abs(rho_tm) ** 2 + np.abs(tau_tm) ** 2, k / kz)
@@ -347,12 +348,12 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
     seeds = np.concatenate((_theta_from_k(bk, omega), _GRAZING_LADDER))
     b_res = integrate_propagative(integrand, omega, spec, _seeds=seeds)
     table = None
-    if kept and 2 * b_res.evaluations <= _MAX_CELLS:  # B's panels, by their middle node's kz
+    if kept:  # the kept panels, by their middle node's kz
         kz, k, g = (np.concatenate(column) for column in zip(*kept))
         order = np.argsort(kz[7::15])
         table = kz.reshape(-1, 15)[order], k.reshape(-1, 15)[order], g.reshape(-1, 15, 2)[order]
     kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
-    return _SlabPass(B=b_res, kappa_seeds=kappa, c_density=table)
+    return _SlabPass(eps=eps, B=b_res, kappa_seeds=kappa, c_density=table)
 
 
 # failures recorded against the height (or scan point) they belong to
@@ -397,15 +398,15 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     integral only, so a failure lands on the height that causes it. A
     height whose C fails reports C's error and takes no part in D, so it
     sets no D edge of its neighbours; a height whose D fails reports D's.
-    A failing slab pass (B and D's seed edges) gives every height its own
-    PointFailure of the one error, its ``integral`` "B" (else "C" or "D").
+    A failing slab pass (eps, B and D's seed edges) gives every height its
+    own PointFailure of the one error, its ``integral`` "B" (else "C" or "D").
 
     For a real permittivity (``Im eps == 0``, a lossless model) D is zero
     and is not integrated: rho is real away from the guided-mode poles of
     the slab, and the delta-function terms of those poles are left out.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     z = np.atleast_1d(np.asarray(z_values, dtype=float))
     if z.ndim != 1 or z.size == 0 or not (np.all(z > 0.0) and np.all(np.diff(z) > 0.0)):
         raise ValueError("heights must be > 0 and strictly increasing")
@@ -413,13 +414,12 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
         raise ValueError(f"heights must be finite, got {float(z[-1])!r}")
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
-    eps = permittivity(model, omega)
     try:
         slab = _b_vector(omega, delta, model, spec)
     except _POINT_ERRORS as exc:
         return [PointFailure(exc, h, "B") for h in z]
 
-    args = (omega, eps, delta, slab, spec)
+    args = (omega, delta, slab, spec)
     c_rows = [row for p in _c_passes(z) for row in _pass_rows(_c_pass, "C", z[p], *args)]
     # a height whose C failed reports C's error and takes no part in D
     c_ok = np.array([not isinstance(row, PointFailure) for row in c_rows])
@@ -437,20 +437,20 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     return out
 
 
-def _pass_rows(integrate, integral, z, omega, eps, delta, slab, spec):
+def _pass_rows(integrate, integral, z, omega, delta, slab, spec):
     """(value, error) row, or PointFailure, of each height ``z`` in one pass, a failing
     pass retried height by height. Not a closure: that would be a reference cycle."""
     try:
-        res = integrate(omega, eps, z, delta, slab, spec)
+        res = integrate(omega, z, delta, slab, spec)
     except _POINT_ERRORS as exc:
         if len(z) == 1:
             return [PointFailure(exc, z[0], integral)]
         return [row for h in z[:, None]
-                for row in _pass_rows(integrate, integral, h, omega, eps, delta, slab, spec)]
+                for row in _pass_rows(integrate, integral, h, omega, delta, slab, spec)]
     return list(zip(res.value.reshape(len(z), 2), res.error_estimate.reshape(len(z), 2)))
 
 
-def _c_pass(omega, eps, z, delta, slab, spec):
+def _c_pass(omega, z, delta, slab, spec):
     """C of the heights ``z`` (array), columns (xx, zz) height by height.
 
     It starts from B's final edges in ``slab``, the :class:`_SlabPass` of
@@ -465,7 +465,7 @@ def _c_pass(omega, eps, z, delta, slab, spec):
         two_z = 2.0 * z
 
     def density(k, kz):
-        (rho_te, rho_tm), _ = slab_amplitudes(omega, eps, kz, delta, want_tau=False)
+        (rho_te, rho_tm), _ = slab_amplitudes(omega, slab.eps, kz, delta, want_tau=False)
         return _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)
 
     # the integrand runs once per split round: kz is real on the propagative
@@ -492,7 +492,7 @@ def _c_pass(omega, eps, z, delta, slab, spec):
     return integrate_oscillatory(integrand, omega, z, spec, _seeds=slab.B.edges)
 
 
-def _d_pass(omega, eps, z, delta, slab, spec):
+def _d_pass(omega, z, delta, slab, spec):
     """D of the heights ``z`` (array), columns (xx, zz) height by height.
 
     It starts from the kappa seeds of ``slab``. The integrand returns a
@@ -510,7 +510,7 @@ def _d_pass(omega, eps, z, delta, slab, spec):
 
     def integrand(k, kappa):
         return (np.exp(np.multiply.outer(kappa, minus_two_z)),
-                _d_density(omega, eps, delta, k, kappa, k / kappa))
+                _d_density(omega, slab.eps, delta, k, kappa, k / kappa))
 
     return integrate_evanescent(integrand, omega, z, spec, _seeds=slab.kappa_seeds)
 

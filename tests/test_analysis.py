@@ -22,7 +22,8 @@ from neqatom.analysis import (
     transition_environments,
 )
 from neqatom.atom import AtomModel, Populations, bose_occupation, steady_state
-from neqatom.optics import load_material, surface_mode_frequency
+from neqatom.optics import DielectricModel, LosslessResonanceError, load_material
+from neqatom.optics import surface_mode_frequency
 from neqatom import analysis, response
 from neqatom.quadrature import QuadratureResult, QuadratureSpec, QuadratureToleranceError
 from neqatom.response import ISOTROPIC_WEIGHTS, GeometryPoint, PointFailure, _b_vector
@@ -374,3 +375,28 @@ class TestEnvironmentScan:
         # one (omega, delta): B is integrated once and its failure is
         # not retried per height, since B does not depend on the height
         assert len(calls) == 1
+
+
+class TestLosslessResonance:
+    # a lossless model at its omega_T, transition 31 here: its permittivity
+    # has a pole, and the slab pass that forms it fails every height
+    MODEL = DielectricModel(2.0, 2e14, 1e14, gamma_damp=0.0)
+    ATOM = AtomModel(omega_31=1e14, omega_32=0.5e14)
+    ERROR = "LosslessResonanceError: lossless resonance singularity (integral B)"
+
+    def test_scan_records_it_per_point(self):
+        result = scan(self.ATOM, self.MODEL, [1e-7, 1e-6], [1e-2], 570.0, 170.0)
+        assert [pt.error for pt in result.points] == [self.ERROR] * 2
+        assert all(pt.populations is None for pt in result.points)
+
+    def test_environment_scan_records_it_per_point(self):
+        records = environment_scan(1e14, ISOTROPIC_WEIGHTS, self.MODEL, [1e-7, 1e-6], [1e-2],
+                                   570.0, 170.0)
+        assert [(r[2], r[3]) for r in records] == [(None, self.ERROR)] * 2
+
+    def test_transition_environments_raise_its_point_failure(self):
+        with pytest.raises(PointFailure) as failure:
+            transition_environments(self.ATOM, self.MODEL, GeometryPoint(z=1e-7, delta=1e-2),
+                                    570.0, 170.0)
+        assert type(failure.value.error) is LosslessResonanceError
+        assert str(failure.value) == self.ERROR

@@ -34,6 +34,11 @@ RATES_POINT = "omega = omega_r\nT_W = 470\nT_M = 170\nz = 1e-6\ndelta = 110e-9\n
 # one subdivision at a tolerance no panel meets: every point fails
 FAILING_SPEC = "rel_tol = 1e-14\nabs_tol = 0\nmax_subdivisions = 1\n"
 
+# a lossless material, at its omega_T = omega_r: its permittivity has a
+# pole there, and the slab pass that forms it fails every height
+LOSSLESS = "eps_inf = 2.0\nomega_L = 2e14\nomega_T = 1e14\ngamma_damp = 0\n"
+LOSSLESS_ERROR = "LosslessResonanceError: lossless resonance singularity (integral B)"
+
 
 def write(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
@@ -396,6 +401,34 @@ max_subdivisions = 1
             assert len(row) == len(columns)
             assert row[2:-1] == [missing] * (len(columns) - 3)
             assert re.search(r" \(integral [BCD]\)$", row[-1]), row[-1]
+
+    @pytest.mark.parametrize("command,text", [
+        ("rates", "omega = omega_r\n"),
+        ("thermal-track", "omega_31 = 1.5*omega_r\nomega_32 = omega_r\n"),
+    ], ids=["rates", "thermal-track"])
+    def test_lossless_resonance_fails_every_row_in_integral_b(self, tmp_path, command, text):
+        cfg = write(tmp_path, f"material = {write(tmp_path, LOSSLESS, 'lossless.dat')}\n{text}"
+                              "T_W = 570\nT_M = 170\nz = 1e-7,1e-6\ndelta = 1e-2\n")
+        out = tmp_path / "out.csv"
+        assert run_command([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        header, rows = rows_of(out)
+        assert header == list(_COLUMNS[command])
+        assert [(row["z"], row["error"]) for row in rows] == [
+            (z, LOSSLESS_ERROR) for z in ("1e-07", "1e-06")]
+
+    @pytest.mark.parametrize("command,text,where", [
+        ("crossover", "omega = omega_r\nbracket = 1e-8,1e-4\n", "z=1e-08"),
+        ("evolve", "omega_31 = 1.5*omega_r\nomega_32 = omega_r\nT_W = 570\nT_M = 170\n"
+                   "z = 1e-7\nt = 0,1\n", "z=1e-07"),
+    ], ids=["crossover", "evolve"])
+    def test_lossless_resonance_failure_names_height_and_integral_b(self, tmp_path, capsys,
+                                                                    command, text, where):
+        cfg = write(tmp_path, f"material = {write(tmp_path, LOSSLESS, 'lossless.dat')}\n{text}"
+                              "delta = 1e-2\n")
+        assert run_command([command, "--config", cfg]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure at {where}, delta=0.01: {LOSSLESS_ERROR}\n"
+        assert captured.out == ""
 
     def test_csv_cell_holding_a_comma_is_quoted(self, tmp_path):
         # the error message of every row holds a comma: csv.reader reads each

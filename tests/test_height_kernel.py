@@ -19,6 +19,9 @@ on both sides, so they cannot see an error in it, and the seed density
 only moves panel edges, so no value test can see an error in it.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,8 +39,10 @@ CASES = [(SIC, OMEGA_R, 110e-9), (SIC, 2.0 * OMEGA_R, 1e-2), (LOW_LOSS, 3e14, 1e
 HEIGHTS = {1: [3e-7], 3: [1e-8, 2e-7, 5e-6], 12: np.geomspace(1e-8, 1e-4, 12).tolist()}
 RTOL = 1e-13
 
-# a slab pass is only read for its seeds, which the captured engine ignores
-_SLAB = response._SlabPass(B=QuadratureResult(np.zeros(2), np.zeros(2), 0, edges=np.zeros(0)),
+# a slab pass is only read for its permittivity, each case's in its place of
+# the NaN here, and its seeds, which the captured engine ignores
+_SLAB = response._SlabPass(eps=complex(math.nan),
+                           B=QuadratureResult(np.zeros(2), np.zeros(2), 0, edges=np.zeros(0)),
                            kappa_seeds=np.zeros(0))
 
 
@@ -76,7 +81,8 @@ def test_c_integrand_matches_definition(monkeypatch, model, omega, delta, n):
     z = np.asarray(HEIGHTS[n])
     eps = permittivity(model, omega)
     integrand = _captured(monkeypatch, "integrate_oscillatory",
-                          lambda: response._c_pass(omega, eps, z, delta, _SLAB, DEFAULT_SPEC))
+                          lambda: response._c_pass(omega, z, delta, replace(_SLAB, eps=eps),
+                                                   DEFAULT_SPEC))
     U = omega / c
     theta = np.random.default_rng(n).uniform(0.0, 0.5 * np.pi, 300)
     k, kz = U * np.sin(theta), U * np.cos(theta)
@@ -99,7 +105,8 @@ def test_d_integrand_matches_definition(monkeypatch, model, omega, delta, n):
     z = np.asarray(HEIGHTS[n])
     eps = permittivity(model, omega)
     integrand = _captured(monkeypatch, "integrate_evanescent",
-                          lambda: response._d_pass(omega, eps, z, delta, _SLAB, DEFAULT_SPEC))
+                          lambda: response._d_pass(omega, z, delta, replace(_SLAB, eps=eps),
+                                                   DEFAULT_SPEC))
     U = omega / c
     kappa = U * 10.0 ** np.random.default_rng(n).uniform(-3.0, 3.0, 300)
     k = np.hypot(kappa, U)

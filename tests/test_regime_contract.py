@@ -57,11 +57,10 @@ def _documented(exc):
         type(exc) is ValueError and "panel budget exceeded" in str(exc))
 
 
-@pytest.mark.parametrize("point", range(POINTS))
-def test_every_height_converges_or_raises_a_typed_error(point):
-    rng = np.random.default_rng([SEED, point])
-    model, omega, delta, z = _sample(rng)
-    for h, got in zip(z, response_vectors_many(omega, z, delta, model)):
+def _check_heights(model, omega, delta, z):
+    """Check every height of one point; returns response_vectors_many's entries."""
+    entries = response_vectors_many(omega, z, delta, model)
+    for h, got in zip(z, entries):
         where = (model, omega, delta, h)
         if isinstance(got, PointFailure):
             assert _documented(got.error), (where, repr(got.error))
@@ -71,3 +70,17 @@ def test_every_height_converges_or_raises_a_typed_error(point):
             assert np.isfinite(getattr(got, name)).all(), (where, name)
         for d in ORIENTATIONS:  # raises PassivityError on a negative weight
             alpha_pair(omega, GeometryPoint(z=h, delta=delta), model, d, vectors=got)
+    return entries
+
+
+@pytest.mark.parametrize("point", range(POINTS))
+def test_every_height_converges_or_raises_a_typed_error(point):
+    _check_heights(*_sample(np.random.default_rng([SEED, point])))
+
+
+def test_lossless_resonance_is_a_typed_error_on_every_height():
+    # the sampler never draws gamma = 0: a lossless model at its omega_T,
+    # whose permittivity has a pole, fails every height in the slab pass
+    model = DielectricModel(2.0, 2e14, OMEGA_T, gamma_damp=0.0)
+    entries = _check_heights(model, OMEGA_T, 1e-2, np.geomspace(1e-8, 1e-5, HEIGHTS))
+    assert all(isinstance(got, PointFailure) and got.integral == "B" for got in entries)

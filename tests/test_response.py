@@ -694,6 +694,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="got inf"):
             crossover_distance(OMEGA_R, 1e-2, SIC, (1e-8, math.inf))
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_omega_checked_before_any_integral(self, monkeypatch, omega):
+        def no_slab_pass(*args, **kwargs):
+            raise AssertionError("integrated before omega was checked")
+
+        monkeypatch.setattr(response, "_b_vector", no_slab_pass)
+        with pytest.raises(ValueError, match=f"omega must be finite and > 0, got {omega!r}"):
+            response_vectors_many(omega, [1e-7], 1e-2, SIC)
+
     @pytest.mark.parametrize("bracket", [(1e-8, math.inf), (math.nan, 1e-4), (1e-4, 1e-8)],
                              ids=["infinite", "nan", "reversed"])
     def test_crossover_bracket_checked_before_any_integral(self, monkeypatch, bracket):

@@ -17,8 +17,8 @@ import pytest
 from scipy.constants import c
 
 from neqatom import quadrature, response
-from neqatom.optics import DielectricModel, load_material, permittivity, slab_amplitudes
-from neqatom.optics import surface_mode_frequency
+from neqatom.optics import DielectricModel, LosslessResonanceError, load_material, permittivity
+from neqatom.optics import slab_amplitudes, surface_mode_frequency
 from neqatom.quadrature import (
     DEFAULT_SPEC,
     NonFiniteIntegrandError,
@@ -31,8 +31,11 @@ from neqatom.quadrature import (
 from neqatom.response import (
     _ROOT_SPEC,
     GeometryPoint,
+    PointFailure,
     _b_vector,
     _slab_phase_breakpoints,
+    alpha_pair,
+    crossover_distance,
     response_vectors,
     response_vectors_many,
 )
@@ -153,17 +156,17 @@ def test_cache_warmth_leaves_a_height_unchanged(omega, delta):
     # node formed anew, has the same bits
     slab = _b_vector(omega, delta, SIC, _ROOT_SPEC)
     assert slab.c_density is not None
-    bare = _c_results(omega, delta, SIC, _ROOT_SPEC, [z], replace(slab, c_density=None))
+    bare = _c_results(omega, delta, _ROOT_SPEC, [z], replace(slab, c_density=None))
     assert bare[0].value[[0, 0, 1]].tobytes() == warm.C.tobytes()
 
 
-def _c_results(omega, delta, model, spec, z, slab):
+def _c_results(omega, delta, spec, z, slab):
     """C of the heights ``z`` from ``slab``, pass by pass, as response_vectors_many
     groups them: each pass's result, or the best estimate of its failure."""
-    z, eps, out = np.asarray(z, dtype=float), permittivity(model, omega), []
+    z, out = np.asarray(z, dtype=float), []
     for p in response._c_passes(z):
         try:
-            out.append(response._c_pass(omega, eps, z[p], delta, slab, spec))
+            out.append(response._c_pass(omega, z[p], delta, slab, spec))
         except QuadratureToleranceError as err:
             out.append(err.best)
     return out
@@ -199,8 +202,8 @@ def test_density_table_changes_no_bit_of_c(case):
     slab = _b_vector(omega, delta, model, spec)
     assert slab.B.splits == b_splits
     assert slab.c_density[0].size == slab.B.evaluations
-    with_table = _c_results(omega, delta, model, spec, z, slab)
-    without = _c_results(omega, delta, model, spec, z, replace(slab, c_density=None))
+    with_table = _c_results(omega, delta, spec, z, slab)
+    without = _c_results(omega, delta, spec, z, replace(slab, c_density=None))
     assert [r.initial_panels - slab.B.initial_panels - b_splits for r in with_table] == phase_edges
     assert [_c_bits(r) for r in with_table] == [_c_bits(r) for r in without]
 
@@ -220,6 +223,27 @@ def test_b_too_large_for_a_table_keeps_none(monkeypatch):
     finally:
         _b_vector.cache_clear()
     assert [_bits(rv) for rv in without] == [_bits(rv) for rv in with_table]
+
+
+def test_table_keeps_the_calls_of_b_that_fit_its_bound(monkeypatch):
+    # the low-loss slab's B at the root spec evaluates its 8,924 initial
+    # panels in one call, then the 350 halves of its 175 splits in another:
+    # at a bound between the first call and all of B, the table keeps the
+    # first call, never more than _MAX_CELLS / 2 nodes, and C reads it with
+    # the bits of C without it
+    model, omega, delta, spec, z, _, b_splits = TABLE_CASES["low-loss"]
+    cells = 2 * 15 * (8_924 + 175)
+    monkeypatch.setattr(response, "_MAX_CELLS", cells)
+    _b_vector.cache_clear()
+    try:
+        slab = _b_vector(omega, delta, model, spec)
+    finally:
+        _b_vector.cache_clear()
+    assert (slab.B.initial_panels, slab.B.splits, slab.B.evaluations) == (8_924, b_splits, 139_110)
+    assert slab.c_density[0].size == 15 * 8_924 <= cells // 2 < slab.B.evaluations
+    with_table = _c_results(omega, delta, spec, z, slab)
+    without = _c_results(omega, delta, spec, z, replace(slab, c_density=None))
+    assert [_c_bits(r) for r in with_table] == [_c_bits(r) for r in without]
 
 
 def test_cache_holds_at_most_192_mib_of_tables():
@@ -319,8 +343,7 @@ def test_far_decade_c_pass_starts_from_quarter_period_edges(omega, delta):
     far = z[response._c_passes(z)[-1]]
     assert len(far) == 13 and far[0] > 1e-5
     slab = _b_vector(omega, delta, SIC, DEFAULT_SPEC)
-    eps = permittivity(SIC, omega)
-    res = response._c_pass(omega, eps, far, delta, slab, DEFAULT_SPEC)
+    res = response._c_pass(omega, far, delta, slab, DEFAULT_SPEC)
     assert res.initial_panels <= 90
 
 
@@ -451,3 +474,48 @@ def test_top_octave_rung_only_below_its_error(spec, root, monkeypatch):
     cut = quadrature._EVANESCENT_CUT / z
     assert edges[-1] == cut and 0.5 * cut in edges
     assert (0.75 * cut in edges) == (spec is _ROOT_SPEC)
+
+
+# a lossless model evaluated at its omega_T: its permittivity has a pole
+LOSSLESS = DielectricModel(2.0, 2e14, 1e14, gamma_damp=0.0)
+LOSSLESS_OMEGA = 1e14
+
+
+def test_lossless_resonance_fails_every_height_in_the_slab_pass():
+    # the permittivity is formed in the slab pass, so its failure is the
+    # slab pass's: one PointFailure per height, integral B
+    z = [1e-8, 1e-7, 1e-6]
+    many = response_vectors_many(LOSSLESS_OMEGA, z, 1e-2, LOSSLESS)
+    assert [(type(f.error), f.z, f.integral) for f in many] == [
+        (LosslessResonanceError, h, "B") for h in z]
+    assert all(isinstance(f, PointFailure) for f in many)
+
+
+def test_lossless_resonance_raises_from_the_one_height_calls():
+    geom = GeometryPoint(z=1e-7, delta=1e-2)
+    for call in (response_vectors, alpha_pair):
+        with pytest.raises(LosslessResonanceError):
+            call(LOSSLESS_OMEGA, geom, LOSSLESS)
+
+
+def test_lossless_resonance_fails_the_crossover_search_at_its_lower_end():
+    with pytest.raises(PointFailure) as failure:
+        crossover_distance(LOSSLESS_OMEGA, 1e-2, LOSSLESS, (1e-8, 1e-4))
+    assert (type(failure.value.error), failure.value.z, failure.value.integral) == (
+        LosslessResonanceError, 1e-8, "B")
+
+
+def test_warm_call_forms_no_permittivity(monkeypatch):
+    # the slab pass forms eps once and keeps it: a call that reads the
+    # cached pass forms none
+    omega, delta, z = 2.0 * OMEGA_R, 1e-2, TABLE_CASES["offband"][4]
+    response_vectors_many(omega, z, delta, SIC)
+    calls = []
+
+    def recording(model, omega):
+        calls.append(omega)
+        return permittivity(model, omega)
+
+    monkeypatch.setattr(response, "permittivity", recording)
+    response_vectors_many(omega, z, delta, SIC)
+    assert calls == []
