@@ -231,8 +231,8 @@ def _panel_sums(y, n):
     if isinstance(y, tuple) and y[0].shape[1] >= _BATCHED_HEIGHTS:
         kernel, g = y
         h, p = kernel.shape[1], g.shape[1]
-        # (2, p, N), node axis last: per panel a (15, 2p) matrix
-        gw = g.T[None, :, :] * np.tile(_WEIGHTS, n)[:, None, :]
+        # (2, p, n, 15), node axis last: per panel a (15, 2p) matrix
+        gw = g.T.reshape(1, p, n, 15) * _WEIGHTS[:, None, None, :]
         gw = gw.reshape(2 * p, n, 15).transpose(1, 2, 0)
         s = np.matmul(kernel.reshape(n, 15, h).transpose(0, 2, 1), gw).real.reshape(n, h, 2, p)
         return s[:, :, 0].reshape(n, h * p), s[:, :, 1].reshape(n, h * p)
@@ -384,8 +384,8 @@ def _merge_edges(lo, hi, interior):
     """Sorted panel edges from interior edges clipped to (lo, hi)."""
     pts = np.asarray(interior, dtype=float)
     pts = pts[(pts > lo) & (pts < hi)]
-    edges = np.unique(np.concatenate(([lo], pts, [hi])))
-    # drop zero-width panels from near-duplicate edges
+    edges = np.sort(np.concatenate(([lo], pts, [hi])))
+    # drop zero-width panels from equal and near-duplicate edges
     keep = np.concatenate(([True], np.diff(edges) > 1e-14 * (hi - lo)))
     return edges[keep]
 

@@ -32,14 +32,16 @@ A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, then integrates C and D in passes of several
 heights, so that one slab-amplitude evaluation per node serves them all, and
 B's serve C too. C keeps a pass within one decade, because its height-phase
-edges grow with the largest height. D integrates the heights whose C
-converged in one pass: its ladder reaches from the smallest one's cut down
-past the largest one's scale, and a height whose C fails takes no part in
-it. The C and D integrands return the height kernel and the height-free
-density apart, and the engine contracts them panel by panel. The engine
-bounds nodes x columns of every integrand call, so a pass may hold any
-number of heights. A pass that fails is integrated again height by height,
-for that integral only, so each failure stays with its own height.
+edges grow with the largest height; the decades below z_near, where a
+height adds fewer than ten such edges, share one pass (``_c_passes``). D
+integrates the heights whose C converged in one pass: its ladder reaches
+from the smallest one's cut down past the largest one's scale, and a
+height whose C fails takes no part in it. The C and D integrands return
+the height kernel and the height-free density apart, and the engine
+contracts them panel by panel. The engine bounds nodes x columns of
+every integrand call, so a pass may hold any number of heights. A pass
+that fails is integrated again height by height, for that integral only,
+so each failure stays with its own height.
 ``response_vectors`` and ``alpha_pair`` are its one-height case.
 """
 
@@ -67,6 +69,7 @@ from .quadrature import (
     QuadratureToleranceError,
     _MAX_CELLS,
     _MAX_INITIAL_PANELS,
+    _PHASE_EDGES_PER_PERIOD,
     _adaptive,
     _theta_from_k,
     integrate_evanescent,
@@ -360,15 +363,19 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
 _POINT_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _c_passes(z):
-    """Slices of the ascending heights ``z`` that share a C pass.
+def _c_passes(z, omega):
+    """Slices of the ascending heights ``z`` that share a C pass at ``omega``.
 
     C keeps its heights within a decade: its height-phase edges grow with
     the largest height, so a wider pass costs more columns on more nodes.
     The log-span of ``z`` is cut into the fewest equal parts of at most one
     decade each (a grid from 1e-8 to 1e-6 makes two: decades counted from
     floor(log10 z) would give its end point a part of its own), and a pass
-    is one part.
+    is one part. Below z_near, where the largest height would give C's
+    initial panels fewer than ten quarter-period edges (a decade counted in
+    edges), a part saves no edges worth the fixed cost of a pass: the
+    leading parts wholly below z_near are one pass. Parts above it keep
+    their boundaries, and so does a failing pass its heights.
     """
     # decades as a difference of logs: the ratio of the heights can overflow
     decades = np.log10(z) - math.log10(z[0])
@@ -378,6 +385,8 @@ def _c_passes(z):
     if parts == 1:
         return [slice(0, len(z))]
     part = np.minimum((decades * (parts / span)).astype(int), parts - 1)
+    z_near = 10 * math.pi / (_PHASE_EDGES_PER_PERIOD * omega / c)
+    part = np.maximum(part, np.min(part[z >= z_near], initial=parts) - 1)
     bounds = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(z)]
     return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
@@ -390,7 +399,7 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     entry per height: its :class:`ResponseVectors`, or the PointFailure of
     the error (ArithmeticError, RuntimeError, ValueError) it raised.
     B and the seed edges of C and D are computed once. C integrates its
-    heights in passes of at most a decade (see _c_passes), D the heights
+    heights in passes of a decade or below z_near (_c_passes), D the heights
     whose C converged in one pass: one integrand call serves the C (or D)
     columns of all of a pass's heights, each held to its own tolerance,
     and the engine keeps every call within its cap on nodes x columns. A
@@ -420,7 +429,7 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
         return [PointFailure(exc, h, "B") for h in z]
 
     args = (omega, delta, slab, spec)
-    c_rows = [row for p in _c_passes(z) for row in _pass_rows(_c_pass, "C", z[p], *args)]
+    c_rows = [row for p in _c_passes(z, omega) for row in _pass_rows(_c_pass, "C", z[p], *args)]
     # a height whose C failed reports C's error and takes no part in D
     c_ok = np.array([not isinstance(row, PointFailure) for row in c_rows])
     d_rows = iter(_pass_rows(_d_pass, "D", z[c_ok], *args) if c_ok.any() else [])

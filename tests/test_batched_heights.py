@@ -1,11 +1,11 @@
 """Heights integrated together on shared nodes agree with one height at a time.
 
 ``response_vectors_many`` integrates C for the heights within a decade of
-each other in passes of several heights, and D in one pass for the
-heights whose C converged. Each column keeps its own tolerance but the
-panels are split in another order, so a height's B, C and D may move
-within the quadrature tolerance, never beyond it; a height that fails
-keeps its failure to itself.
+each other (or all below C's near-field height) in passes of several
+heights, and D in one pass for the heights whose C converged. Each column
+keeps its own tolerance but the panels are split in another order, so a
+height's B, C and D may move within the quadrature tolerance, never
+beyond it; a height that fails keeps its failure to itself.
 """
 
 import warnings
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from neqatom import quadrature, response
 from neqatom.constants import c
-from neqatom.optics import DielectricModel, load_material
+from neqatom.optics import DielectricModel, load_material, surface_mode_frequency
 from neqatom.quadrature import (
     DEFAULT_SPEC,
     NonFiniteIntegrandError,
@@ -214,19 +214,60 @@ class TestFailureIsolation:
 class TestGrouping:
     RESONANT_GRID = np.geomspace(1e-8, 1e-4, 50)
 
-    @pytest.mark.parametrize("z,sizes", [
-        ([1e-8, 4e-8, 2e-7, 1e-6], [2, 2]),          # ends on a power of ten
-        (RESONANT_GRID, [13, 12, 12, 13]),
-        (np.geomspace(1e-9, 1e-8, 20), [20]),        # one decade, one pass
-        ([5e-7], [1]),
-        ([1e-200, 1e200], [1, 1]),                   # their ratio overflows
-    ], ids=["power-of-ten-end", "resonant-grid", "one-decade", "one", "overflowing-ratio"])
-    def test_groups(self, z, sizes):
-        # a C pass is one part of at most a decade, whatever its size
+    # z_near, C's tenth height-phase edge, is 1.58e-5 m at OMEGA_R and
+    # 4.71e-6 m at 5e14 rad/s
+    @pytest.mark.parametrize("z,omega,sizes", [
+        ([1e-8, 4e-8, 2e-7, 1e-6], OMEGA_R, [4]),    # two decades below z_near
+        (RESONANT_GRID, OMEGA_R, [37, 13]),          # three decades below z_near
+        (np.geomspace(1e-9, 1e-8, 20), OMEGA_R, [20]),  # one decade, one pass
+        ([5e-7], OMEGA_R, [1]),
+        ([1e-200, 1e200], OMEGA_R, [1, 1]),          # their ratio overflows
+        ([2e-5, 4e-5, 8e-5, 4e-4, 2e-3], 5e14, [3, 2]),  # above z_near: two decades, two parts
+    ], ids=["power-of-ten-end", "resonant-grid", "one-decade", "one", "overflowing-ratio",
+            "above-near"])
+    def test_groups(self, z, omega, sizes):
+        # a C pass is one part of at most a decade, whatever its size, and
+        # the leading parts wholly below z_near are one pass
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            passes = response._c_passes(np.asarray(z))
+            passes = response._c_passes(np.asarray(z), omega)
         assert [p.stop - p.start for p in passes] == sizes
+
+    @pytest.mark.parametrize("delta", [1e-8, 110e-9, 1e-2], ids=["10nm", "110nm", "1cm"])
+    @pytest.mark.parametrize("omega", [surface_mode_frequency(SIC), OMEGA_R], ids=["wp", "wr"])
+    def test_merged_pass_agrees_with_its_decades(self, omega, delta):
+        # a resonant-track slab: the three decades below z_near are one
+        # pass, whose C agrees column by column with the C of each decade
+        z = self.RESONANT_GRID
+        merged, far = response._c_passes(z, omega)
+        assert (merged.stop, far.stop) == (37, 50)
+        slab = response._b_vector(omega, delta, SIC, DEFAULT_SPEC)
+        got = response._c_pass(omega, z[merged], delta, slab, DEFAULT_SPEC).value
+        want = np.concatenate([response._c_pass(omega, z[p], delta, slab, DEFAULT_SPEC).value
+                               for p in (slice(0, 13), slice(13, 25), slice(25, 37))])
+        bound = np.maximum(DEFAULT_SPEC.rel_tol * np.abs(want), DEFAULT_SPEC.abs_tol)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_failing_pass_keeps_its_heights(self, monkeypatch):
+        # the 60-height low-loss scan fails in C at two heights of its top
+        # decade, above z_near: that pass keeps the 15 heights it had
+        # before the near decades merged, and so its retries
+        z = np.geomspace(1e-8, 1e-4, 60)
+        failed = []
+        integrate = response.integrate_oscillatory
+
+        def recording(integrand, omega, z, *args, **kwargs):
+            try:
+                return integrate(integrand, omega, z, *args, **kwargs)
+            except QuadratureToleranceError:
+                failed.append(np.atleast_1d(z).tolist())
+                raise
+
+        monkeypatch.setattr(response, "integrate_oscillatory", recording)
+        many = response_vectors_many(3e14, z, 1e-2, LOW_LOSS)
+        fails = [(f.z, f.integral) for f in many if isinstance(f, PointFailure)]
+        assert [(round(h * 1e6, 2), i) for h, i in fails] == [(17.96, "C"), (62.61, "C")]
+        assert failed == [z[45:].tolist(), [fails[0][0]], [fails[1][0]]]
 
     # the grids that once split D where its ladder stopped short of
     # 1/(2 z_max): the ladder now reaches its floor min(omega/c,

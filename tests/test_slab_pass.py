@@ -164,7 +164,7 @@ def _c_results(omega, delta, spec, z, slab):
     """C of the heights ``z`` from ``slab``, pass by pass, as response_vectors_many
     groups them: each pass's result, or the best estimate of its failure."""
     z, out = np.asarray(z, dtype=float), []
-    for p in response._c_passes(z):
+    for p in response._c_passes(z, omega):
         try:
             out.append(response._c_pass(omega, z[p], delta, slab, spec))
         except QuadratureToleranceError as err:
@@ -178,17 +178,17 @@ def _c_bits(res):
 
 
 # (model, omega, delta, spec, heights, phase edges per C pass, B splits):
-# the offband-rates slab at that workload's seed-0 heights, whose two
-# passes add 0 and 1 height-phase edge to B's 713 panels; CI's far
-# heights, whose phase edges cut every one of B's 9 panels; two slabs
-# whose B splits at the root spec, so the table holds halves
+# the offband-rates slab at that workload's seed-0 heights, whose one
+# pass (all below z_near) adds 1 height-phase edge to B's 713 panels;
+# CI's far heights, whose phase edges cut every one of B's 9 panels; two
+# slabs whose B splits at the root spec, so the table holds halves
 TABLE_CASES = {
     "offband": (SIC, 2.0 * OMEGA_R, 1e-2, DEFAULT_SPEC,
                 [1.3025886325340288e-08, 5.6578504991936244e-08,
-                 2.0270160786638968e-07, 8.310725094184839e-07], [0, 1], 0),
+                 2.0270160786638968e-07, 8.310725094184839e-07], [1], 0),
     "far": (SIC, OMEGA_R, 110e-9, DEFAULT_SPEC, [1e-4, 3e-4, 1e-3, 3e-3], [190, 1904], 0),
-    "halves": (SIC, OMEGA_R, 1e-8, _ROOT_SPEC, [1e-8, 1e-7, 1e-6, 5e-6], [0, 0, 3], 1),
-    "low-loss": (LOW_LOSS, 3e14, 1e-2, _ROOT_SPEC, [1e-7, 1e-6, 5e-6], [0, 6], 175),
+    "halves": (SIC, OMEGA_R, 1e-8, _ROOT_SPEC, [1e-8, 1e-7, 1e-6, 5e-6], [3], 1),
+    "low-loss": (LOW_LOSS, 3e14, 1e-2, _ROOT_SPEC, [1e-7, 1e-6, 5e-6], [6], 175),
 }
 
 
@@ -340,7 +340,7 @@ def test_far_decade_c_pass_starts_from_quarter_period_edges(omega, delta):
     # of the height phase start this C pass from 72-84 panels, eighth
     # periods from 132-159
     z = np.geomspace(1e-8, 1e-4, 50)
-    far = z[response._c_passes(z)[-1]]
+    far = z[response._c_passes(z, omega)[-1]]
     assert len(far) == 13 and far[0] > 1e-5
     slab = _b_vector(omega, delta, SIC, DEFAULT_SPEC)
     res = response._c_pass(omega, far, delta, slab, DEFAULT_SPEC)
