@@ -1,26 +1,26 @@
 """Derived diagnostics: the scan pipeline and thermal-state comparison.
 
 One path turns the response of a height into its transition environment.
-:func:`_environments` integrates every height of one (omega, delta)
-together (:func:`response_vectors_many`), then takes each height's alpha
-pair and rates. It returns the environment, or the :class:`PointFailure`,
-of every height. :func:`scan` and :func:`environment_scan` loop over it,
-delta by delta; :func:`steady_point` and :func:`transition_environments`
-are its one-point cases. Argument errors (grids, temperatures,
-``T_search``, ``omega``) raise ValueError before any integral; numerical
-failures are recorded per point, as the text of their PointFailure.
+:func:`_environments` integrates every height of one (omega, delta) together
+(:func:`response_vectors_many`), then takes each height's alpha pair and
+rates. It returns the environment, or the :class:`PointFailure`, of every
+height. :func:`scan` and :func:`environment_scan` loop over it, delta by
+delta; :func:`steady_point` and :func:`transition_environments` are its
+one-point cases. Argument errors (grids, temperatures, ``T_search``, ``omega``
+and its default dipole magnitude) raise ValueError before any integral;
+numerical failures are recorded per point, as the text of their PointFailure.
 
 The steady state of the Lambda system is diagonal, so the distance to a
 thermal (Gibbs) state reduces to the Euclidean norm of the population
 difference. The closest thermal state is found by a 64-point logarithmic
 pre-scan, which picks the basin of the global minimum when the distance
-profile has two or more minima, and golden-section refinement within it.
-A scan searches the states of one slab together (one pre-scan array, a golden
+profile has two or more minima, and golden-section refinement within it. A
+scan searches the states of one slab together (one pre-scan array, a golden
 section per state, one distance array), unless its bracket ``T_search`` is
 None; :func:`closest_thermal` is its one-row case, with the same bits. Every
-Gibbs state, the cached pre-scan table's included, takes :func:`_gibbs`'s
-math.exp: np.exp differs from it in the last bit for about 4.5 % of
-arguments, and one bit can decide between two nearly equal distances.
+Gibbs state (pre-scan table, golden section, distances) takes :func:`_gibbs`'s
+math.exp: np.exp differs from it in the last bit for about 4.5 % of arguments,
+and one bit can decide between two nearly equal distances.
 """
 
 from __future__ import annotations
@@ -168,14 +168,10 @@ def _golden(p, atom: AtomModel, a: float, b: float) -> float:
     """Closest T of the state ``p = (p1, p2, p3)`` in [a, b]: golden section on
     Python floats to 0.005 K, or to 4 float spacings of ``b`` where that is coarser."""
     p1, p2, p3 = p
-    E2, E3 = hbar * (atom.omega_31 - atom.omega_32), hbar * atom.omega_31
 
-    def distance(T):  # _gibbs's formula inline: a call per evaluation slows the search 10 %
-        kT = k_B * T
-        x2, x3 = (E2 / kT, E3 / kT) if kT else (math.inf, math.inf)
-        e2, e3 = math.exp(-min(x2, 745.0)), math.exp(-min(x3, 745.0))
-        s = 1.0 + e2 + e3
-        return math.sqrt((p1 - 1.0 / s) ** 2 + (p2 - e2 / s) ** 2 + (p3 - e3 / s) ** 2)
+    def distance(T):
+        q1, q2, q3 = _gibbs(atom, T)
+        return math.sqrt((p1 - q1) ** 2 + (p2 - q2) ** 2 + (p3 - q3) ** 2)
 
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1, f2 = distance(x1), distance(x2)
@@ -304,32 +300,24 @@ def _steady(atom, z_values, delta, envs31, envs32, T_search) -> list:
             for z, env31, env32, pops, failure in heights]
 
 
-def probe_atom(omega: float, weights) -> AtomModel:
-    """The atom of :func:`environment_scan`: its transition 32 is ``omega``.
-
-    Only transition 32 is integrated, so omega is the one frequency that
-    needs a default dipole magnitude (31 is given one); a ValueError
-    naming omega says it has none.
-    """
-    try:
-        return AtomModel(omega_31=2.0 * omega, omega_32=omega, d31_mag=1.0,
-                         weights_31=weights, weights_32=weights)
-    except ValueError:
-        raise ValueError(f"omega = {omega!r} has no default dipole magnitude") from None
-
-
 def environment_scan(omega: float, weights, model: DielectricModel, z_values,
                      delta_values, T_W: float, T_M: float,
                      spec: QuadratureSpec = DEFAULT_SPEC):
     """Single-transition z/delta scan: list of (z, delta, env-or-None, error).
 
     Each delta integrates all heights together, as in :func:`scan`, on a
-    probe atom whose transition 32 is ``omega``.
+    probe atom whose transition 32, the one integrated, is ``omega``: a
+    ValueError naming omega says it has no default dipole magnitude.
     """
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     z_values, delta_values = _grid(z_values, delta_values)
-    probe = probe_atom(omega, check_weights(weights))
+    weights = check_weights(weights)
+    try:
+        probe = AtomModel(omega_31=2.0 * omega, omega_32=omega, d31_mag=1.0,
+                          weights_31=weights, weights_32=weights)
+    except ValueError:
+        raise ValueError(f"omega = {omega!r} has no default dipole magnitude") from None
     records = []
     for delta in delta_values.tolist():
         for z, env in zip(z_values.tolist(), _environments(probe, "32", model, z_values,

@@ -26,7 +26,6 @@ from . import __version__
 from .analysis import (
     DEFAULT_T_SEARCH,
     environment_scan,
-    probe_atom,
     scan,
     transition_environments,
 )
@@ -172,12 +171,12 @@ def _parse_grid(expr: str, key: str, positive: bool = True) -> np.ndarray:
         n = int(m.group(4))
         if n < 1 or hi < lo:
             raise ValueError(f"{key}: malformed grid {expr!r}")
-        if m.group(1) == "log":
-            if lo <= 0:
-                raise ValueError(f"{key}: log grid needs lo > 0")
-            values = np.geomspace(lo, hi, n)
-        else:
-            values = np.linspace(lo, hi, n)
+        if m.group(1) == "log" and lo <= 0:
+            raise ValueError(f"{key}: log grid needs lo > 0")
+        try:
+            values = (np.geomspace if m.group(1) == "log" else np.linspace)(lo, hi, n)
+        except MemoryError:
+            raise ValueError(f"{key}: a grid of {n} values cannot be allocated") from None
     else:
         values = np.array(parse_numbers(expr, key))
     bad, bound = (values <= 0.0, "> 0") if positive else (values < 0.0, ">= 0")
@@ -336,15 +335,15 @@ def _rows(records, columns):
 
 
 def _run_rates(cfg, command):
-    # a frequency without a default dipole magnitude is the config's error,
-    # as in ScenarioConfig.atom(), not a numerical failure
+    # environment_scan raises ValueError only for its arguments, which load_config checked
+    # but omega's default dipole magnitude: the config's error, as in ScenarioConfig.atom()
     try:
-        probe_atom(cfg.omega, cfg.weights)
+        scanned = environment_scan(cfg.omega, cfg.weights, cfg.model, cfg.z_values,
+                                   cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     records = []
-    for z, d, env, err in environment_scan(cfg.omega, cfg.weights, cfg.model, cfg.z_values,
-                                           cfg.delta_values, cfg.T_W, cfg.T_M, cfg.spec):
+    for z, d, env, err in scanned:
         rec = {"delta": d, "z": z, "error": err}
         if env is not None:
             # the record dataclasses are flat and have no slots: vars() holds

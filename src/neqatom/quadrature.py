@@ -29,17 +29,19 @@ An integrand that returns NaN or infinity raises NonFiniteIntegrandError
 naming the node, and so do finite panels whose sum overflows; neither
 passes as converged.
 
-Panels live in preallocated arrays (edges, K15 values, error estimates)
-with one row per panel: a split overwrites the parent's row with its left
-half and appends the right half, so ``initial + max_subdivisions`` rows
-always suffice. Each round bisects the worst panels, by largest error
-component with ties to the lower row, until the error left in the others
-would meet the tolerance in every column or the budget is spent (the
-multi-region rule of S. G. Johnson's ``hcubature``), so an integral that
-needs many splits makes few calls. A partial sort and one cumulative sum
-pick them, with no numpy call per panel. Left halves keep their rows and
-right halves are appended in that order. A failing integral spends the
-whole budget unless every panel reaches floating-point width first.
+Panels live in arrays (edges, K15 values, error estimates) with one row
+per panel: a split overwrites the parent's row with its left half and
+appends the right half. The arrays start at twice the initial panels, or
+``initial + max_subdivisions`` rows if fewer, and double when a round
+needs more, so they grow with the splits taken, not with the budget.
+Each round bisects the worst panels, by largest error component with
+ties to the lower row, until the error left in the others would meet the
+tolerance in every column or the budget is spent (the multi-region rule
+of S. G. Johnson's ``hcubature``), so an integral that needs many splits
+makes few calls. A partial sort and one cumulative sum pick them, with
+no numpy call per panel. Left halves keep their rows and right halves
+are appended in that order. A failing integral spends the whole budget
+unless every panel reaches floating-point width first.
 
 No integrand call holds more than ``_MAX_CELLS`` nodes x columns (a
 pair's columns counted as n_z * p): the initial panels and a round's
@@ -120,8 +122,11 @@ _PHASE_EDGES_PER_PERIOD = 4
 # Kernel width (heights) from which a (kernel, g) pair is contracted panel
 # by panel rather than as its columns. Per call on 20-300 panels the
 # batched form wins from about 2-4 real heights and 4-6 complex ones, and
-# is 2-3x slower at one height (a root search), where the per-panel
-# matmul overhead outweighs forming 2 columns
+# is 2-3x slower at one height (a root search), where the per-panel matmul
+# overhead outweighs forming 2 columns. End to end, batching none makes
+# resonant-track about 11 % slower and batching all is within noise, but
+# below this width each column of a pass has the bits of its one-height
+# pass: batching all moves crossover roots 2 and 4 in their last digit
 _BATCHED_HEIGHTS = 4
 
 # Evanescent upper cut: damping factor below 1e-14 of its peak.
@@ -288,7 +293,7 @@ def _adaptive(F, edges, spec, extra_error=None, _heights=1):
     n = len(edges) - 1
     if n > _MAX_INITIAL_PANELS:
         raise ValueError("initial panel budget exceeded")
-    rows = n + spec.max_subdivisions      # a split adds exactly one row
+    rows = n + min(spec.max_subdivisions, n)  # a split adds one row; rows double on demand
     a, b = np.empty(rows), np.empty(rows)
     a[:n], b[:n] = edges[:-1], edges[1:]
     vals = errs = worst = None            # worst: a row's largest error component
@@ -366,6 +371,11 @@ def _adaptive(F, edges, spec, extra_error=None, _heights=1):
         if not len(rows_in):            # every panel is at floating-point width
             return _final(ok=False)
         k = len(rows_in)
+        if count + k > rows:            # k <= count <= rows: doubling suffices
+            more = min(rows, n + spec.max_subdivisions - rows)
+            a, b, worst, vals, errs = (np.concatenate((x, np.empty((more, *x.shape[1:]))))
+                                       for x in (a, b, worst, vals, errs))
+            rows += more
         lo, hi = a[rows_in], b[rows_in]
         mid = 0.5 * (lo + hi)
         # left halves keep their rows, right halves are appended

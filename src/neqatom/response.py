@@ -16,17 +16,18 @@ with d the dipole orientation weights.
 What does not depend on the atom height is computed once per (frequency,
 thickness, material, tolerances), in one cached slab pass (``_b_vector``):
 B itself, the panel edges every height's C and D start from, and C's
-density at B's nodes. B starts from the slab-phase breakpoints and a
-geometric ladder toward grazing incidence (``_GRAZING_LADDER``), and C
-from B's final edges (in theta), which hold both. D starts from the
-evanescent slab-phase breakpoints when the slab has any; otherwise from
-the final edges (in kappa) of one adaptive pass over the D density
-without its height factor, which resolves the guided-mode poles near
-the light line. That pass starts from a geometric ladder toward the
-light line (``_LIGHT_LINE_LADDER``), whose rungs D inherits below the
-floor of its own ladder. C adds the phase edges of the largest height of
-a pass and D the ladder of its heights, so the seeds move where panels
-start, not what each integral must meet.
+density at B's nodes. A C or D pass takes its record (``_SlabPass``, with
+its omega, delta and spec) and its heights. B starts from the slab-phase
+breakpoints and a geometric ladder toward grazing incidence
+(``_GRAZING_LADDER``), and C from B's final edges (in theta), which hold
+both. D starts from the evanescent slab-phase breakpoints when the slab
+has any; otherwise from the final edges (in kappa) of one adaptive pass
+over the D density without its height factor, which resolves the
+guided-mode poles near the light line. That pass starts from a geometric
+ladder toward the light line (``_LIGHT_LINE_LADDER``), whose rungs D
+inherits below the floor of its own ladder. C adds the phase edges of the
+largest height of a pass and D the ladder of its heights, so the seeds
+move where panels start, not what each integral must meet.
 
 A z-scan at one frequency and slab goes through ``response_vectors_many``:
 it takes the slab pass, then integrates C and D in passes of several
@@ -286,6 +287,9 @@ class _SlabPass:
     the nodes of B's calls that fit _MAX_CELLS / 2 nodes, by middle kz; None if none fit.
     """
 
+    omega: float
+    delta: float
+    spec: QuadratureSpec
     eps: complex
     B: QuadratureResult
     kappa_seeds: np.ndarray | None
@@ -356,7 +360,7 @@ def _b_vector(omega: float, delta: float, model: DielectricModel,
         order = np.argsort(kz[7::15])
         table = kz.reshape(-1, 15)[order], k.reshape(-1, 15)[order], g.reshape(-1, 15, 2)[order]
     kappa = None if eps.imag == 0.0 else _kappa_seeds(omega, eps, delta, spec)
-    return _SlabPass(eps=eps, B=b_res, kappa_seeds=kappa, c_density=table)
+    return _SlabPass(omega, delta, spec, eps=eps, B=b_res, kappa_seeds=kappa, c_density=table)
 
 
 # failures recorded against the height (or scan point) they belong to
@@ -428,11 +432,10 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     except _POINT_ERRORS as exc:
         return [PointFailure(exc, h, "B") for h in z]
 
-    args = (omega, delta, slab, spec)
-    c_rows = [row for p in _c_passes(z, omega) for row in _pass_rows(_c_pass, "C", z[p], *args)]
+    c_rows = [row for p in _c_passes(z, omega) for row in _pass_rows(_c_pass, "C", z[p], slab)]
     # a height whose C failed reports C's error and takes no part in D
     c_ok = np.array([not isinstance(row, PointFailure) for row in c_rows])
-    d_rows = iter(_pass_rows(_d_pass, "D", z[c_ok], *args) if c_ok.any() else [])
+    d_rows = iter(_pass_rows(_d_pass, "D", z[c_ok], slab) if c_ok.any() else [])
     B = _with_yy(slab.B.value)
     out = []
     for c_row in c_rows:
@@ -446,25 +449,24 @@ def response_vectors_many(omega: float, z_values, delta: float, model: Dielectri
     return out
 
 
-def _pass_rows(integrate, integral, z, omega, delta, slab, spec):
+def _pass_rows(integrate, integral, z, slab):
     """(value, error) row, or PointFailure, of each height ``z`` in one pass, a failing
     pass retried height by height. Not a closure: that would be a reference cycle."""
     try:
-        res = integrate(omega, z, delta, slab, spec)
+        res = integrate(z, slab)
     except _POINT_ERRORS as exc:
         if len(z) == 1:
             return [PointFailure(exc, z[0], integral)]
-        return [row for h in z[:, None]
-                for row in _pass_rows(integrate, integral, h, omega, delta, slab, spec)]
+        return [row for h in z[:, None] for row in _pass_rows(integrate, integral, h, slab)]
     return list(zip(res.value.reshape(len(z), 2), res.error_estimate.reshape(len(z), 2)))
 
 
-def _c_pass(omega, z, delta, slab, spec):
+def _c_pass(z, slab):
     """C of the heights ``z`` (array), columns (xx, zz) height by height.
 
     It starts from B's final edges in ``slab``, the :class:`_SlabPass` of
-    (omega, delta). The integrand returns a pair: the height kernel
-    e^{2i kz z}, complex (node, height), and the height-free density
+    its (omega, delta, spec). The integrand returns a pair: the height
+    kernel e^{2i kz z}, complex (node, height), and the height-free density
     g = (3c/4 omega)(k/kz)(rho_TE w_TE + rho_TM w_TM), w_TM =
     (c/omega)^2 (-kz^2, 2 k^2), complex (node, orientation), formed once
     per node: at a node of B, read from the slab's table. The engine
@@ -474,8 +476,8 @@ def _c_pass(omega, z, delta, slab, spec):
         two_z = 2.0 * z
 
     def density(k, kz):
-        (rho_te, rho_tm), _ = slab_amplitudes(omega, slab.eps, kz, delta, want_tau=False)
-        return _density(omega, k, -kz**2, rho_te, rho_tm, k / kz)
+        (rho_te, rho_tm), _ = slab_amplitudes(slab.omega, slab.eps, kz, slab.delta, want_tau=False)
+        return _density(slab.omega, k, -kz**2, rho_te, rho_tm, k / kz)
 
     # the integrand runs once per split round: kz is real on the propagative
     # sector, so the kernel is one cos and one sin per (node, height)
@@ -498,10 +500,10 @@ def _c_pass(omega, z, delta, slab, spec):
             g[new] = density(k[new], kz[new])
         return kernel, g
 
-    return integrate_oscillatory(integrand, omega, z, spec, _seeds=slab.B.edges)
+    return integrate_oscillatory(integrand, slab.omega, z, slab.spec, _seeds=slab.B.edges)
 
 
-def _d_pass(omega, z, delta, slab, spec):
+def _d_pass(z, slab):
     """D of the heights ``z`` (array), columns (xx, zz) height by height.
 
     It starts from the kappa seeds of ``slab``. The integrand returns a
@@ -519,9 +521,9 @@ def _d_pass(omega, z, delta, slab, spec):
 
     def integrand(k, kappa):
         return (np.exp(np.multiply.outer(kappa, minus_two_z)),
-                _d_density(omega, slab.eps, delta, k, kappa, k / kappa))
+                _d_density(slab.omega, slab.eps, slab.delta, k, kappa, k / kappa))
 
-    return integrate_evanescent(integrand, omega, z, spec, _seeds=slab.kappa_seeds)
+    return integrate_evanescent(integrand, slab.omega, z, slab.spec, _seeds=slab.kappa_seeds)
 
 
 def response_vectors(omega: float, geom: GeometryPoint, model: DielectricModel,

@@ -278,9 +278,11 @@ class TestScan:
         (lambda: environment_scan(1.6e14, ISOTROPIC_WEIGHTS, SIC, [1e-7], [math.nan, 1e-2],
                                   470.0, 170.0),
          "delta must be finite and >= 0, got nan"),
+        (lambda: environment_scan(5e102, ISOTROPIC_WEIGHTS, SIC, [1e-7], [1e-2], 470.0, 170.0),
+         "has no default dipole magnitude"),
     ], ids=["nan-T_W", "negative-T_W", "infinite-T_M", "reversed-T_search",
             "negative-omega", "nan-omega", "nan-delta", "infinite-delta",
-            "environment-scan-nan-delta"])
+            "environment-scan-nan-delta", "environment-scan-no-dipole"])
     def test_argument_error_raises_before_any_integral(self, monkeypatch, call, match):
         def no_integral(*args, **kwargs):
             raise AssertionError("integrated before the arguments were checked")

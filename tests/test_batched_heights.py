@@ -242,8 +242,8 @@ class TestGrouping:
         merged, far = response._c_passes(z, omega)
         assert (merged.stop, far.stop) == (37, 50)
         slab = response._b_vector(omega, delta, SIC, DEFAULT_SPEC)
-        got = response._c_pass(omega, z[merged], delta, slab, DEFAULT_SPEC).value
-        want = np.concatenate([response._c_pass(omega, z[p], delta, slab, DEFAULT_SPEC).value
+        got = response._c_pass(z[merged], slab).value
+        want = np.concatenate([response._c_pass(z[p], slab).value
                                for p in (slice(0, 13), slice(13, 25), slice(25, 37))])
         bound = np.maximum(DEFAULT_SPEC.rel_tol * np.abs(want), DEFAULT_SPEC.abs_tol)
         assert np.all(np.abs(got - want) <= bound)

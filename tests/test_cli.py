@@ -539,6 +539,35 @@ bracket = 1e-8,2e-8
         assert "config error: omega = 5e+102 has no default dipole magnitude" in err
         assert "omega_31" not in err
 
+    @pytest.mark.parametrize("kind,numpy_call", [("log", "geomspace"), ("lin", "linspace")])
+    def test_unallocatable_grid_names_its_key(self, tmp_path, capsys, monkeypatch,
+                                              kind, numpy_call):
+        # numpy's MemoryError is raised by a stand-in: a real grid of 1e11
+        # values could, on a machine that overcommits memory, start to fill it
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+        monkeypatch.setattr(np, numpy_call, no_memory)
+        cfg = write(tmp_path, f"omega = omega_r\nT_W = 570\nT_M = 170\n"
+                              f"z = {kind}:1e-8:1e-4:100000000000\n")
+        assert run_command(["rates", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: z: a grid of 100000000000 values cannot be allocated\n")
+
+    def test_subdivision_budget_beyond_memory_gives_the_default_rows(self, tmp_path):
+        # the engine's panel rows grow with the splits taken, not with the
+        # budget: 1e12 subdivisions, which no array could hold, give the
+        # rows of the default budget, every one filled
+        rows = []
+        for name, budget in (("default", ""), ("huge", "max_subdivisions = 1000000000000\n")):
+            cfg = write(tmp_path, "omega = omega_r\nT_W = 570\nT_M = 170\nz = 1e-8,1e-7\n"
+                                  "delta = 110e-9\n" + budget, f"{name}.cfg")
+            out = tmp_path / f"{name}.csv"
+            assert run_command(["rates", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            rows.append(rows_of(out))
+        assert rows[0] == rows[1]
+        _, filled = rows[0]
+        assert len(filled) == 2 and all(r.pop("error") == "" and all(r.values()) for r in filled)
+
 
 class TestOverrides:
     def test_rel_tol_flag_wins(self, tmp_path):

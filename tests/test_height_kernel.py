@@ -39,9 +39,11 @@ CASES = [(SIC, OMEGA_R, 110e-9), (SIC, 2.0 * OMEGA_R, 1e-2), (LOW_LOSS, 3e14, 1e
 HEIGHTS = {1: [3e-7], 3: [1e-8, 2e-7, 5e-6], 12: np.geomspace(1e-8, 1e-4, 12).tolist()}
 RTOL = 1e-13
 
-# a slab pass is only read for its permittivity, each case's in its place of
-# the NaN here, and its seeds, which the captured engine ignores
-_SLAB = response._SlabPass(eps=complex(math.nan),
+# a slab pass is only read for its frequency, thickness and permittivity, each
+# case's in its place of the NaN here, and its spec and seeds, which the
+# captured engine ignores
+_SLAB = response._SlabPass(omega=math.nan, delta=math.nan, spec=DEFAULT_SPEC,
+                           eps=complex(math.nan),
                            B=QuadratureResult(np.zeros(2), np.zeros(2), 0, edges=np.zeros(0)),
                            kappa_seeds=np.zeros(0))
 
@@ -81,8 +83,8 @@ def test_c_integrand_matches_definition(monkeypatch, model, omega, delta, n):
     z = np.asarray(HEIGHTS[n])
     eps = permittivity(model, omega)
     integrand = _captured(monkeypatch, "integrate_oscillatory",
-                          lambda: response._c_pass(omega, z, delta, replace(_SLAB, eps=eps),
-                                                   DEFAULT_SPEC))
+                          lambda: response._c_pass(z, replace(_SLAB, omega=omega,
+                                                              delta=delta, eps=eps)))
     U = omega / c
     theta = np.random.default_rng(n).uniform(0.0, 0.5 * np.pi, 300)
     k, kz = U * np.sin(theta), U * np.cos(theta)
@@ -105,8 +107,8 @@ def test_d_integrand_matches_definition(monkeypatch, model, omega, delta, n):
     z = np.asarray(HEIGHTS[n])
     eps = permittivity(model, omega)
     integrand = _captured(monkeypatch, "integrate_evanescent",
-                          lambda: response._d_pass(omega, z, delta, replace(_SLAB, eps=eps),
-                                                   DEFAULT_SPEC))
+                          lambda: response._d_pass(z, replace(_SLAB, omega=omega,
+                                                              delta=delta, eps=eps)))
     U = omega / c
     kappa = U * 10.0 ** np.random.default_rng(n).uniform(-3.0, 3.0, 300)
     k = np.hypot(kappa, U)

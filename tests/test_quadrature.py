@@ -15,6 +15,7 @@ Oracle kernels and their closed forms:
 
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,27 @@ class TestFailureAndSpec:
         best = err.value.best
         assert abs(best.value[0] - exact) > 0.1
         assert best.error_estimate[0] > 0.5 * abs(best.value[0] - exact)
+
+    def test_panel_rows_grow_with_the_splits_taken(self):
+        # a budget of 1e6 splits: the panel rows follow the splits taken
+        # (none on a smooth panel, 36 on a peak), not the budget, a row of
+        # which per split would trace 38 MiB; the splits keep their bits
+        x0 = 1.0 / math.sqrt(2.0)
+
+        def peak(x):
+            return 1.0 / np.sqrt(np.abs(x - x0) + 1e-6)
+
+        for F, edges in ((np.square, [0.0, 1.0]), (peak, np.linspace(0.0, 1.0, 5))):
+            tracemalloc.start()
+            try:
+                res = _adaptive(F, edges, QuadratureSpec(max_subdivisions=10**6))
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak_bytes < 2**18
+            want = _adaptive(F, edges, QuadratureSpec())
+            assert (res.value.tobytes(), res.error_estimate.tobytes(), res.splits) == (
+                want.value.tobytes(), want.error_estimate.tobytes(), want.splits)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -156,17 +156,17 @@ def test_cache_warmth_leaves_a_height_unchanged(omega, delta):
     # node formed anew, has the same bits
     slab = _b_vector(omega, delta, SIC, _ROOT_SPEC)
     assert slab.c_density is not None
-    bare = _c_results(omega, delta, _ROOT_SPEC, [z], replace(slab, c_density=None))
+    bare = _c_results(omega, [z], replace(slab, c_density=None))
     assert bare[0].value[[0, 0, 1]].tobytes() == warm.C.tobytes()
 
 
-def _c_results(omega, delta, spec, z, slab):
+def _c_results(omega, z, slab):
     """C of the heights ``z`` from ``slab``, pass by pass, as response_vectors_many
     groups them: each pass's result, or the best estimate of its failure."""
     z, out = np.asarray(z, dtype=float), []
     for p in response._c_passes(z, omega):
         try:
-            out.append(response._c_pass(omega, z[p], delta, slab, spec))
+            out.append(response._c_pass(z[p], slab))
         except QuadratureToleranceError as err:
             out.append(err.best)
     return out
@@ -202,8 +202,8 @@ def test_density_table_changes_no_bit_of_c(case):
     slab = _b_vector(omega, delta, model, spec)
     assert slab.B.splits == b_splits
     assert slab.c_density[0].size == slab.B.evaluations
-    with_table = _c_results(omega, delta, spec, z, slab)
-    without = _c_results(omega, delta, spec, z, replace(slab, c_density=None))
+    with_table = _c_results(omega, z, slab)
+    without = _c_results(omega, z, replace(slab, c_density=None))
     assert [r.initial_panels - slab.B.initial_panels - b_splits for r in with_table] == phase_edges
     assert [_c_bits(r) for r in with_table] == [_c_bits(r) for r in without]
 
@@ -241,8 +241,8 @@ def test_table_keeps_the_calls_of_b_that_fit_its_bound(monkeypatch):
         _b_vector.cache_clear()
     assert (slab.B.initial_panels, slab.B.splits, slab.B.evaluations) == (8_924, b_splits, 139_110)
     assert slab.c_density[0].size == 15 * 8_924 <= cells // 2 < slab.B.evaluations
-    with_table = _c_results(omega, delta, spec, z, slab)
-    without = _c_results(omega, delta, spec, z, replace(slab, c_density=None))
+    with_table = _c_results(omega, z, slab)
+    without = _c_results(omega, z, replace(slab, c_density=None))
     assert [_c_bits(r) for r in with_table] == [_c_bits(r) for r in without]
 
 
@@ -343,7 +343,7 @@ def test_far_decade_c_pass_starts_from_quarter_period_edges(omega, delta):
     far = z[response._c_passes(z, omega)[-1]]
     assert len(far) == 13 and far[0] > 1e-5
     slab = _b_vector(omega, delta, SIC, DEFAULT_SPEC)
-    res = response._c_pass(omega, far, delta, slab, DEFAULT_SPEC)
+    res = response._c_pass(far, slab)
     assert res.initial_panels <= 90
 
 
